@@ -3,7 +3,9 @@
 Commands: analyze, remove, optimize, enumerate, verify.  All output is
 line-oriented key=value blocks (or one JSON object per block with
 ``--format json-lines``); identical inputs always give identical output.
-Exit codes: 0 ok, 2 parse error, 3 unremovable, 4 oracle infeasible.
+Exit codes: 0 ok, 2 parse error, 3 unremovable, 4 oracle infeasible,
+5 support search infeasible (a null space wider than ``--support-cap`` in
+``remove`` or ``optimize``).
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_UNREMOVABLE = 3
 EXIT_ORACLE = 4
+EXIT_SUPPORT = 5
 
 
 class ParseError(Exception):
@@ -195,7 +198,8 @@ def serialize_code(graph: CodeGraph) -> str:
 # -------------------------------------------------------------------- targets
 
 
-def parse_targets(text: str, path: str = "<targets>") -> list[Target]:
+def parse_targets(text: str, path: str = "<targets>", *, cols: int | None = None) -> list[Target]:
+    """Target records, one per line; with ``cols``, VN ids must lie in 1..cols."""
     targets = []
     for i, raw in enumerate(text.splitlines()):
         line = raw.strip()
@@ -221,7 +225,10 @@ def parse_targets(text: str, path: str = "<targets>") -> list[Target]:
                 params = tuple(int(x) for x in fields["params"].split(","))
             except ValueError:
                 raise ParseError(path, i + 1, f"bad params {fields['params']!r}") from None
-        targets.append(Target(vn_ids=vns, kind=kind, expected_params=params))
+        target = Target(vn_ids=vns, kind=kind, expected_params=params)
+        if cols is not None and vns[-1] >= cols:
+            raise ParseError(path, i + 1, f"target {target.object_id} references a VN beyond {cols}")
+        targets.append(target)
     return targets
 
 
@@ -497,10 +504,7 @@ def cmd_remove(args: argparse.Namespace, rep: Reporter) -> int:
 
 def cmd_optimize(args: argparse.Namespace, rep: Reporter) -> int:
     graph = parse_code(_read(args.code), args.code, args.field_poly)
-    targets = parse_targets(_read(args.targets), args.targets)
-    for t in targets:
-        if any(v >= graph.cols for v in t.vn_ids):
-            raise ParseError(args.targets, 0, f"target {t.object_id} references a VN beyond {graph.cols}")
+    targets = parse_targets(_read(args.targets), args.targets, cols=graph.cols)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         new_graph, report = optimize_code(
@@ -670,6 +674,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OracleTooLargeError as exc:
         print(f"oracle infeasible: {exc}", file=sys.stderr)
         return EXIT_ORACLE
+    except SearchTooLargeError as exc:
+        print(f"support search infeasible: {exc}", file=sys.stderr)
+        return EXIT_SUPPORT
 
 
 if __name__ == "__main__":

@@ -262,10 +262,7 @@ def cn_flippable_partners(
 
     out = set()
     for cn in c.deg2_cns - marked:
-        vns = [v for v, _ in c.cn_neighbors[cn]]
-        if len(set(vns)) != 2:
-            continue
-        if all(satisfied_count(v) > threshold for v in vns):
+        if all(satisfied_count(v) > threshold for v, _ in c.cn_neighbors[cn]):
             out.add(cn)
     return frozenset(out)
 
@@ -303,9 +300,6 @@ class CodeGraph:
                 raise MalformedConfigurationError(
                     f"column {c + 1} has {deg} entries, column weight is {gamma}"
                 )
-
-    def row_support(self, r: int) -> list[int]:
-        return sorted(c for (rr, c) in self.weights if rr == r)
 
     def induce(self, vns: Sequence[int]) -> Configuration:
         """Configuration induced by a VN subset.

@@ -8,16 +8,9 @@ polynomial x^2+x+1 this fixes the primitive element at 2 and its square
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
-
 
 class FieldError(Exception):
     """Base class for field construction and arithmetic failures."""
-
-
-class FieldMismatchError(FieldError):
-    """Two elements from different field contexts were combined."""
 
 
 class FieldDivisionError(FieldError, ZeroDivisionError):
@@ -35,11 +28,15 @@ _MAX_LAMBDA = 16
 class FieldContext:
     """GF(2^lambda) with a fixed primitive polynomial.
 
-    Immutable after construction; all operations are pure functions of the
-    integer encodings, so a context can be shared freely across threads.
+    The field itself is fixed at construction and every operation is a pure
+    function of the integer encodings.  The one mutable part is the row
+    cache behind ``mul_row``: slot x is filled on the first request for x and
+    always with the same tuple, so a context can still be shared freely
+    across threads.  A filled slot holds q entries; the linear algebra only
+    asks for the multipliers its matrices contain.
     """
 
-    __slots__ = ("lam", "q", "primitive_poly", "log_table", "antilog_table")
+    __slots__ = ("lam", "q", "primitive_poly", "log_table", "antilog_table", "_mul_rows")
 
     def __init__(self, lam: int, primitive_poly: int | None = None):
         if lam < 2:
@@ -76,8 +73,9 @@ class FieldContext:
         self.primitive_poly = primitive_poly
         self.log_table = tuple(log_table)
         self.antilog_table = tuple(antilog_table)
+        self._mul_rows: list[tuple[int, ...] | None] = [None] * q
 
-    # Integer-level arithmetic: the hot path used by the linear algebra.
+    # Integer-level arithmetic; the linear algebra reads products from mul_row.
 
     def add(self, x: int, y: int) -> int:
         return x ^ y
@@ -95,14 +93,12 @@ class FieldContext:
     def div(self, x: int, y: int) -> int:
         return self.mul(x, self.inv(y))
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value, self)
-
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.q))
-
-    def nonzero(self) -> Iterator[int]:
-        return iter(range(1, self.q))
+    def mul_row(self, x: int) -> tuple[int, ...]:
+        """The products x*y for every y, indexed by y; built on first use."""
+        row = self._mul_rows[x]
+        if row is None:
+            row = self._mul_rows[x] = tuple(self.mul(x, y) for y in range(self.q))
+        return row
 
     def validate(self, value: int) -> int:
         if not 0 <= value < self.q:
@@ -119,47 +115,6 @@ class FieldContext:
 
     def __repr__(self) -> str:
         return f"FieldContext(GF({self.q}), poly=0b{self.primitive_poly:b})"
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """One element of a specific FieldContext, with operator sugar."""
-
-    value: int
-    field: FieldContext
-
-    def __post_init__(self) -> None:
-        self.field.validate(self.value)
-
-    def _check(self, other: "FieldElement") -> None:
-        if self.field != other.field:
-            raise FieldMismatchError(f"cannot combine {self.field!r} with {other.field!r}")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field.add(self.value, other.value), self.field)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field.mul(self.value, other.value), self.field)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def __repr__(self) -> str:
-        return f"FieldElement({self.value}, GF({self.field.q}))"
-
-
-def add(x: FieldElement, y: FieldElement) -> FieldElement:
-    return x + y
-
-
-def mul(x: FieldElement, y: FieldElement) -> FieldElement:
-    return x * y
-
-
-def inv(x: FieldElement) -> FieldElement:
-    return x.inverse()
 
 
 def format_element(field: FieldContext, value: int) -> str:

@@ -71,10 +71,6 @@ class GfMatrix:
         drop = set(indices)
         return self.keep_rows([i for i in range(self.rows) if i not in drop])
 
-    def keep_cols(self, indices: Sequence[int]) -> "GfMatrix":
-        kept = tuple(tuple(row[j] for j in indices) for row in self.entries)
-        return GfMatrix(self.rows, len(indices), kept, self.field)
-
     def __str__(self) -> str:
         return "\n".join(" ".join(str(v) for v in row) for row in self.entries)
 
@@ -106,14 +102,16 @@ def rref(m: GfMatrix) -> tuple[GfMatrix, int]:
         if sel is None:
             continue
         work[pivot_row], work[sel] = work[sel], work[pivot_row]
-        scale = f.inv(work[pivot_row][col])
-        if scale != 1:
-            work[pivot_row] = [f.mul(scale, v) for v in work[pivot_row]]
+        pivot = work[pivot_row][col]
+        if pivot != 1:
+            scale = f.mul_row(f.inv(pivot))
+            work[pivot_row] = [scale[v] for v in work[pivot_row]]
         prow = work[pivot_row]
         for r in range(nrows):
-            if r != pivot_row and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [f.add(v, f.mul(factor, pv)) for v, pv in zip(work[r], prow)]
+            factor = work[r][col]
+            if r != pivot_row and factor != 0:
+                times = f.mul_row(factor)
+                work[r] = [v ^ times[pv] for v, pv in zip(work[r], prow)]
         pivot_row += 1
     reduced = GfMatrix(nrows, ncols, tuple(tuple(row) for row in work), f)
     return reduced, pivot_row
@@ -147,13 +145,12 @@ def null_space(m: GfMatrix) -> NullSpaceBasis:
 def mat_vec(m: GfMatrix, v: Sequence[int]) -> tuple[int, ...]:
     if len(v) != m.cols:
         raise DimensionMismatchError(f"vector length {len(v)} != cols {m.cols}")
-    f = m.field
+    times = [m.field.mul_row(b) for b in v]
     out = []
     for row in m.entries:
         acc = 0
-        for a, b in zip(row, v):
-            if a and b:
-                acc ^= f.mul(a, b)
+        for a, t in zip(row, times):
+            acc ^= t[a]
         out.append(acc)
     return tuple(out)
 
@@ -161,11 +158,9 @@ def mat_vec(m: GfMatrix, v: Sequence[int]) -> tuple[int, ...]:
 def _combine(basis: Sequence[Sequence[int]], coeffs: Sequence[int], f: FieldContext, length: int) -> tuple[int, ...]:
     acc = [0] * length
     for c, vec in zip(coeffs, basis):
-        if c == 0:
-            continue
-        for i, x in enumerate(vec):
-            if x:
-                acc[i] ^= f.mul(c, x)
+        if c != 0:
+            times = f.mul_row(c)
+            acc = [a ^ times[x] for a, x in zip(acc, vec)]
     return tuple(acc)
 
 

@@ -20,6 +20,7 @@ from .config import (
     Configuration,
     classify_unlabeled,
 )
+from .gf import FieldContext
 from .gflinalg import (
     DEFAULT_SUPPORT_CAP,
     GfMatrix,
@@ -99,6 +100,43 @@ def _vn_components(c: Configuration, kept_rows: Sequence[int]) -> list[list[int]
     return [sorted(g) for g in sorted(groups.values())]
 
 
+def _first_unbroken(
+    rows: Sequence[tuple[int, ...]],
+    groups: Sequence[Sequence[int]],
+    field: FieldContext,
+    support_cap: int,
+) -> int | None:
+    """Position of the first consistency matrix with unbroken conditions.
+
+    ``rows`` is an adjacency matrix as row tuples and each group lists the
+    rows one matrix drops from it.  Matrices are tried in group order and
+    the scan stops at the first whose null space has a full-support vector,
+    so a support-cap overrun raises only on a matrix it reaches.  None
+    means every matrix is broken: the object is out of its family.
+    """
+    ncols = len(rows[0])
+    for i, group in enumerate(groups):
+        kept = tuple(row for r, row in enumerate(rows) if r not in group)
+        found, _ = has_full_support_vector(
+            null_space(GfMatrix(len(kept), ncols, kept, field)), support_cap
+        )
+        if found:
+            return i
+    return None
+
+
+def _with_weights(
+    rows: Sequence[tuple[int, ...]], changes: Mapping[tuple[int, int], int]
+) -> list[tuple[int, ...]]:
+    """Adjacency rows with the (cn, vn) -> weight replacements written in."""
+    out = list(rows)
+    for (cn, vn), wt in changes.items():
+        row = list(out[cn])
+        row[vn] = wt
+        out[cn] = tuple(row)
+    return out
+
+
 def evaluate_weight_conditions(
     c: Configuration, w: WcmSet, support_cap: int = DEFAULT_SUPPORT_CAP
 ) -> WeightConditionReport:
@@ -108,7 +146,9 @@ def evaluate_weight_conditions(
     support.  The component split of the residual graph (all VNs plus the
     kept CNs) is computed alongside: the null-space dimension always equals
     the sum of per-component dimensions, and for an unbroken matrix every
-    component contributes at least 1.
+    component contributes at least 1.  This is the full diagnostic behind
+    ``analyze`` and ``verify``; yes/no membership goes through
+    ``_first_unbroken``, which stops at the first unbroken matrix.
     """
     records = []
     for rec in w.wcms:
@@ -157,13 +197,12 @@ def _restrict(c: Configuration, rows: Sequence[int], cols: Sequence[int]) -> GfM
 def is_in_Z(
     c: Configuration, w: WcmSet, support_cap: int = DEFAULT_SUPPORT_CAP
 ) -> bool:
-    """Family membership: true iff some matrix has unbroken conditions."""
-    for rec in w.wcms:
-        ns = null_space(rec.matrix)
-        found, _ = has_full_support_vector(ns, support_cap)
-        if found:
-            return True
-    return False
+    """Family membership: true iff some matrix has unbroken conditions.
+
+    The matrices are ``w``'s removal groups taken from ``c``'s own weights.
+    """
+    groups = [rec.removed_rows for rec in w.wcms]
+    return _first_unbroken(c.adjacency().entries, groups, c.field, support_cap) is not None
 
 
 def compute_b_for_values(
@@ -271,7 +310,6 @@ def oracle_in_family(
 
 def compute_e_min(
     c: Configuration,
-    report: WeightConditionReport | None = None,
     kind: str = "gast",
     oracle_cap: int = DEFAULT_ORACLE_CAP,
 ) -> tuple[int, int, bool]:
@@ -308,7 +346,6 @@ def compute_e_min(
 def select_candidate_edges(
     c: Configuration,
     e_bound: int,
-    kind: str = "gast",
     max_size: int | None = None,
     min_size: int = 1,
 ) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
@@ -321,7 +358,6 @@ def select_candidate_edges(
     For oscillating objects the same rule lands on the topologically
     oscillating VNs automatically, since they attain the degree-1 maximum.
     """
-    del kind  # same selection rule for both families
     top = max_size if max_size is not None else e_bound
     d1_counts = [c.vn_deg1_count(v) for v in range(c.num_vns)]
     d1_max = max(d1_counts)
@@ -378,12 +414,13 @@ def remove_object(
     unremovable.
     """
     kind = "ost" if w.kind == "ost" else "gast"
-    report = evaluate_weight_conditions(c, w, support_cap)
-    if report.all_broken:
+    rows = c.adjacency().entries
+    groups = [rec.removed_rows for rec in w.wcms]
+    if _first_unbroken(rows, groups, c.field, support_cap) is None:
         g = c.gamma // 2 if kind == "ost" else (c.gamma - 1) // 2
         bound = g - max(c.vn_deg1_count(v) for v in range(c.num_vns)) + 1
         return RemovalPlan(object_id, kind, "not_in_z", 0, bound, None, ())
-    e_min, e_bound, exact = compute_e_min(c, report, kind, oracle_cap)
+    e_min, e_bound, exact = compute_e_min(c, kind, oracle_cap)
     tried = 0
     prot_checks = 0
     prot_rejections = 0
@@ -391,7 +428,7 @@ def remove_object(
     max_size = e_bound + extra_changes
     try:
         candidates = list(
-            select_candidate_edges(c, e_bound, kind, max_size=max_size, min_size=start)
+            select_candidate_edges(c, e_bound, max_size=max_size, min_size=start)
         )
     except NoCandidateError:
         return RemovalPlan(
@@ -407,10 +444,7 @@ def remove_object(
         for combo in itertools.product(*options):
             tried += 1
             changes = dict(zip(edge_set, combo))
-            candidate = c.with_weights(changes)
-            rebuilt = w.rebuilt(candidate)
-            rep = evaluate_weight_conditions(candidate, rebuilt, support_cap)
-            if not rep.all_broken:
+            if _first_unbroken(_with_weights(rows, changes), groups, c.field, support_cap) is not None:
                 continue
             if protected_ok is not None:
                 prot_checks += 1
@@ -487,6 +521,14 @@ class OptimizationReport:
         return len(self.changes)
 
 
+def _entry_in_family(graph: CodeGraph, entry: _ProtectedEntry, support_cap: int) -> bool:
+    """Whether a protected object is back in its family on ``graph``."""
+    cfg = graph.induce(entry.vn_ids)
+    row_of = {cn_id: i for i, cn_id in enumerate(cfg.cn_ids or ())}
+    groups = [[row_of[g] for g in group] for group in entry.removal_groups]
+    return _first_unbroken(cfg.adjacency().entries, groups, cfg.field, support_cap) is not None
+
+
 def _graph_protected_ok(
     graph: CodeGraph,
     registry: list[_ProtectedEntry],
@@ -502,17 +544,9 @@ def _graph_protected_ok(
     tentative = graph.apply_changes(changes_graph)
     for entry in affected:
         report.protected_checks += 1
-        cfg = tentative.induce(entry.vn_ids)
-        assert cfg.cn_ids is not None
-        row_of = {cn_id: i for i, cn_id in enumerate(cfg.cn_ids)}
-        adjacency = cfg.adjacency()
-        for group in entry.removal_groups:
-            removed = [row_of[g] for g in group]
-            matrix = adjacency.drop_rows(removed)
-            found, _ = has_full_support_vector(null_space(matrix), support_cap)
-            if found:
-                report.protected_rejections += 1
-                return False
+        if _entry_in_family(tentative, entry, support_cap):
+            report.protected_rejections += 1
+            return False
     return True
 
 
@@ -619,16 +653,6 @@ def optimize_code(
                 )
             )
     for entry in registry:
-        cfg = current.induce(entry.vn_ids)
-        row_of = {cn_id: i for i, cn_id in enumerate(cfg.cn_ids or ())}
-        adjacency = cfg.adjacency()
-        intact = True
-        for group in entry.removal_groups:
-            matrix = adjacency.drop_rows([row_of[g] for g in group])
-            found, _ = has_full_support_vector(null_space(matrix), support_cap)
-            if found:
-                intact = False
-                break
-        if intact:
+        if not _entry_in_family(current, entry, support_cap):
             report.reverified.append(entry.object_id)
     return current, report

@@ -95,6 +95,13 @@ def satisfied_labeling(cfg: Configuration, rng: random.Random) -> Configuration:
     return cfg.with_weights(changes)
 
 
+def random_reweighting(cfg: Configuration, rng: random.Random) -> dict[tuple[int, int], int]:
+    """New weights, each different from the old one, on one to three random edges."""
+    q = cfg.field.q
+    edges = rng.sample([(cn, vn) for cn, vn, _ in cfg.edges], rng.randint(1, 3))
+    return {e: rng.choice([w for w in range(1, q) if w != cfg.weight_of(*e)]) for e in edges}
+
+
 def assert_valid_witness(cfg: Configuration, removed_rows, witness) -> None:
     sub = cfg.adjacency().drop_rows(removed_rows)
     assert all(x == 0 for x in mat_vec(sub, witness))

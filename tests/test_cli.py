@@ -8,6 +8,7 @@ from wcmopt.cli import (
     EXIT_OK,
     EXIT_ORACLE,
     EXIT_PARSE,
+    EXIT_SUPPORT,
     EXIT_UNREMOVABLE,
     ParseError,
     main,
@@ -203,6 +204,26 @@ class TestCommands:
         }
         assert len(diff) == 2
         assert all(rc[1] == 0 for rc in diff)
+
+    @pytest.mark.parametrize("argv", [
+        ["remove", "gast_6_0_0_9_0.cfg"],
+        ["optimize", "toy_code.txt", "toy_targets.txt"],
+    ], ids=["remove", "optimize"])
+    def test_support_cap_overrun_exit(self, argv, tmp_path, capsys):
+        out_path = tmp_path / "out.txt"
+        command, *files = argv
+        code = main([command, *map(fixture_path, files), "--support-cap", "0", "--out", str(out_path)])
+        assert code == EXIT_SUPPORT
+        captured = capsys.readouterr()
+        assert "support search infeasible: null-space dimension 1 exceeds support search cap 0" in captured.err
+        assert captured.out == "" and not out_path.exists()
+
+    def test_target_beyond_code_length_names_its_line(self, tmp_path, capsys):
+        targets = tmp_path / "targets.txt"
+        targets.write_text("# targets\nkind=gast vns=1,2,13\n")
+        assert main(["optimize", fixture_path("toy_code.txt"), str(targets)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert f"{targets}:2: target 1,2,13 references a VN beyond 12" in err
 
     def test_optimize_empty_targets_identity(self, tmp_path, capsys):
         targets = tmp_path / "targets.txt"

@@ -1,12 +1,15 @@
+import pathlib
 import random
 import warnings
 
 import pytest
 
-from conftest import random_weights, satisfied_labeling
+from conftest import gf16, random_reweighting, random_weights, satisfied_labeling
 from wcmopt import fixtures as fx
-from wcmopt.config import CodeGraph
-from wcmopt.gflinalg import spans_equal
+from wcmopt.cli import parse_code, parse_config, parse_targets
+from wcmopt.config import CodeGraph, classify_unlabeled
+from wcmopt.gf import gf4, gf8
+from wcmopt.gflinalg import DEFAULT_SUPPORT_CAP, spans_equal
 from wcmopt.removal import (
     InvalidValuesError,
     NoCandidateError,
@@ -21,10 +24,13 @@ from wcmopt.removal import (
     oracle_is_gas,
     remove_object,
     select_candidate_edges,
+    _first_unbroken,
+    _with_weights,
 )
 from wcmopt.wcmtree import build_tree, extract_wcms
 
 A, A2 = 2, 3
+FIXDIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def pipeline(cfg, mode="gast"):
@@ -441,3 +447,63 @@ class TestRandomizedAgreement:
             )
             report = evaluate_weight_conditions(cfg, wcms.rebuilt(cfg))
             assert not report.all_broken
+
+
+class TestMembershipKernel:
+    @pytest.mark.parametrize("field", [gf4(), gf8(), gf16()], ids=["gf4", "gf8", "gf16"])
+    def test_kernel_matches_full_report(self, field):
+        # the short-circuiting kernel must name the same first unbroken
+        # matrix as the full diagnostic, on every shipped shape
+        rng = random.Random(field.q)
+        verdicts = []
+        for name in fx.all_fixture_configurations():
+            base = getattr(fx, name)(field=field)
+            mode = "gast" if classify_unlabeled(base).is_unlabeled_gast else "ost"
+            wcms = pipeline(base, mode)
+            groups = [rec.removed_rows for rec in wcms.wcms]
+            for _ in range(8):
+                cfg = satisfied_labeling(base, rng)
+                changes = random_reweighting(cfg, rng)
+                candidate = cfg.with_weights(changes)
+                report = evaluate_weight_conditions(candidate, wcms.rebuilt(candidate))
+                first = _first_unbroken(
+                    _with_weights(cfg.adjacency().entries, changes), groups, field, DEFAULT_SUPPORT_CAP
+                )
+                assert (first is None) == report.all_broken
+                if first is not None:
+                    assert first + 1 == report.unbroken_indices()[0]
+                verdicts.append(first is None)
+        assert any(verdicts) and not all(verdicts)
+
+
+class TestPinnedCounters:
+    """Work counters on the shipped fixture files, fixed so a change to the search shows."""
+
+    @pytest.mark.parametrize("name, mode, result, tried", [
+        ("gast_6_0_0_9_0", "gast", "removed", 2),
+        ("gast_6_2_2_5_2", "gast", "removed", 1),
+        ("gast_borderline_no_deg2", "gast", "unremovable", 0),
+        ("ugast_6_0_9_0", "gast", "removed", 2),
+        ("ugast_6_2_11_0", "gast", "removed", 1),
+        ("ugast_7_9_13_0", "gast", "removed", 1),
+        ("ugast_8_0_16_0", "gast", "removed", 1),
+        ("ost_6_2_11_0", "ost", "removed", 1),
+        ("ost_8_3_13_1", "ost", "not_in_z", 0),
+    ])
+    def test_remove_fixture_counters(self, name, mode, result, tried):
+        cfg = parse_config((FIXDIR / f"{name}.cfg").read_text())
+        plan = remove_object(cfg, pipeline(cfg, mode))
+        assert (plan.result, plan.candidates_tried) == (result, tried)
+        assert (plan.protected_checks, plan.protected_rejections) == (0, 0)
+
+    @pytest.mark.parametrize("code, targets, per_plan, totals", [
+        ("toy_code.txt", "toy_targets.txt", [(2, 1, 0)], (0, 0)),
+        ("toy_code_overlap.txt", "toy_targets_overlap.txt", [(2, 1, 0), (10, 1, 0)], (1, 0)),
+    ])
+    def test_optimize_fixture_counters(self, code, targets, per_plan, totals):
+        graph = parse_code((FIXDIR / code).read_text())
+        _, report = optimize_code(graph, parse_targets((FIXDIR / targets).read_text()))
+        assert [
+            (p.candidates_tried, p.protected_checks, p.protected_rejections) for p in report.plan_log
+        ] == per_plan
+        assert (report.protected_checks, report.protected_rejections) == totals
