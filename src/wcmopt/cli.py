@@ -292,6 +292,7 @@ def _plan_data(plan: RemovalPlan) -> dict:
         "result": plan.result,
         "e_min": plan.e_min,
         "e_bound": plan.e_bound,
+        "e_min_exact": _yn(plan.e_min_exact),
         "num_changes": len(plan.changes),
         "changes": _change_str(plan.changes) or "-",
         "candidates_tried": plan.candidates_tried,

@@ -252,19 +252,15 @@ def cn_flippable_partners(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    def satisfied_count(vn: int) -> int:
-        unsat = sum(
-            1
-            for cn, _ in c.vn_neighbors[vn]
-            if cn in c.deg1_cns or cn in marked
-        )
-        return c.gamma - unsat
-
-    out = set()
-    for cn in c.deg2_cns - marked:
-        if all(satisfied_count(v) > threshold for v, _ in c.cn_neighbors[cn]):
-            out.add(cn)
-    return frozenset(out)
+    unsat = [0] * c.num_vns
+    for cn in c.deg1_cns | marked:
+        for v, _ in c.cn_neighbors[cn]:
+            unsat[v] += 1
+    return frozenset(
+        cn
+        for cn in c.deg2_cns - marked
+        if all(c.gamma - unsat[v] > threshold for v, _ in c.cn_neighbors[cn])
+    )
 
 
 class CodeGraph:

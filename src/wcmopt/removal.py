@@ -13,6 +13,8 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, field as dataclass_field, replace
+from functools import reduce
+from operator import xor
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .config import (
@@ -226,56 +228,64 @@ class OracleResult:
     witness: tuple[int, ...] | None
 
 
-def _assignments(c: Configuration, cap: int) -> Iterator[tuple[int, ...]]:
-    total = (c.field.q - 1) ** c.num_vns
-    if total > cap:
-        raise OracleTooLargeError(
-            f"(q-1)^a = {total} assignments exceeds oracle cap {cap}"
-        )
-    return itertools.product(range(1, c.field.q), repeat=c.num_vns)
+def _majority(c: Configuration, unsat: frozenset[int], kind: str) -> bool:
+    """Whether every VN keeps its majority of satisfied CNs under ``kind``.
+
+    The majority is strict for 'gas'/'gast', weak for 'ost', and weak with an
+    equality at some VN for 'os'.
+    """
+    twice = [2 * sum(1 for cn, _ in c.vn_neighbors[v] if cn in unsat) for v in range(c.num_vns)]
+    if kind in ("gas", "gast"):
+        return all(u < c.gamma for u in twice)
+    return all(u <= c.gamma for u in twice) and (kind == "ost" or c.gamma in twice)
 
 
-def _majorities(c: Configuration, unsat: set[int]) -> tuple[bool, bool, bool]:
-    """(strict everywhere, weak everywhere, equality somewhere) per-VN verdicts."""
-    strict = True
-    weak = True
-    any_equal = False
-    for vn in range(c.num_vns):
-        u = sum(1 for cn, _ in c.vn_neighbors[vn] if cn in unsat)
-        if 2 * u >= c.gamma:
-            strict = False
-        if 2 * u > c.gamma:
-            weak = False
-        if 2 * u == c.gamma:
-            any_equal = True
-    return strict, weak, any_equal
+def _scan(
+    c: Configuration, cap: int, accept: Callable[[frozenset[int]], bool]
+) -> OracleResult:
+    """First assignment, in product order, at the smallest b that ``accept`` takes.
+
+    Syndromes pack lam + 1 bits per CN: an assignment's is one XOR of two half-sums,
+    and adding 2^lam - 1 to each CN carries the unsatisfied ones into bit lam.
+    """
+    q, a, lam, ell = c.field.q, c.num_vns, c.field.lam, c.num_cns
+    if (total := (q - 1) ** a) > cap:
+        raise OracleTooLargeError(f"(q-1)^a = {total} assignments exceeds oracle cap {cap}")
+    cols = [[0] * (q - 1) for _ in range(a)]
+    for cn, vn, wt in c.edges:
+        cols[vn] = [s ^ c.field.mul_row(wt)[x] << (lam + 1) * cn for x, s in enumerate(cols[vn], 1)]
+    head = [reduce(xor, vals, 0) for vals in itertools.product(*cols[: a // 2])]
+    tail = [reduce(xor, vals, 0) for vals in itertools.product(*cols[a // 2 :])]
+    ones = sum(1 << (lam + 1) * r for r in range(ell))
+    carry, guards = ones * (q - 1), ones << lam
+    verdicts: dict[int, int] = {}
+    best, where = ell + 1, 0
+    for i, p in enumerate(head):
+        masks = [((p ^ t) + carry) & guards for t in tail]
+        try:
+            bs = list(map(verdicts.__getitem__, masks))
+        except KeyError:  # judge each new unsatisfied set once
+            for m in set(masks).difference(verdicts):
+                unsat = frozenset(r for r in range(ell) if (m >> (lam + 1) * r + lam) & 1)
+                verdicts[m] = len(unsat) if accept(unsat) else ell + 1
+            bs = list(map(verdicts.__getitem__, masks))
+        if min(bs) < best:
+            best, where = min(bs), i * len(tail) + bs.index(min(bs))
+    witness = tuple(where // (q - 1) ** k % (q - 1) + 1 for k in reversed(range(a)))
+    return OracleResult(True, best, witness) if best <= ell else OracleResult(False, None, None)
 
 
 def oracle_is_gas(
     c: Configuration, kind: str = "gas", cap: int = DEFAULT_ORACLE_CAP
 ) -> OracleResult:
-    """Exhaustive ground truth over all nonzero value assignments.
+    """Exhaustive ground truth: the smallest b over all nonzero assignments.
 
-    Scans every (q-1)^a assignment, checks the per-VN majority condition
-    (strict for 'gas', weak with at least one equality for 'os'), and
-    reports the smallest unsatisfied count attained together with a witness.
-    Configurations admitting several b values are identified by the
-    smallest.
+    An assignment counts when its unsatisfied CNs keep the per-VN majorities
+    (strict for 'gas', weak with an equality for 'os'); a witness is returned.
     """
     if kind not in ("gas", "os"):
         raise ValueError(f"unknown oracle kind {kind!r}")
-    adjacency = c.adjacency()
-    best_b: int | None = None
-    best_witness: tuple[int, ...] | None = None
-    for values in _assignments(c, cap):
-        syndromes = mat_vec(adjacency, values)
-        unsat = {i for i, s in enumerate(syndromes) if s != 0}
-        strict, weak, any_equal = _majorities(c, unsat)
-        ok = strict if kind == "gas" else (weak and any_equal)
-        if ok and (best_b is None or len(unsat) < best_b):
-            best_b = len(unsat)
-            best_witness = values
-    return OracleResult(best_b is not None, best_b, best_witness)
+    return _scan(c, cap, lambda unsat: _majority(c, unsat, kind))
 
 
 def oracle_in_family(
@@ -290,22 +300,9 @@ def oracle_in_family(
     """
     if kind not in ("gast", "ost"):
         raise ValueError(f"unknown family kind {kind!r}")
-    adjacency = c.adjacency()
-    best_b: int | None = None
-    best_witness: tuple[int, ...] | None = None
-    for values in _assignments(c, cap):
-        syndromes = mat_vec(adjacency, values)
-        unsat = {i for i, s in enumerate(syndromes) if s != 0}
-        if len(unsat) > b_cap:
-            continue
-        if any(i in c.high_cns for i in unsat):
-            continue
-        strict, weak, _ = _majorities(c, unsat)
-        ok = strict if kind == "gast" else weak
-        if ok and (best_b is None or len(unsat) < best_b):
-            best_b = len(unsat)
-            best_witness = values
-    return OracleResult(best_b is not None, best_b, best_witness)
+    return _scan(
+        c, cap, lambda u: len(u) <= b_cap and not u & c.high_cns and _majority(c, u, kind)
+    )
 
 
 def compute_e_min(
@@ -387,6 +384,7 @@ class RemovalPlan:
     result: str  # removed | unremovable | not_in_z
     e_min: int
     e_bound: int
+    e_min_exact: bool  # False when e_min is the topological bound, not the oracle's
     selected_vn: int | None
     changes: tuple[tuple[int, int, int, int], ...]  # (cn, vn, old, new)
     candidates_tried: int = 0
@@ -419,7 +417,7 @@ def remove_object(
     if _first_unbroken(rows, groups, c.field, support_cap) is None:
         g = c.gamma // 2 if kind == "ost" else (c.gamma - 1) // 2
         bound = g - max(c.vn_deg1_count(v) for v in range(c.num_vns)) + 1
-        return RemovalPlan(object_id, kind, "not_in_z", 0, bound, None, ())
+        return RemovalPlan(object_id, kind, "not_in_z", 0, bound, True, None, ())
     e_min, e_bound, exact = compute_e_min(c, kind, oracle_cap)
     tried = 0
     prot_checks = 0
@@ -432,7 +430,7 @@ def remove_object(
         )
     except NoCandidateError:
         return RemovalPlan(
-            object_id, kind, "unremovable", e_min, e_bound, None, (), tried,
+            object_id, kind, "unremovable", e_min, e_bound, exact, None, (), tried,
             prot_checks, prot_rejections,
         )
     for vn, edge_set in candidates:
@@ -463,6 +461,7 @@ def remove_object(
                 "removed",
                 e_min,
                 e_bound,
+                exact,
                 vn,
                 tuple((cn, v, old[(cn, v)], new) for (cn, v), new in changes.items()),
                 tried,
@@ -470,7 +469,7 @@ def remove_object(
                 prot_rejections,
             )
     return RemovalPlan(
-        object_id, kind, "unremovable", e_min, e_bound, None, (), tried,
+        object_id, kind, "unremovable", e_min, e_bound, exact, None, (), tried,
         prot_checks, prot_rejections,
     )
 

@@ -8,6 +8,7 @@ import random
 from wcmopt.config import Configuration
 from wcmopt.gf import FieldContext
 from wcmopt.gflinalg import GfMatrix, NullSpaceBasis, mat_vec
+from wcmopt.removal import OracleResult, OracleTooLargeError
 
 
 def naive_full_support(ns: NullSpaceBasis) -> tuple[bool, tuple[int, ...] | None]:
@@ -49,6 +50,56 @@ def span_size_rank(m: GfMatrix) -> int:
         size //= f.q
         rank += 1
     return rank
+
+
+def _reference_majorities(c: Configuration, unsat: set[int]) -> tuple[bool, bool, bool]:
+    """(strict everywhere, weak everywhere, equality somewhere) per-VN verdicts."""
+    strict = True
+    weak = True
+    any_equal = False
+    for vn in range(c.num_vns):
+        u = sum(1 for cn, _ in c.vn_neighbors[vn] if cn in unsat)
+        if 2 * u >= c.gamma:
+            strict = False
+        if 2 * u > c.gamma:
+            weak = False
+        if 2 * u == c.gamma:
+            any_equal = True
+    return strict, weak, any_equal
+
+
+def reference_oracle_is_gas(c: Configuration, kind: str = "gas", cap: int = 10_000_000):
+    """Slow reference for ``oracle_is_gas``: one ``mat_vec`` per assignment."""
+    if (c.field.q - 1) ** c.num_vns > cap:
+        raise OracleTooLargeError("over the cap")
+    adjacency = c.adjacency()
+    best_b = best_witness = None
+    for values in itertools.product(range(1, c.field.q), repeat=c.num_vns):
+        syndromes = mat_vec(adjacency, values)
+        unsat = {i for i, s in enumerate(syndromes) if s != 0}
+        strict, weak, any_equal = _reference_majorities(c, unsat)
+        ok = strict if kind == "gas" else (weak and any_equal)
+        if ok and (best_b is None or len(unsat) < best_b):
+            best_b = len(unsat)
+            best_witness = values
+    return OracleResult(best_b is not None, best_b, best_witness)
+
+
+def reference_oracle_in_family(c: Configuration, b_cap: int, kind: str = "gast"):
+    """Slow reference for ``oracle_in_family``: one ``mat_vec`` per assignment."""
+    adjacency = c.adjacency()
+    best_b = best_witness = None
+    for values in itertools.product(range(1, c.field.q), repeat=c.num_vns):
+        syndromes = mat_vec(adjacency, values)
+        unsat = {i for i, s in enumerate(syndromes) if s != 0}
+        if len(unsat) > b_cap or any(i in c.high_cns for i in unsat):
+            continue
+        strict, weak, _ = _reference_majorities(c, unsat)
+        ok = strict if kind == "gast" else weak
+        if ok and (best_b is None or len(unsat) < best_b):
+            best_b = len(unsat)
+            best_witness = values
+    return OracleResult(best_b is not None, best_b, best_witness)
 
 
 def random_weights(cfg: Configuration, rng: random.Random) -> Configuration:

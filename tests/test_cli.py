@@ -153,6 +153,39 @@ class TestCommands:
         assert "oracle skipped" in out
         assert "t=10" in out  # the tree portion still ran
 
+    def test_oracle_cap_boundary(self, capsys):
+        # 3^6 = 729 assignments: a cap of 729 scans, 728 refuses
+        path = fixture_path("gast_6_0_0_9_0.cfg")
+        assert main(["verify", path, "--oracle-cap", "729"]) == EXIT_OK
+        assert "verdict=GAST" in capsys.readouterr().out
+        assert main(["verify", path, "--oracle-cap", "728"]) == EXIT_ORACLE
+        assert "exceeds oracle cap 728" in capsys.readouterr().out
+        assert main(["analyze", path, "--oracle-cap", "729"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "[oracle]" in out and "oracle skipped" not in out
+        assert main(["analyze", path, "--oracle-cap", "728"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "[oracle]" not in out and "oracle skipped" in out
+
+    @pytest.mark.parametrize("cap, exact", [("729", "yes"), ("728", "no")])
+    def test_remove_reports_e_min_exact(self, cap, exact, capsys):
+        path = fixture_path("gast_6_0_0_9_0.cfg")
+        assert main(["remove", path, "--oracle-cap", cap]) == EXIT_OK
+        text = capsys.readouterr().out
+        assert f"e_bound=2\ne_min_exact={exact}\n" in text
+        assert main(["remove", path, "--oracle-cap", cap, "--format", "json-lines"]) == EXIT_OK
+        plan = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert plan["block"] == "plan" and plan["e_min_exact"] == exact
+
+    def test_optimize_reports_e_min_exact(self, capsys):
+        argv = ["optimize", fixture_path("toy_code.txt"), fixture_path("toy_targets.txt")]
+        assert main(argv + ["--oracle-cap", "5"]) == EXIT_OK
+        text = capsys.readouterr().out
+        assert "[object_1,2,3,4,5,6]\n" in text and "e_min_exact=no" in text
+        assert main(argv + ["--format", "json-lines"]) == EXIT_OK
+        blocks = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [b["e_min_exact"] for b in blocks if b["block"].startswith("object_")] == ["yes"]
+
     def test_remove_and_idempotence(self, tmp_path, capsys):
         out_path = tmp_path / "removed.cfg"
         assert main(["remove", fixture_path("gast_6_0_0_9_0.cfg"), "--out", str(out_path)]) == EXIT_OK

@@ -142,6 +142,35 @@ def test_flippable_ost_mode_weak_threshold():
         cn_flippable_partners(fx.gast_6_0_0_9_0(), (), mode="ost")
 
 
+def naive_flippable(cfg, marked, mode):
+    """Recount each VN's satisfied checks from its neighbour list, per candidate."""
+    threshold = (cfg.gamma + 2) // 2 if mode == "gast" else cfg.gamma // 2
+
+    def satisfied(vn):
+        return cfg.gamma - sum(
+            1 for cn, _ in cfg.vn_neighbors[vn] if cn in cfg.deg1_cns or cn in marked
+        )
+
+    return frozenset(
+        cn
+        for cn in cfg.deg2_cns - set(marked)
+        if all(satisfied(v) > threshold for v, _ in cfg.cn_neighbors[cn])
+    )
+
+
+def test_flippable_partners_match_naive_recount():
+    rng = random.Random(23)
+    for name, cfg in fx.all_fixture_configurations().items():
+        modes = ("gast", "ost") if cfg.gamma % 2 == 0 else ("gast",)
+        low = sorted(cfg.deg1_cns | cfg.deg2_cns)
+        for mode in modes:
+            for _ in range(40):
+                marked = rng.sample(low, rng.randrange(0, min(len(low), 5) + 1))
+                assert cn_flippable_partners(cfg, marked, mode) == naive_flippable(
+                    cfg, set(marked), mode
+                ), (name, mode, marked)
+
+
 def test_with_weights_round_trip():
     cfg = fx.gast_6_0_0_9_0()
     changed = cfg.with_weights({(0, 0): A, (5, 0): A2})

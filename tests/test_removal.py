@@ -4,8 +4,15 @@ import warnings
 
 import pytest
 
-from conftest import gf16, random_reweighting, random_weights, satisfied_labeling
-from wcmopt import fixtures as fx
+from conftest import (
+    gf16,
+    random_reweighting,
+    random_weights,
+    reference_oracle_in_family,
+    reference_oracle_is_gas,
+    satisfied_labeling,
+)
+from wcmopt import fixtures as fx, removal
 from wcmopt.cli import parse_code, parse_config, parse_targets
 from wcmopt.config import CodeGraph, classify_unlabeled
 from wcmopt.gf import gf4, gf8
@@ -193,12 +200,24 @@ class TestEdgeSelection:
 
 
 class TestRemoveObject:
+    def test_e_min_exact_follows_oracle_cap(self):
+        cfg = fx.gast_6_0_0_9_0()
+        assert remove_object(cfg, pipeline(cfg), oracle_cap=729).e_min_exact
+        plan = remove_object(cfg, pipeline(cfg), oracle_cap=728)
+        assert not plan.e_min_exact and plan.e_min == plan.e_bound
+        removed = fx.gast_6_0_0_9_0(w11=A, w61=A2)
+        out = remove_object(removed, pipeline(cfg).rebuilt(removed), oracle_cap=1)
+        assert (out.result, out.e_min, out.e_min_exact) == ("not_in_z", 0, True)
+        borderline = fx.gast_borderline_no_deg2()
+        out = remove_object(borderline, pipeline(borderline), oracle_cap=1)
+        assert (out.result, out.e_min_exact) == ("unremovable", False)
+
     def test_walkthrough_pair_of_changes(self):
         cfg = fx.gast_6_0_0_9_0()
         plan = remove_object(cfg, pipeline(cfg), object_id="six")
         assert plan.result == "removed"
         assert plan.changes == ((0, 0, 1, A), (5, 0, 1, A2))
-        assert plan.e_min == 2 and plan.e_bound == 2
+        assert plan.e_min == 2 and plan.e_bound == 2 and plan.e_min_exact
         assert plan.selected_vn == 0
         # post-state verification
         post = cfg.with_weights({(cn, vn): new for cn, vn, _, new in plan.changes})
@@ -507,3 +526,87 @@ class TestPinnedCounters:
             (p.candidates_tried, p.protected_checks, p.protected_rejections) for p in report.plan_log
         ] == per_plan
         assert (report.protected_checks, report.protected_rejections) == totals
+
+
+def sub_configuration(cfg, vns):
+    """The configuration a VN subset of ``cfg`` induces."""
+    weights = {(cn, vn): w for cn, vn, w in cfg.edges}
+    return CodeGraph(cfg.num_cns, cfg.num_vns, cfg.gamma, cfg.field, weights).induce(vns)
+
+
+def scan_cases(field, budget, rng):
+    """Each shipped shape under a random and a satisfied labeling; a shape with
+    more than ``budget`` assignments is replaced by a random VN subset that fits."""
+    for name in fx.all_fixture_configurations():
+        shape = getattr(fx, name)(field=field)
+        a = shape.num_vns
+        while (field.q - 1) ** a > budget:
+            a -= 1
+        if a < shape.num_vns:
+            shape = sub_configuration(shape, sorted(rng.sample(range(shape.num_vns), a)))
+        yield name, random_weights(shape, rng)
+        yield name, satisfied_labeling(shape, rng)
+
+
+class TestExhaustiveScanner:
+    """The packed-syndrome scanner against the one-``mat_vec``-per-assignment loop."""
+
+    @pytest.mark.parametrize("field, budget", [(gf4(), 3 ** 8), (gf8(), 7 ** 4)], ids=["gf4", "gf8"])
+    def test_oracles_match_reference(self, field, budget):
+        rng = random.Random(field.q + 1)
+        members = 0
+        for name, cfg in scan_cases(field, budget, rng):
+            kinds = ["gast", "ost"] if cfg.gamma % 2 == 0 else ["gast"]
+            topo = classify_unlabeled(cfg)
+            for kind in kinds:
+                gas_kind = "gas" if kind == "gast" else "os"
+                res = oracle_is_gas(cfg, gas_kind)
+                assert res == reference_oracle_is_gas(cfg, gas_kind), name
+                members += res.is_member
+                caps = {0, 2, 99}
+                if topo.is_unlabeled_gast if kind == "gast" else topo.is_unlabeled_ost:
+                    caps.add(cfg.d1 + build_tree(cfg, mode=kind).b_et)
+                for b_cap in sorted(caps):
+                    assert oracle_in_family(cfg, b_cap, kind) == reference_oracle_in_family(
+                        cfg, b_cap, kind
+                    ), (name, kind, b_cap)
+        assert members > 0
+
+    def test_family_keeps_high_degree_checks_satisfied(self):
+        # weak majorities alone would often let the one degree-3 check of
+        # the (8,3,13,1) shape go unsatisfied at a smaller b
+        rng = random.Random(1)
+        for _ in range(6):
+            cfg = random_weights(fx.ost_8_3_13_1(), rng)
+            res = oracle_in_family(cfg, 99, "ost")
+            assert res == reference_oracle_in_family(cfg, 99, "ost")
+            if res.is_member:
+                assert not set(compute_b_for_values(cfg, res.witness)[2]) & cfg.high_cns
+
+    @pytest.mark.parametrize("field, budget", [(gf4(), 3 ** 8), (gf8(), 7 ** 4)], ids=["gf4", "gf8"])
+    def test_e_min_matches_reference(self, field, budget, monkeypatch):
+        rng = random.Random(field.q + 2)
+        cases = list(scan_cases(field, budget, rng))
+        fast = [compute_e_min(cfg) for _, cfg in cases]
+        monkeypatch.setattr(removal, "oracle_is_gas", reference_oracle_is_gas)
+        assert fast == [compute_e_min(cfg) for _, cfg in cases]
+        assert any(exact for _, _, exact in fast)
+
+    def test_e_min_matches_reference_gf8_full_shape(self, monkeypatch):
+        # the remove_gf8 shape: all 7^6 assignments of a satisfied member
+        cfg = satisfied_labeling(fx.ugast_6_0_9_0(field=gf8()), random.Random(5))
+        fast = compute_e_min(cfg)
+        monkeypatch.setattr(removal, "oracle_is_gas", reference_oracle_is_gas)
+        assert fast == compute_e_min(cfg)
+        assert fast[2]
+
+    @pytest.mark.parametrize("field", [gf4(), gf8()], ids=["gf4", "gf8"])
+    def test_cap_boundary(self, field):
+        cfg = fx.gast_borderline_no_deg2(field=field) if field.q == 8 else fx.gast_6_0_0_9_0()
+        total = (field.q - 1) ** cfg.num_vns
+        assert oracle_is_gas(cfg, cap=total) == reference_oracle_is_gas(cfg)
+        assert oracle_in_family(cfg, 99, cap=total) == reference_oracle_in_family(cfg, 99)
+        with pytest.raises(OracleTooLargeError, match=f"{total} assignments exceeds oracle cap {total - 1}"):
+            oracle_is_gas(cfg, cap=total - 1)
+        with pytest.raises(OracleTooLargeError, match=f"exceeds oracle cap {total - 1}"):
+            oracle_in_family(cfg, 99, cap=total - 1)
