@@ -10,6 +10,7 @@ depends on the actual weights lives in removal.
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -283,19 +284,21 @@ class CodeGraph:
         self.gamma = gamma
         self.field = field
         self.weights = dict(weights)
-        col_deg = [0] * cols
+        col_rows: list[list[int]] = [[] for _ in range(cols)]
         for (r, c), w in self.weights.items():
             if not (0 <= r < rows and 0 <= c < cols):
                 raise MalformedConfigurationError(f"entry ({r},{c}) out of range")
             if w == 0:
                 raise MalformedConfigurationError(f"entry ({r},{c}) is zero")
             field.validate(w)
-            col_deg[c] += 1
-        for c, deg in enumerate(col_deg):
-            if deg != gamma:
+            col_rows[c].append(r)
+        for c, rs in enumerate(col_rows):
+            if len(rs) != gamma:
                 raise MalformedConfigurationError(
-                    f"column {c + 1} has {deg} entries, column weight is {gamma}"
+                    f"column {c + 1} has {len(rs)} entries, column weight is {gamma}"
                 )
+        # Row ids of each column's entries; shared by every re-weighted graph.
+        self._col_rows = tuple(tuple(sorted(rs)) for rs in col_rows)
 
     def induce(self, vns: Sequence[int]) -> Configuration:
         """Configuration induced by a VN subset.
@@ -304,11 +307,14 @@ class CodeGraph:
         the subset; CN degrees are therefore in-configuration degrees.
         """
         vset = sorted(set(vns))
-        vpos = {v: i for i, v in enumerate(vset)}
+        if vset and not (0 <= vset[0] and vset[-1] < self.cols):
+            raise MalformedConfigurationError(
+                f"VN ids {vset[0]}..{vset[-1]} outside the code's {self.cols} columns"
+            )
         touched: dict[int, list[tuple[int, int]]] = {}
-        for (r, col), w in self.weights.items():
-            if col in vpos:
-                touched.setdefault(r, []).append((vpos[col], w))
+        for i, v in enumerate(vset):
+            for r in self._col_rows[v]:
+                touched.setdefault(r, []).append((i, self.weights[r, v]))
         cn_ids = tuple(sorted(touched))
         cpos = {r: i for i, r in enumerate(cn_ids)}
         edges = [
@@ -322,14 +328,20 @@ class CodeGraph:
         )
 
     def apply_changes(self, changes: Mapping[tuple[int, int], int]) -> "CodeGraph":
+        """New graph with existing entries re-weighted.
+
+        Only the changed entries are checked: re-weighting cannot alter the
+        structure, so the new graph shares this graph's column index.
+        """
         for (r, c), w in changes.items():
             if (r, c) not in self.weights:
                 raise KeyError(f"no entry at ({r},{c})")
             if w == 0:
                 raise MalformedConfigurationError("replacement weights must be nonzero")
-        new_weights = dict(self.weights)
-        new_weights.update(changes)
-        return CodeGraph(self.rows, self.cols, self.gamma, self.field, new_weights)
+            self.field.validate(w)
+        new = copy.copy(self)
+        new.weights = {**self.weights, **changes}
+        return new
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CodeGraph):

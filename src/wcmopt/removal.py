@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass, field as dataclass_field, replace
 from functools import reduce
 from operator import xor
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .config import (
     CodeGraph,
@@ -228,25 +228,33 @@ class OracleResult:
     witness: tuple[int, ...] | None
 
 
-def _majority(c: Configuration, unsat: frozenset[int], kind: str) -> bool:
+def _majority(gamma: int, unsat_counts: Sequence[int], kind: str) -> bool:
     """Whether every VN keeps its majority of satisfied CNs under ``kind``.
 
-    The majority is strict for 'gas'/'gast', weak for 'ost', and weak with an
-    equality at some VN for 'os'.
+    ``unsat_counts`` holds each VN's number of unsatisfied CNs.  The majority
+    is strict for 'gas'/'gast', weak for 'ost', and weak with an equality at
+    some VN for 'os'.
     """
-    twice = [2 * sum(1 for cn, _ in c.vn_neighbors[v] if cn in unsat) for v in range(c.num_vns)]
+    twice = [2 * u for u in unsat_counts]
     if kind in ("gas", "gast"):
-        return all(u < c.gamma for u in twice)
-    return all(u <= c.gamma for u in twice) and (kind == "ost" or c.gamma in twice)
+        return all(u < gamma for u in twice)
+    return all(u <= gamma for u in twice) and (kind == "ost" or gamma in twice)
+
+
+def _guards(c: Configuration, cns: Iterable[int]) -> int:
+    """The guard bits of ``cns`` in ``_scan``'s unsatisfied masks."""
+    lam = c.field.lam
+    return sum(1 << (lam + 1) * cn + lam for cn in cns)
 
 
 def _scan(
-    c: Configuration, cap: int, accept: Callable[[frozenset[int]], bool]
+    c: Configuration, cap: int, accept: Callable[[int, list[int]], bool]
 ) -> OracleResult:
     """First assignment, in product order, at the smallest b that ``accept`` takes.
 
     Syndromes pack lam + 1 bits per CN: an assignment's is one XOR of two half-sums,
     and adding 2^lam - 1 to each CN carries the unsatisfied ones into bit lam.
+    ``accept`` gets that mask of guard bits and each VN's unsatisfied count.
     """
     q, a, lam, ell = c.field.q, c.num_vns, c.field.lam, c.num_cns
     if (total := (q - 1) ** a) > cap:
@@ -258,6 +266,7 @@ def _scan(
     tail = [reduce(xor, vals, 0) for vals in itertools.product(*cols[a // 2 :])]
     ones = sum(1 << (lam + 1) * r for r in range(ell))
     carry, guards = ones * (q - 1), ones << lam
+    vn_masks = [_guards(c, (cn for cn, _ in nbrs)) for nbrs in c.vn_neighbors]
     verdicts: dict[int, int] = {}
     best, where = ell + 1, 0
     for i, p in enumerate(head):
@@ -266,8 +275,8 @@ def _scan(
             bs = list(map(verdicts.__getitem__, masks))
         except KeyError:  # judge each new unsatisfied set once
             for m in set(masks).difference(verdicts):
-                unsat = frozenset(r for r in range(ell) if (m >> (lam + 1) * r + lam) & 1)
-                verdicts[m] = len(unsat) if accept(unsat) else ell + 1
+                counts = [(m & vm).bit_count() for vm in vn_masks]
+                verdicts[m] = m.bit_count() if accept(m, counts) else ell + 1
             bs = list(map(verdicts.__getitem__, masks))
         if min(bs) < best:
             best, where = min(bs), i * len(tail) + bs.index(min(bs))
@@ -285,7 +294,7 @@ def oracle_is_gas(
     """
     if kind not in ("gas", "os"):
         raise ValueError(f"unknown oracle kind {kind!r}")
-    return _scan(c, cap, lambda unsat: _majority(c, unsat, kind))
+    return _scan(c, cap, lambda m, u: _majority(c.gamma, u, kind))
 
 
 def oracle_in_family(
@@ -300,8 +309,9 @@ def oracle_in_family(
     """
     if kind not in ("gast", "ost"):
         raise ValueError(f"unknown family kind {kind!r}")
+    high = _guards(c, c.high_cns)
     return _scan(
-        c, cap, lambda u: len(u) <= b_cap and not u & c.high_cns and _majority(c, u, kind)
+        c, cap, lambda m, u: m.bit_count() <= b_cap and not m & high and _majority(c.gamma, u, kind)
     )
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from wcmopt.config import Configuration
+from wcmopt.config import CodeGraph, Configuration
 from wcmopt.gf import FieldContext
 from wcmopt.gflinalg import GfMatrix, NullSpaceBasis, mat_vec
 from wcmopt.removal import OracleResult, OracleTooLargeError
@@ -100,6 +100,23 @@ def reference_oracle_in_family(c: Configuration, b_cap: int, kind: str = "gast")
             best_b = len(unsat)
             best_witness = values
     return OracleResult(best_b is not None, best_b, best_witness)
+
+
+def reference_induce(graph: CodeGraph, vns) -> Configuration:
+    """Slow reference for ``CodeGraph.induce``: one scan over every nonzero."""
+    vset = sorted(set(vns))
+    vpos = {v: i for i, v in enumerate(vset)}
+    touched: dict[int, list[tuple[int, int]]] = {}
+    for (r, col), w in graph.weights.items():
+        if col in vpos:
+            touched.setdefault(r, []).append((vpos[col], w))
+    cn_ids = tuple(sorted(touched))
+    cpos = {r: i for i, r in enumerate(cn_ids)}
+    edges = [(cpos[r], v, w) for r, pairs in touched.items() for v, w in pairs]
+    return Configuration(
+        graph.gamma, graph.field, len(vset), len(cn_ids), edges,
+        vn_ids=tuple(vset), cn_ids=cn_ids,
+    )
 
 
 def random_weights(cfg: Configuration, rng: random.Random) -> Configuration:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import random_weights
+from conftest import random_weights, reference_induce
 from wcmopt import fixtures as fx
 from wcmopt.config import (
     CodeGraph,
@@ -14,7 +14,7 @@ from wcmopt.config import (
     compute_b_o_ut,
     compute_b_ut,
 )
-from wcmopt.gf import gf4
+from wcmopt.gf import FieldError, gf4
 
 A, A2 = 2, 3
 
@@ -199,3 +199,44 @@ def test_codegraph_validation_and_changes():
     assert changed.weights[(0, 0)] == A and graph.weights[(0, 0)] == 1
     with pytest.raises(KeyError):
         graph.apply_changes({(0, 2): 1})
+    with pytest.raises(MalformedConfigurationError):
+        graph.apply_changes({(0, 0): 0})
+    with pytest.raises(FieldError):
+        graph.apply_changes({(0, 0): graph.field.q})
+    before = dict(graph.weights)
+    e1, e2 = sorted(before)[:2]
+    first = graph.apply_changes({e1: A})
+    second = first.apply_changes({e1: A2, e2: A})
+    assert graph.weights == before
+    assert first.weights == {**before, e1: A}
+    assert second.weights == {**before, e1: A2, e2: A}
+
+
+@pytest.mark.parametrize("bad", [99, -1])
+def test_codegraph_induce_rejects_vn_ids_outside_the_code(bad):
+    graph, target = fx.toy_code_single_instance()
+    with pytest.raises(MalformedConfigurationError):
+        graph.induce([*target.vn_ids, bad])
+
+
+def random_code(rng: random.Random, rows: int, cols: int, gamma: int = 3) -> CodeGraph:
+    weights = {
+        (r, c): rng.randrange(1, 4) for c in range(cols) for r in rng.sample(range(rows), gamma)
+    }
+    return CodeGraph(rows, cols, gamma, gf4(), weights)
+
+
+def test_codegraph_induce_matches_reference_scan():
+    rng = random.Random(31)
+    for _ in range(20):
+        graph = random_code(rng, rng.randint(4, 14), rng.randint(3, 16))
+        keys = sorted(graph.weights)
+        for step in range(6):
+            for _ in range(8):
+                vns = rng.choices(range(graph.cols), k=rng.randint(0, graph.cols + 2))
+                got, want = graph.induce(vns), reference_induce(graph, vns)
+                assert (got.edges, got.vn_ids, got.cn_ids) == (
+                    want.edges, want.vn_ids, want.cn_ids
+                ), (step, vns)
+            changes = {e: rng.randrange(1, 4) for e in rng.sample(keys, rng.randint(1, 4))}
+            graph = graph.apply_changes(changes)
