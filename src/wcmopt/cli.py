@@ -36,14 +36,7 @@ from .removal import (
     oracle_is_gas,
     remove_object,
 )
-from .wcmtree import (
-    b_max,
-    build_tree,
-    count_suboptimal,
-    depth_cap_for_mode,
-    extract_wcms,
-    z_family,
-)
+from .wcmtree import b_max, build_tree, count_suboptimal, extract_wcms, z_family
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -74,11 +67,14 @@ def _poly_comment(field: FieldContext) -> str:
     return f"# gf q={field.q} poly=0b{field.primitive_poly:b}"
 
 
-def _scan_poly_comment(lines: list[str]) -> int | None:
-    for line in lines:
+def _scan_poly_comment(lines: list[str], path: str) -> int | None:
+    for i, line in enumerate(lines):
         if line.startswith("#") and "poly=" in line:
-            token = line.split("poly=")[1].split()[0]
-            return int(token, 0)
+            token = line.split("poly=")[1].split()
+            try:
+                return int(token[0], 0)
+            except (IndexError, ValueError):
+                raise ParseError(path, i + 1, f"bad poly= value in {line.strip()!r}") from None
     return None
 
 
@@ -105,14 +101,13 @@ def _parse_header(path: str, lineno: int, line: str, keys: Sequence[str]) -> dic
 def parse_config(text: str, path: str = "<config>", poly_flag: int | None = None) -> Configuration:
     """Parse the dense configuration format: header plus an ell x a matrix."""
     raw = text.splitlines()
-    comments = [l for l in raw if l.strip().startswith("#")]
     lines = [(i + 1, l.strip()) for i, l in enumerate(raw) if l.strip() and not l.strip().startswith("#")]
     if not lines:
         raise ParseError(path, 1, "empty file")
     lineno, header = lines[0]
     h = _parse_header(path, lineno, header, ("q", "gamma", "a", "ell"))
     try:
-        field = _field_for(h["q"], _scan_poly_comment(comments), poly_flag)
+        field = _field_for(h["q"], _scan_poly_comment(raw, path), poly_flag)
     except FieldError as exc:
         raise ParseError(path, lineno, str(exc)) from None
     body = lines[1:]
@@ -153,14 +148,13 @@ def serialize_config(cfg: Configuration) -> str:
 def parse_code(text: str, path: str = "<code>", poly_flag: int | None = None) -> CodeGraph:
     """Parse the sparse triplet format for a full parity-check matrix."""
     raw = text.splitlines()
-    comments = [l for l in raw if l.strip().startswith("#")]
     lines = [(i + 1, l.strip()) for i, l in enumerate(raw) if l.strip() and not l.strip().startswith("#")]
     if not lines:
         raise ParseError(path, 1, "empty file")
     lineno, header = lines[0]
     h = _parse_header(path, lineno, header, ("rows", "cols", "q", "gamma"))
     try:
-        field = _field_for(h["q"], _scan_poly_comment(comments), poly_flag)
+        field = _field_for(h["q"], _scan_poly_comment(raw, path), poly_flag)
     except FieldError as exc:
         raise ParseError(path, lineno, str(exc)) from None
     weights: dict[tuple[int, int], int] = {}
@@ -232,14 +226,17 @@ def parse_targets(text: str, path: str = "<targets>", *, cols: int | None = None
     return targets
 
 
+def _target_record(t: Target) -> dict[str, str]:
+    record = {"kind": t.kind, "vns": ",".join(str(v + 1) for v in t.vn_ids)}
+    if t.expected_params is not None:
+        record["params"] = ",".join(str(x) for x in t.expected_params)
+    return record
+
+
 def serialize_targets(targets: Iterable[Target]) -> str:
     lines = ["# targets"]
     for t in targets:
-        vns = ",".join(str(v + 1) for v in t.vn_ids)
-        record = f"kind={t.kind} vns={vns}"
-        if t.expected_params is not None:
-            record += " params=" + ",".join(str(x) for x in t.expected_params)
-        lines.append(record)
+        lines.append(" ".join(f"{k}={v}" for k, v in _target_record(t).items()))
     return "\n".join(lines) + "\n"
 
 
@@ -307,20 +304,6 @@ def _plan_data(plan: RemovalPlan) -> dict:
 # ------------------------------------------------------------------- commands
 
 
-def _tree_mode(mode: str) -> tuple[str, str]:
-    """CLI mode -> (tree mode, cap mode)."""
-    if mode == "ost":
-        return "ost", "ost"
-    return "gast", mode  # gast / eas / bast share the gast tree with a cap
-
-
-def _analysis_pipeline(cfg: Configuration, mode: str):
-    tree_mode, cap_mode = _tree_mode(mode)
-    tree = build_tree(cfg, mode=tree_mode, depth_cap=depth_cap_for_mode(cfg, cap_mode))
-    wcms = extract_wcms(cfg, tree)
-    return tree, wcms
-
-
 def cmd_analyze(args: argparse.Namespace, rep: Reporter) -> int:
     cfg = parse_config(_read(args.config), args.config, args.field_poly)
     topo = classify_unlabeled(cfg)
@@ -343,14 +326,13 @@ def cmd_analyze(args: argparse.Namespace, rep: Reporter) -> int:
             "b_o_ut": topo.b_o_ut if topo.b_o_ut is not None else "-",
         },
     )
-    mode = args.mode
-    tree_mode, _ = _tree_mode(mode)
-    supported = topo.is_unlabeled_ost if tree_mode == "ost" else topo.is_unlabeled_gast
-    if not supported:
-        rep.block("note", {"message": f"configuration is not an unlabeled {tree_mode}; analysis stops"})
+    try:
+        tree = build_tree(cfg, args.mode)
+    except ConfigurationError as exc:
+        rep.block("note", {"message": f"{exc}; analysis stops"})
         return EXIT_OK
     try:
-        oracle = oracle_is_gas(cfg, "os" if tree_mode == "ost" else "gas", cap=args.oracle_cap)
+        oracle = oracle_is_gas(cfg, "os" if tree.mode == "ost" else "gas", cap=args.oracle_cap)
         rep.block(
             "oracle",
             {
@@ -364,13 +346,13 @@ def cmd_analyze(args: argparse.Namespace, rep: Reporter) -> int:
         )
     except OracleTooLargeError as exc:
         rep.block("warning", {"message": f"oracle skipped: {exc}"})
-    tree, wcms = _analysis_pipeline(cfg, mode)
+    wcms = extract_wcms(cfg, tree)
     t_prime, reduction = count_suboptimal(tree)
     profile = tree.u_profile()
     rep.block(
         "tree",
         {
-            "mode": mode,
+            "mode": args.mode,
             "loop_max": tree.loop_max,
             "b_st": tree.b_st,
             "b_et": tree.b_et,
@@ -421,23 +403,21 @@ def cmd_analyze(args: argparse.Namespace, rep: Reporter) -> int:
 def cmd_verify(args: argparse.Namespace, rep: Reporter) -> int:
     cfg = parse_config(_read(args.config), args.config, args.field_poly)
     topo = classify_unlabeled(cfg)
+    trees = {kind: build_tree(cfg, kind) for kind in ("gast", "ost") if topo.supports(kind)}
     try:
         gas = oracle_is_gas(cfg, "gas", cap=args.oracle_cap)
         os_res = oracle_is_gas(cfg, "os", cap=args.oracle_cap) if cfg.gamma % 2 == 0 else None
-        gast_fam = None
-        if topo.is_unlabeled_gast:
-            tree, _ = _analysis_pipeline(cfg, "gast")
-            gast_fam = oracle_in_family(cfg, b_max(cfg, tree), "gast", cap=args.oracle_cap)
-        ost_fam = None
-        if topo.is_unlabeled_ost:
-            tree, _ = _analysis_pipeline(cfg, "ost")
-            ost_fam = oracle_in_family(cfg, cfg.d1 + tree.b_et, "ost", cap=args.oracle_cap)
+        fams = {
+            kind: oracle_in_family(cfg, b_max(cfg, tree), kind, cap=args.oracle_cap)
+            for kind, tree in trees.items()
+        }
     except OracleTooLargeError as exc:
         rep.block("error", {"message": str(exc)})
         return EXIT_ORACLE
     verdict = "none"
     smallest = None
     witness = None
+    gast_fam, ost_fam = fams.get("gast"), fams.get("ost")
     for name, res in (
         ("OS", os_res),
         ("OST", ost_fam),
@@ -449,9 +429,9 @@ def cmd_verify(args: argparse.Namespace, rep: Reporter) -> int:
             smallest, witness = res.smallest_b, res.witness
     # Matrix-based verdict on the same family, for the agreement line.
     wcm_verdict = None
-    mode = "ost" if (topo.is_unlabeled_ost and not topo.is_unlabeled_gast) else "gast"
-    if topo.is_unlabeled_ost if mode == "ost" else topo.is_unlabeled_gast:
-        _, wcms = _analysis_pipeline(cfg, mode)
+    tree = trees.get("gast", trees.get("ost"))
+    if tree is not None:
+        wcms = extract_wcms(cfg, tree)
         try:
             report = evaluate_weight_conditions(cfg, wcms, args.support_cap)
             wcm_verdict = not report.all_broken
@@ -476,16 +456,14 @@ def cmd_verify(args: argparse.Namespace, rep: Reporter) -> int:
 
 def cmd_remove(args: argparse.Namespace, rep: Reporter) -> int:
     cfg = parse_config(_read(args.config), args.config, args.field_poly)
-    topo = classify_unlabeled(cfg)
-    tree_mode, _ = _tree_mode(args.mode)
-    supported = topo.is_unlabeled_ost if tree_mode == "ost" else topo.is_unlabeled_gast
-    if not supported:
-        rep.block("error", {"message": f"configuration is not an unlabeled {tree_mode}"})
+    try:
+        tree = build_tree(cfg, args.mode)
+    except ConfigurationError as exc:
+        rep.block("error", {"message": str(exc)})
         return EXIT_PARSE
-    tree, wcms = _analysis_pipeline(cfg, args.mode)
     plan = remove_object(
         cfg,
-        wcms,
+        extract_wcms(cfg, tree),
         support_cap=args.support_cap,
         oracle_cap=args.oracle_cap,
         object_id=args.config,
@@ -553,14 +531,11 @@ def cmd_enumerate(args: argparse.Namespace, rep: Reporter) -> int:
                 truncated = True
                 break
             cfg = graph.induce(subset)
-            topo = classify_unlabeled(cfg)
-            ok = topo.is_unlabeled_ost if kind == "ost" else topo.is_unlabeled_gast
-            if not ok:
+            if not classify_unlabeled(cfg).supports(kind):
                 continue
-            tree = build_tree(cfg, mode="ost" if kind == "ost" else "gast")
-            cap = cfg.d1 + tree.b_et
+            tree = build_tree(cfg, kind)
             try:
-                fam = oracle_in_family(cfg, cap, kind, cap=args.oracle_cap)
+                fam = oracle_in_family(cfg, b_max(cfg, tree), kind, cap=args.oracle_cap)
             except OracleTooLargeError:
                 rep.block(
                     "warning",
@@ -577,11 +552,13 @@ def cmd_enumerate(args: argparse.Namespace, rep: Reporter) -> int:
                 )
         if truncated:
             break
-    text = serialize_targets(found)
     if args.out:
-        _write(args.out, text)
+        _write(args.out, serialize_targets(found))
+    elif rep.fmt == "json-lines":
+        for t in found:
+            rep.block("target", _target_record(t))
     else:
-        rep.out.write(text)
+        rep.out.write(serialize_targets(found))
     rep.block(
         "enumerate",
         {

@@ -98,7 +98,10 @@ class Configuration:
         self.d1 = len(self.deg1_cns)
         self.d2 = len(self.deg2_cns)
         self.d3 = len(self.high_cns)
-        self.ell = self.num_cns
+        deg1_counts = [0] * self.num_vns
+        for cn in self.deg1_cns:
+            deg1_counts[cn_nbrs[cn][0][0]] += 1
+        self.vn_deg1_counts = tuple(deg1_counts)
 
     def cn_degree(self, cn: int) -> int:
         return self._cn_degree[cn]
@@ -110,7 +113,7 @@ class Configuration:
         raise KeyError(f"no edge ({cn},{vn})")
 
     def vn_deg1_count(self, vn: int) -> int:
-        return sum(1 for cn, _ in self.vn_neighbors[vn] if cn in self.deg1_cns)
+        return self.vn_deg1_counts[vn]
 
     def adjacency(self) -> GfMatrix:
         rows = [[0] * self.num_vns for _ in range(self.num_cns)]
@@ -148,6 +151,32 @@ class Configuration:
         )
 
 
+def allowance(gamma: int, kind: str) -> int:
+    """Most unsatisfied checks a VN can have and keep its majority under ``kind``.
+
+    The majority of satisfied checks is strict for 'gas'/'gast', which
+    allows floor((gamma-1)/2), and weak for 'os'/'ost', which allows
+    floor(gamma/2).  Every majority test and degree bound derives from this.
+    """
+    if kind in ("gas", "gast"):
+        return (gamma - 1) // 2
+    if kind in ("os", "ost"):
+        return gamma // 2
+    raise ValueError(f"unknown kind {kind!r}")
+
+
+def keeps_majority(gamma: int, unsat_counts: Sequence[int], kind: str) -> bool:
+    """Whether every VN keeps its majority of satisfied checks under ``kind``.
+
+    ``unsat_counts`` holds each VN's number of unsatisfied checks.  'os'
+    further needs some VN without a strict majority, i.e. an equality.
+    """
+    worst = max(unsat_counts, default=0)
+    if worst > allowance(gamma, kind):
+        return False
+    return kind != "os" or worst > allowance(gamma, "gas")
+
+
 @dataclass(frozen=True)
 class TopoClass:
     is_unlabeled_gas: bool
@@ -156,6 +185,23 @@ class TopoClass:
     is_unlabeled_ost: bool
     b_ut: int
     b_o_ut: int | None
+
+    def supports(self, mode: str) -> bool:
+        """Whether the shape is in ``mode``'s family: OST for 'ost', else GAST."""
+        return self.is_unlabeled_ost if mode == "ost" else self.is_unlabeled_gast
+
+
+def _degree_bound(c: Configuration, kind: str, warn: bool) -> int:
+    """floor((a*allowance - d1)/2), a negative operand clamped to 0."""
+    top = c.num_vns * allowance(c.gamma, kind)
+    if top < c.d1:
+        if warn:
+            warnings.warn(
+                f"degree bound operand negative (a*allowance={top} < d1={c.d1}); clamping to 0",
+                stacklevel=3,
+            )
+        return 0
+    return (top - c.d1) // 2
 
 
 def compute_b_ut(c: Configuration, warn: bool = True) -> int:
@@ -166,56 +212,26 @@ def compute_b_ut(c: Configuration, warn: bool = True) -> int:
     ``warn=False`` suppresses the diagnostic for bulk classification sweeps
     over arbitrary subsets.
     """
-    g = (c.gamma - 1) // 2
-    operand = c.num_vns * g - c.d1
-    if operand < 0:
-        if warn:
-            warnings.warn(
-                f"degree bound operand negative (a*g={c.num_vns * g} < d1={c.d1}); clamping to 0",
-                stacklevel=2,
-            )
-        return 0
-    return operand // 2
+    return _degree_bound(c, "gast", warn)
 
 
 def compute_b_o_ut(c: Configuration, warn: bool = True) -> int:
     """Oscillating-set analogue of compute_b_ut; defined for even gamma only."""
     if c.gamma % 2 != 0:
         raise NotApplicableError("oscillating VNs require an even column weight")
-    operand = c.num_vns * (c.gamma // 2) - c.d1
-    if operand < 0:
-        if warn:
-            warnings.warn(
-                f"degree bound operand negative (a*gamma/2={c.num_vns * c.gamma // 2} "
-                f"< d1={c.d1}); clamping to 0",
-                stacklevel=2,
-            )
-        return 0
-    return operand // 2
+    return _degree_bound(c, "ost", warn)
 
 
 def classify_unlabeled(c: Configuration) -> TopoClass:
     """Classify the unlabeled shape by per-VN neighbor majorities.
 
-    GAS: every VN has strictly more neighbors among degree->=2 CNs than
-    among degree-1 CNs.  OS: weak majority everywhere with equality at one
-    or more VNs.  The -T variants additionally require d2 > d3.  Results
-    never depend on edge weights.
+    Degree-1 CNs are the unsatisfied ones: GAS keeps the strict majority of
+    ``keeps_majority`` at every VN, OS the weak one with an equality.  The
+    -T variants additionally require d2 > d3.  Results never depend on edge
+    weights.
     """
-    strict = True
-    weak = True
-    any_equal = False
-    for vn in range(c.num_vns):
-        n_o = c.vn_deg1_count(vn)
-        n_th = c.gamma - n_o
-        if n_th <= n_o:
-            strict = False
-        if n_th < n_o:
-            weak = False
-        if n_th == n_o:
-            any_equal = True
-    is_gas = strict
-    is_os = weak and any_equal
+    is_gas = keeps_majority(c.gamma, c.vn_deg1_counts, "gas")
+    is_os = keeps_majority(c.gamma, c.vn_deg1_counts, "os")
     type_two = c.d2 > c.d3
     b_o_ut = compute_b_o_ut(c, warn=False) if c.gamma % 2 == 0 else None
     return TopoClass(
@@ -235,23 +251,18 @@ def cn_flippable_partners(
 
     Degree-1 CNs are always unsatisfied and degree->2 CNs always satisfied;
     ``marked_unsat`` lists the degree-2 CNs currently marked.  A candidate is
-    flippable when both its VNs would keep the required satisfied margin:
-    more than ceil((gamma+1)/2) currently-satisfied neighbors in gast mode
-    (strict majority survives the flip), more than gamma/2 in ost mode (weak
-    majority survives).
+    flippable when both its VNs stay within their ``allowance`` after the
+    flip: strict majority in gast mode, weak majority in ost mode.
     """
     marked = frozenset(marked_unsat)
     bad = marked - (c.deg2_cns | c.deg1_cns)
     if bad:
         raise ConfigurationError(f"marked CNs {sorted(bad)} are not degree <= 2")
-    if mode == "gast":
-        threshold = (c.gamma + 2) // 2  # ceil((gamma+1)/2)
-    elif mode == "ost":
-        if c.gamma % 2 != 0:
-            raise NotApplicableError("ost marking requires even gamma")
-        threshold = c.gamma // 2
-    else:
+    if mode not in ("gast", "ost"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "ost" and c.gamma % 2 != 0:
+        raise NotApplicableError("ost marking requires even gamma")
+    top = allowance(c.gamma, mode)
 
     unsat = [0] * c.num_vns
     for cn in c.deg1_cns | marked:
@@ -260,7 +271,7 @@ def cn_flippable_partners(
     return frozenset(
         cn
         for cn in c.deg2_cns - marked
-        if all(c.gamma - unsat[v] > threshold for v, _ in c.cn_neighbors[cn])
+        if all(unsat[v] < top for v, _ in c.cn_neighbors[cn])
     )
 
 

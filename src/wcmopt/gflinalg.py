@@ -59,9 +59,6 @@ class GfMatrix:
     def identity(cls, n: int, field: FieldContext) -> "GfMatrix":
         return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), field)
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def keep_rows(self, indices: Sequence[int]) -> "GfMatrix":
         """Submatrix of the given rows, preserving column order."""
         kept = tuple(self.entries[i] for i in indices)

@@ -20,7 +20,9 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .config import (
     CodeGraph,
     Configuration,
+    allowance,
     classify_unlabeled,
+    keeps_majority,
 )
 from .gf import FieldContext
 from .gflinalg import (
@@ -31,10 +33,10 @@ from .gflinalg import (
     null_space,
     rank,
 )
-from .wcmtree import WcmSet, build_tree, depth_cap_for_mode, extract_wcms
+from .wcmtree import WcmSet, build_tree, extract_wcms
 
 DEFAULT_ORACLE_CAP = 10_000_000
-DEFAULT_EXTRA_CHANGES = 2
+EXTRA_CHANGES = 2  # set sizes tried beyond the topological bound
 
 
 class RemovalError(Exception):
@@ -228,19 +230,6 @@ class OracleResult:
     witness: tuple[int, ...] | None
 
 
-def _majority(gamma: int, unsat_counts: Sequence[int], kind: str) -> bool:
-    """Whether every VN keeps its majority of satisfied CNs under ``kind``.
-
-    ``unsat_counts`` holds each VN's number of unsatisfied CNs.  The majority
-    is strict for 'gas'/'gast', weak for 'ost', and weak with an equality at
-    some VN for 'os'.
-    """
-    twice = [2 * u for u in unsat_counts]
-    if kind in ("gas", "gast"):
-        return all(u < gamma for u in twice)
-    return all(u <= gamma for u in twice) and (kind == "ost" or gamma in twice)
-
-
 def _guards(c: Configuration, cns: Iterable[int]) -> int:
     """The guard bits of ``cns`` in ``_scan``'s unsatisfied masks."""
     lam = c.field.lam
@@ -294,7 +283,7 @@ def oracle_is_gas(
     """
     if kind not in ("gas", "os"):
         raise ValueError(f"unknown oracle kind {kind!r}")
-    return _scan(c, cap, lambda m, u: _majority(c.gamma, u, kind))
+    return _scan(c, cap, lambda m, u: keeps_majority(c.gamma, u, kind))
 
 
 def oracle_in_family(
@@ -311,8 +300,14 @@ def oracle_in_family(
         raise ValueError(f"unknown family kind {kind!r}")
     high = _guards(c, c.high_cns)
     return _scan(
-        c, cap, lambda m, u: m.bit_count() <= b_cap and not m & high and _majority(c.gamma, u, kind)
+        c, cap,
+        lambda m, u: m.bit_count() <= b_cap and not m & high and keeps_majority(c.gamma, u, kind),
     )
+
+
+def _e_bound(c: Configuration, kind: str) -> int:
+    """Topological bound on the change count: allowance - d1_vn_max + 1."""
+    return allowance(c.gamma, kind) - max(c.vn_deg1_counts) + 1
 
 
 def compute_e_min(
@@ -322,19 +317,16 @@ def compute_e_min(
 ) -> tuple[int, int, bool]:
     """Minimum edge-change count and its topological bound.
 
-    For the strict-majority family the minimum is g - b_vn_max + 1 with
-    b_vn_max taken from the per-VN unsatisfied counts of the oracle witness
-    at the smallest b; when the oracle is infeasible the always-available
-    bound g - d1_vn_max + 1 doubles as the minimum estimate (third return
-    value is False then).  Oscillating objects always need exactly one
-    change; their bound uses gamma/2 in place of g.
+    For the strict-majority family the minimum is g - b_vn_max + 1, with g
+    the ``allowance`` and b_vn_max taken from the per-VN unsatisfied counts
+    of the oracle witness at the smallest b; when the oracle is infeasible
+    the always-available bound g - d1_vn_max + 1 doubles as the minimum
+    estimate (third return value is False then).  Oscillating objects always
+    need exactly one change; their bound uses the weak allowance gamma/2.
     """
-    d1_vn_max = max(c.vn_deg1_count(v) for v in range(c.num_vns))
+    bound = _e_bound(c, kind)
     if kind == "ost":
-        bound = c.gamma // 2 - d1_vn_max + 1
         return 1, bound, True
-    g = (c.gamma - 1) // 2
-    bound = g - d1_vn_max + 1
     try:
         oracle = oracle_is_gas(c, "gas", cap=oracle_cap)
     except OracleTooLargeError:
@@ -347,7 +339,7 @@ def compute_e_min(
         sum(1 for cn, _ in c.vn_neighbors[v] if cn in unsat_set)
         for v in range(c.num_vns)
     )
-    return g - b_vn_max + 1, bound, True
+    return allowance(c.gamma, kind) - b_vn_max + 1, bound, True
 
 
 def select_candidate_edges(
@@ -366,7 +358,7 @@ def select_candidate_edges(
     oscillating VNs automatically, since they attain the degree-1 maximum.
     """
     top = max_size if max_size is not None else e_bound
-    d1_counts = [c.vn_deg1_count(v) for v in range(c.num_vns)]
+    d1_counts = c.vn_deg1_counts
     d1_max = max(d1_counts)
     maximal_vns = [v for v, cnt in enumerate(d1_counts) if cnt == d1_max]
     per_vn_edges = {
@@ -409,7 +401,6 @@ def remove_object(
     *,
     support_cap: int = DEFAULT_SUPPORT_CAP,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
-    extra_changes: int = DEFAULT_EXTRA_CHANGES,
     object_id: str = "",
 ) -> RemovalPlan:
     """Search degree-2 edge re-weightings that break every matrix at once.
@@ -418,22 +409,20 @@ def remove_object(
     (ascending VN, CN, then integer weight encoding, old value skipped); the
     first assignment that breaks all matrices and keeps every protected
     object out of its family wins.  Set sizes escalate to the topological
-    bound and then ``extra_changes`` beyond it before the object is declared
+    bound and then ``EXTRA_CHANGES`` beyond it before the object is declared
     unremovable.
     """
-    kind = "ost" if w.kind == "ost" else "gast"
+    kind = w.kind
     rows = c.adjacency().entries
     groups = [rec.removed_rows for rec in w.wcms]
     if _first_unbroken(rows, groups, c.field, support_cap) is None:
-        g = c.gamma // 2 if kind == "ost" else (c.gamma - 1) // 2
-        bound = g - max(c.vn_deg1_count(v) for v in range(c.num_vns)) + 1
-        return RemovalPlan(object_id, kind, "not_in_z", 0, bound, True, None, ())
+        return RemovalPlan(object_id, kind, "not_in_z", 0, _e_bound(c, kind), True, None, ())
     e_min, e_bound, exact = compute_e_min(c, kind, oracle_cap)
     tried = 0
     prot_checks = 0
     prot_rejections = 0
     start = e_min if exact else 1
-    max_size = e_bound + extra_changes
+    max_size = e_bound + EXTRA_CHANGES
     try:
         candidates = list(
             select_candidate_edges(c, e_bound, max_size=max_size, min_size=start)
@@ -566,7 +555,6 @@ def optimize_code(
     *,
     support_cap: int = DEFAULT_SUPPORT_CAP,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
-    extra_changes: int = DEFAULT_EXTRA_CHANGES,
 ) -> tuple[CodeGraph, OptimizationReport]:
     """Remove target objects from the full graph, smallest first.
 
@@ -597,13 +585,10 @@ def optimize_code(
         )
         for target in batch:
             cfg = current.induce(target.vn_ids)
-            topo = classify_unlabeled(cfg)
-            ok = topo.is_unlabeled_gast if phase_kind == "gast" else topo.is_unlabeled_ost
-            if not ok:
+            if not classify_unlabeled(cfg).supports(phase_kind):
                 report.skipped.append(target.object_id)
                 continue
-            tree = build_tree(cfg, mode=phase_kind, depth_cap=depth_cap_for_mode(cfg, phase_kind))
-            wcms = extract_wcms(cfg, tree)
+            wcms = extract_wcms(cfg, build_tree(cfg, phase_kind))
             assert cfg.cn_ids is not None and cfg.vn_ids is not None
             cn_ids, vn_ids = cfg.cn_ids, cfg.vn_ids
 
@@ -623,7 +608,6 @@ def optimize_code(
                 protected_ok=protected_ok,
                 support_cap=support_cap,
                 oracle_cap=oracle_cap,
-                extra_changes=extra_changes,
                 object_id=target.object_id,
             )
             plan = replace(

@@ -18,10 +18,9 @@ from typing import Iterator
 from .config import (
     Configuration,
     ConfigurationError,
+    allowance,
     classify_unlabeled,
     cn_flippable_partners,
-    compute_b_o_ut,
-    compute_b_ut,
 )
 from .gflinalg import GfMatrix
 
@@ -42,7 +41,7 @@ class USymmetryViolationError(TreeError):
 class UnlabeledTree:
     """Materialized tree: child CN lists keyed by the ordered path from the root."""
 
-    mode: str
+    mode: str  # the family: 'gast' or 'ost'
     loop_max: int
     children: dict[tuple[int, ...], tuple[int, ...]]
     b_et: int
@@ -87,30 +86,30 @@ class UnlabeledTree:
         return tuple(profile)
 
 
-def build_tree(
-    c: Configuration, mode: str = "gast", depth_cap: int | None = None
-) -> UnlabeledTree:
+def build_tree(c: Configuration, mode: str = "gast") -> UnlabeledTree:
     """Construct the unlabeled tree for a configuration.
 
-    Children are generated in ascending CN-index order for determinism.  The
-    recursion depth is capped at the degree bound for the mode (or at
-    ``depth_cap`` when a subclass customization narrows the family further);
-    b_et is the deepest level attained, b_st the shallowest leaf depth.
+    ``mode`` is 'gast' or 'ost', whose depth is the degree bound b_ut or
+    b_o_ut, or a GAST subclass with a narrower family: 'eas' caps the depth
+    at 0 (b = d1, no degree-2 CN ever unsatisfied) and 'bast' at
+    floor(a*g/2) - d1 (at most floor(a*g/2) unsatisfied CNs in total).  The
+    tree's ``mode`` is the family, 'gast' or 'ost'.  Children are generated
+    in ascending CN-index order for determinism; b_et is the deepest level
+    attained, b_st the shallowest leaf depth.
     """
-    topo = classify_unlabeled(c)
-    if mode == "gast":
-        if not topo.is_unlabeled_gast:
-            raise ConfigurationError("configuration is not an unlabeled GAST")
-        loop_max = topo.b_ut
-    elif mode == "ost":
-        if not topo.is_unlabeled_ost:
-            raise ConfigurationError("configuration is not an unlabeled OST")
-        loop_max = compute_b_o_ut(c)
-    else:
+    if mode not in ("gast", "ost", "eas", "bast"):
         raise ValueError(f"unknown mode {mode!r}")
-    capped = depth_cap is not None
-    if capped:
-        loop_max = min(loop_max, max(0, depth_cap))
+    kind = "ost" if mode == "ost" else "gast"
+    topo = classify_unlabeled(c)
+    if not topo.supports(mode):
+        raise ConfigurationError(f"configuration is not an unlabeled {kind}")
+    loop_max = topo.b_o_ut if kind == "ost" else topo.b_ut
+    capped = mode in ("eas", "bast")
+    if mode == "eas":
+        loop_max = 0
+    elif mode == "bast":
+        g = allowance(c.gamma, kind)
+        loop_max = min(loop_max, max(0, c.num_vns * g // 2 - c.d1))
 
     children: dict[tuple[int, ...], tuple[int, ...]] = {}
     b_et = 0
@@ -121,14 +120,14 @@ def build_tree(
         depth = len(path)
         b_et = max(b_et, depth)
         if depth >= loop_max:
-            if not capped and cn_flippable_partners(c, path, mode=mode):
+            if not capped and cn_flippable_partners(c, path, mode=kind):
                 # the degree bound guarantees no partner survives this deep
                 raise TreeError(
                     f"flippable partner beyond the degree bound at path {path}"
                 )
             leaf_depths.append(depth)
             return
-        partners = sorted(cn_flippable_partners(c, path, mode=mode))
+        partners = sorted(cn_flippable_partners(c, path, mode=kind))
         if not partners:
             leaf_depths.append(depth)
             return
@@ -138,22 +137,7 @@ def build_tree(
 
     grow(())
     b_st = min(leaf_depths)
-    return UnlabeledTree(mode=mode, loop_max=loop_max, children=children, b_et=b_et, b_st=b_st)
-
-
-def depth_cap_for_mode(c: Configuration, mode: str) -> int | None:
-    """Tree depth cap for the subclass customizations.
-
-    'eas' restricts the family to b = d1 (no degree-2 CN ever unsatisfied);
-    'bast' caps total unsatisfied CNs at floor(a*g/2).  Plain 'gast'/'ost'
-    return None (the natural bound applies).
-    """
-    if mode == "eas":
-        return 0
-    if mode == "bast":
-        g = (c.gamma - 1) // 2
-        return max(0, (c.num_vns * g) // 2 - c.d1)
-    return None
+    return UnlabeledTree(mode=kind, loop_max=loop_max, children=children, b_et=b_et, b_st=b_st)
 
 
 @dataclass(frozen=True)

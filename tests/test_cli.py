@@ -79,6 +79,18 @@ class TestFormats:
         with pytest.raises(ParseError):
             parse_targets("kind=gast\n")
 
+    @pytest.mark.parametrize("comment", ["# gf q=4 poly=zz", "# gf q=4 poly="], ids=["bad", "empty"])
+    @pytest.mark.parametrize("command, text", [
+        ("analyze", "q=4 gamma=1 a=1 ell=1\n1\n"),
+        ("enumerate", "rows=1 cols=1 q=4 gamma=1\n1 1 1\n"),
+    ], ids=["config", "code"])
+    def test_malformed_poly_comment_is_a_parse_error(self, command, text, comment, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# note\n{comment}\n{text}")
+        argv = [command, str(path)] + (["--max-a", "1"] if command == "enumerate" else [])
+        assert main(argv) == EXIT_PARSE
+        assert f"parse error: {path}:2: bad poly= value" in capsys.readouterr().err
+
     def test_field_poly_override(self):
         text = serialize_config(fx.gast_6_0_0_9_0())
         parsed = parse_config(text, poly_flag=0b111)
@@ -126,6 +138,22 @@ class TestCommands:
         assert main(["analyze", fixture_path("gast_6_2_2_5_2.cfg"), "--mode", "eas"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "t=1" in out and "group=(O_sg)" in out
+
+    @pytest.mark.parametrize("name, mode, loop_max, t, changes, tried", [
+        ("gast_6_2_2_5_2", "eas", 0, 1, "(c5,v1): 1 -> 2", 1),
+        ("gast_6_2_2_5_2", "bast", 1, 3, "(c5,v1): 1 -> 2", 1),
+        ("gast_6_0_0_9_0", "eas", 0, 1, "(c1,v1): 1 -> 2; (c6,v1): 1 -> 2", 1),
+        ("gast_6_0_0_9_0", "bast", 3, 10, "(c1,v1): 1 -> 2; (c6,v1): 1 -> 3", 2),
+    ])
+    def test_subclass_modes_analyze_and_remove(self, name, mode, loop_max, t, changes, tried, capsys):
+        path = fixture_path(f"{name}.cfg")
+        assert main(["analyze", path, "--mode", mode]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert f"[tree]\nmode={mode}\nloop_max={loop_max}\n" in out and f"\nt={t}\n" in out
+        assert main(["remove", path, "--mode", mode]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "kind=gast\nresult=removed\n" in out
+        assert f"\nchanges={changes}\ncandidates_tried={tried}\n" in out
 
     def test_verify_oscillating_member(self, capsys):
         assert main(["verify", fixture_path("ost_6_2_11_0.cfg")]) == EXIT_OK
@@ -301,6 +329,14 @@ class TestCommands:
         assert len(size6) == 1
         assert size6[0].vn_ids == (0, 1, 2, 3, 4, 5)
         assert size6[0].expected_params == (6, 0, 0, 9, 0)
+
+    def test_enumerate_json_lines_without_out(self, capsys):
+        assert main(["enumerate", fixture_path("toy_code.txt"), "--max-a", "6", "--format", "json-lines"]) == EXIT_OK
+        blocks = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        targets = [b for b in blocks if b["block"] == "target"]
+        assert {tuple(b) for b in targets} == {("block", "kind", "params", "vns")}
+        assert {"block": "target", "kind": "gast", "vns": "1,2,3,4,5,6", "params": "6,0,0,9,0"} in targets
+        assert blocks[-1]["block"] == "enumerate" and blocks[-1]["found"] == len(targets)
 
     def test_enumerate_max_a_below_instance(self, tmp_path, capsys):
         out_path = tmp_path / "targets.txt"

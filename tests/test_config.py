@@ -9,10 +9,12 @@ from wcmopt.config import (
     Configuration,
     MalformedConfigurationError,
     NotApplicableError,
+    allowance,
     classify_unlabeled,
     cn_flippable_partners,
     compute_b_o_ut,
     compute_b_ut,
+    keeps_majority,
 )
 from wcmopt.gf import FieldError, gf4
 
@@ -35,7 +37,7 @@ def test_validation_rejects_zero_weight_and_duplicates():
 
 def test_degree_bookkeeping():
     cfg = fx.gast_6_2_2_5_2()
-    assert (cfg.d1, cfg.d2, cfg.d3, cfg.ell) == (2, 5, 2, 9)
+    assert (cfg.d1, cfg.d2, cfg.d3, cfg.num_cns) == (2, 5, 2, 9)
     assert sorted(cfg.deg1_cns) == [7, 8]
     assert sorted(cfg.high_cns) == [5, 6]
     assert sum(cfg.cn_degree(c) for c in range(cfg.num_cns)) == cfg.num_vns * cfg.gamma
@@ -169,6 +171,30 @@ def test_flippable_partners_match_naive_recount():
                 assert cn_flippable_partners(cfg, marked, mode) == naive_flippable(
                     cfg, set(marked), mode
                 ), (name, mode, marked)
+
+
+@pytest.mark.parametrize("gamma", range(1, 10))
+def test_majority_rule_matches_the_formulas(gamma):
+    # each VN's count u of unsatisfied checks: strict majority 2u < gamma,
+    # weak 2u <= gamma, and 'os' is weak with 2u == gamma at some VN
+    us = range(gamma + 1)
+    for u in us:
+        assert (u <= allowance(gamma, "gas")) == (u <= allowance(gamma, "gast")) == (2 * u < gamma)
+        assert (u <= allowance(gamma, "os")) == (u <= allowance(gamma, "ost")) == (2 * u <= gamma)
+        # flipping one more check keeps the majority: the old thresholds
+        assert (u < allowance(gamma, "gast")) == (gamma - u > (gamma + 2) // 2)
+        if gamma % 2 == 0:
+            assert (u < allowance(gamma, "ost")) == (gamma - u > gamma / 2)
+    for counts in [(u,) for u in us] + [(u, v) for u in us for v in us]:
+        twice = [2 * u for u in counts]
+        assert keeps_majority(gamma, counts, "gas") == all(x < gamma for x in twice)
+        assert keeps_majority(gamma, counts, "gast") == all(x < gamma for x in twice)
+        assert keeps_majority(gamma, counts, "ost") == all(x <= gamma for x in twice)
+        assert keeps_majority(gamma, counts, "os") == (
+            all(x <= gamma for x in twice) and gamma in twice
+        )
+    with pytest.raises(ValueError):
+        allowance(gamma, "eas")
 
 
 def test_with_weights_round_trip():

@@ -243,13 +243,10 @@ def test_subclass_caps_agree_with_oracle():
     # the elementary cap keeps b = d1 only; the balanced cap allows
     # floor(a*g/2) unsatisfied checks in total.  Membership through the
     # capped matrix family must match the exhaustive scan at the same cap.
-    from wcmopt.wcmtree import depth_cap_for_mode
-
     rng = random.Random(47)
     base = fx.gast_6_2_2_5_2()
     for mode in ("eas", "bast"):
-        cap = depth_cap_for_mode(base, mode)
-        tree = build_tree(base, depth_cap=cap)
+        tree = build_tree(base, mode)
         wcms = extract_wcms(base, tree)
         b_cap = base.d1 + tree.b_et
         for _ in range(60):

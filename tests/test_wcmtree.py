@@ -3,7 +3,13 @@ import math
 import pytest
 
 from wcmopt import fixtures as fx
-from wcmopt.config import Configuration, ConfigurationError
+from wcmopt.config import (
+    Configuration,
+    ConfigurationError,
+    classify_unlabeled,
+    compute_b_o_ut,
+    compute_b_ut,
+)
 from wcmopt.gf import gf4
 from wcmopt.wcmtree import (
     TreeError,
@@ -15,7 +21,6 @@ from wcmopt.wcmtree import (
     count_wcms_general,
     count_wcms_same_size,
     count_wcms_u_symmetric,
-    depth_cap_for_mode,
     extract_wcms,
     z_family,
 )
@@ -95,6 +100,25 @@ def test_build_tree_rejects_wrong_mode():
         build_tree(fx.ost_6_2_11_0(), mode="gast")
     with pytest.raises(ConfigurationError):
         build_tree(fx.gast_6_0_0_9_0(), mode="ost")
+
+
+def test_loop_max_is_the_degree_bound_under_the_mode_cap():
+    # eas keeps b = d1 only; bast allows floor(a*g/2) unsatisfied checks in total
+    built = 0
+    for name, cfg in fx.all_fixture_configurations().items():
+        topo = classify_unlabeled(cfg)
+        g = (cfg.gamma - 1) // 2
+        caps = {"gast": None, "ost": None, "eas": 0, "bast": max(0, cfg.num_vns * g // 2 - cfg.d1)}
+        for mode, cap in caps.items():
+            if not (topo.is_unlabeled_ost if mode == "ost" else topo.is_unlabeled_gast):
+                with pytest.raises(ConfigurationError):
+                    build_tree(cfg, mode)
+                continue
+            bound = compute_b_o_ut(cfg) if mode == "ost" else compute_b_ut(cfg)
+            expected = bound if cap is None else min(bound, cap)
+            assert build_tree(cfg, mode).loop_max == expected, (name, mode)
+            built += 1
+    assert built >= 20
 
 
 def test_permutation_closure():
@@ -314,10 +338,10 @@ def test_b_max_and_z_family():
 
 def test_depth_caps_for_subclasses():
     cfg = fx.gast_6_0_0_9_0()
-    assert depth_cap_for_mode(cfg, "eas") == 0
-    assert depth_cap_for_mode(cfg, "bast") == 3
-    assert depth_cap_for_mode(cfg, "gast") is None
-    tree = build_tree(cfg, depth_cap=0)
+    assert build_tree(cfg, "eas").loop_max == 0
+    assert build_tree(cfg, "bast").loop_max == 3
+    assert build_tree(cfg, "gast").loop_max == compute_b_ut(cfg)
+    tree = build_tree(cfg, "eas")
     wcms = extract_wcms(cfg, tree)
     assert wcms.t == 1 and wcms.wcms[0].matrix.rows == 9
 
@@ -326,9 +350,8 @@ def test_balanced_cap_shrinks_family():
     # with two degree-1 checks the balanced cap allows only one degree-2
     # level, so every single-check marking becomes its own family member
     cfg = fx.gast_6_2_2_5_2()
-    cap = depth_cap_for_mode(cfg, "bast")
-    assert cap == 1
-    tree = build_tree(cfg, depth_cap=cap)
+    tree = build_tree(cfg, "bast")
+    assert tree.loop_max == 1
     wcms = extract_wcms(cfg, tree)
     assert groups_1based(wcms) == [(2,), (3,), (4,)]
 
