@@ -112,9 +112,6 @@ class Configuration:
                 return w
         raise KeyError(f"no edge ({cn},{vn})")
 
-    def vn_deg1_count(self, vn: int) -> int:
-        return self.vn_deg1_counts[vn]
-
     def adjacency(self) -> GfMatrix:
         rows = [[0] * self.num_vns for _ in range(self.num_cns)]
         for cn, vn, w in self.edges:

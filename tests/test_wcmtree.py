@@ -277,7 +277,7 @@ def _valid_marking_sets(cfg, budget):
         for subset in it.combinations(deg2, r):
             ok = True
             for vn in range(cfg.num_vns):
-                unsat = cfg.vn_deg1_count(vn) + sum(
+                unsat = cfg.vn_deg1_counts[vn] + sum(
                     1 for cn in subset if any(v == vn for v, _ in cfg.cn_neighbors[cn])
                 )
                 if unsat > budget:

@@ -14,8 +14,9 @@ toy codes in both phases, formats and cap settings; enumerate on both toy
 codes for both kinds and formats, with and without ``--out``.  Commands run
 as ``python -m wcmopt`` subprocesses on the checkout's ``src``, from a
 scratch directory where ``fixtures`` links to the checkout's fixtures, so
-paths in the output are the same for every checkout.  It takes about a
-minute on two cores, which is why no test runs it.
+paths in the output are the same for every checkout.  It takes about
+90 s on two cores (one command runs per usable core), which is why no test
+runs it.
 """
 
 from __future__ import annotations
@@ -86,7 +87,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="checkout whose src and fixtures are run (default: this one)")
-    parser.add_argument("--jobs", type=int, default=2, help="commands run at once")
     args = parser.parse_args()
     root = args.root.resolve()
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -95,7 +95,7 @@ def main() -> int:
         workdir = Path(tmp)
         (workdir / "fixtures").symlink_to(root / "fixtures")
         (workdir / "out").mkdir()
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
             digests = list(pool.map(digest, commands, range(len(commands)),
                                     [workdir] * len(commands), [env] * len(commands)))
     for argv, d in zip(commands, digests):
