@@ -39,7 +39,7 @@ from .removal import (
 from .wcmtree import b_max, build_tree, count_suboptimal, extract_wcms, z_family
 
 EXIT_OK = 0
-EXIT_PARSE = 2
+EXIT_INPUT = 2
 EXIT_UNREMOVABLE = 3
 EXIT_ORACLE = 4
 EXIT_SUPPORT = 5
@@ -329,8 +329,8 @@ def cmd_analyze(args: argparse.Namespace, rep: Reporter) -> int:
     try:
         tree = build_tree(cfg, args.mode)
     except ConfigurationError as exc:
-        rep.block("note", {"message": f"{exc}; analysis stops"})
-        return EXIT_OK
+        rep.block("error", {"message": str(exc)})
+        return EXIT_INPUT
     try:
         oracle = oracle_is_gas(cfg, "os" if tree.mode == "ost" else "gas", cap=args.oracle_cap)
         rep.block(
@@ -460,7 +460,7 @@ def cmd_remove(args: argparse.Namespace, rep: Reporter) -> int:
         tree = build_tree(cfg, args.mode)
     except ConfigurationError as exc:
         rep.block("error", {"message": str(exc)})
-        return EXIT_PARSE
+        return EXIT_INPUT
     plan = remove_object(
         cfg,
         extract_wcms(cfg, tree),
@@ -645,10 +645,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args, rep)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return EXIT_INPUT
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return EXIT_INPUT
     except OracleTooLargeError as exc:
         print(f"oracle infeasible: {exc}", file=sys.stderr)
         return EXIT_ORACLE

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 from typing import Iterable, Sequence
 
 from .gf import FieldContext
@@ -118,25 +120,50 @@ def rank(m: GfMatrix) -> int:
     return rref(m)[1]
 
 
-def null_space(m: GfMatrix) -> NullSpaceBasis:
-    """Basis of {v : m v = 0}; dimension = cols - rank (rank-nullity)."""
-    f = m.field
-    reduced, rk = rref(m)
-    pivot_cols: list[int] = []
-    for r in range(rk):
-        row = reduced.entries[r]
-        pivot_cols.append(next(c for c in range(m.cols) if row[c] != 0))
-    free_cols = [c for c in range(m.cols) if c not in pivot_cols]
+def _null_basis(
+    reduced_rows: Sequence[Sequence[int]], pivot_cols: Sequence[int], ncols: int
+) -> tuple[tuple[int, ...], ...]:
+    """Null-space basis from the nonzero rows of a reduced row-echelon form."""
     basis = []
-    for free in free_cols:
-        vec = [0] * m.cols
+    for free in (c for c in range(ncols) if c not in pivot_cols):
+        vec = [0] * ncols
         vec[free] = 1
         # Characteristic 2: the pivot value solving the row equation is the
         # free-column entry itself (negation is the identity).
         for r, pc in enumerate(pivot_cols):
-            vec[pc] = reduced.entries[r][free]
+            vec[pc] = reduced_rows[r][free]
         basis.append(tuple(vec))
-    return NullSpaceBasis(len(basis), tuple(basis), m.cols, f)
+    return tuple(basis)
+
+
+def null_space(m: GfMatrix) -> NullSpaceBasis:
+    """Basis of {v : m v = 0}; dimension = cols - rank (rank-nullity)."""
+    reduced, rk = rref(m)
+    rows = reduced.entries[:rk]
+    pivot_cols = [next(c for c in range(m.cols) if row[c] != 0) for row in rows]
+    basis = _null_basis(rows, pivot_cols, m.cols)
+    return NullSpaceBasis(len(basis), basis, m.cols, m.field)
+
+
+def reduce_with_transform(
+    m: GfMatrix,
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], NullSpaceBasis]:
+    """One ``rref`` of [m | I]: m's pivot columns, the row transform T, and null(m).
+
+    T is invertible and T m is the reduced row-echelon form of m, so m y = x
+    is solvable iff T x vanishes below the rank, and then y0 with
+    y0[pivots[i]] = (T x)[i] and zeros elsewhere is a solution.
+    """
+    n, ncols = m.rows, m.cols
+    eye = (tuple(int(i == r) for i in range(n)) for r in range(n))
+    aug = tuple(row + e for row, e in zip(m.entries, eye))
+    rows = rref(GfMatrix(n, ncols + n, aug, m.field))[0].entries
+    # [m | I] has full row rank, so every row has a pivot; m's come first.
+    leads = (next(c for c, x in enumerate(row) if x) for row in rows)
+    pivots = tuple(c for c in leads if c < ncols)
+    basis = _null_basis(rows, pivots, ncols)
+    transform = tuple(row[ncols:] for row in rows)
+    return pivots, transform, NullSpaceBasis(len(basis), basis, ncols, m.field)
 
 
 def mat_vec(m: GfMatrix, v: Sequence[int]) -> tuple[int, ...]:
@@ -152,13 +179,60 @@ def mat_vec(m: GfMatrix, v: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _combine(basis: Sequence[Sequence[int]], coeffs: Sequence[int], f: FieldContext, length: int) -> tuple[int, ...]:
-    acc = [0] * length
-    for c, vec in zip(coeffs, basis):
-        if c != 0:
-            times = f.mul_row(c)
-            acc = [a ^ times[x] for a, x in zip(acc, vec)]
-    return tuple(acc)
+def check_search_size(p: int, support_cap: int) -> None:
+    """Refuse a full-support scan over a null space wider than ``support_cap``."""
+    if p and p > support_cap:
+        raise SearchTooLargeError(
+            f"null-space dimension {p} exceeds support search cap {support_cap}"
+        )
+
+
+class SupportScan:
+    """Full-support search over cosets ``offset + span(basis)`` in GF(q)^length.
+
+    Vectors are packed into ints with lam + 1 bits per coordinate, the top
+    bit a guard kept at 0, so a vector sum is one XOR, and adding 2^lam - 1
+    to every coordinate carries exactly the nonzero ones into their guards.
+    """
+
+    def __init__(self, field: FieldContext, length: int):
+        self.field = field
+        self.length = length
+        self.width = field.lam + 1
+        ones = sum(1 << self.width * i for i in range(length))
+        self.carry = ones * (field.q - 1)
+        self.guards = ones << field.lam
+
+    def unpack(self, packed: int) -> tuple[int, ...]:
+        mask = self.field.q - 1
+        return tuple(packed >> self.width * i & mask for i in range(self.length))
+
+    def multiples(self, vec: Sequence[int]) -> list[int]:
+        """c vec packed, for c = 0 .. q - 1.
+
+        Multiplying by c is linear over GF(2): c vec is the XOR over bits b
+        of c 2^b times the 0/1 vector of vec's bit b.
+        """
+        f = self.field
+        packed = sum(x << self.width * i for i, x in enumerate(vec))
+        ones = ((1 << self.width * len(vec)) - 1) // ((1 << self.width) - 1)
+        bits = [(packed >> b & ones, 1 << b) for b in range(f.lam)]
+        return [
+            reduce(xor, (e * times[x] for e, x in bits), 0)
+            for times in map(f.mul_row, range(f.q))
+        ]
+
+    def first(self, offset: int, multiples: Sequence[Sequence[int]]) -> int | None:
+        """First full-support vector offset + sum c_i b_i, with the c_i in product order.
+
+        ``multiples[i]`` is ``self.multiples(b_i)``; c_0 varies slowest.
+        """
+        carry, guards = self.carry, self.guards
+        for terms in itertools.product(*multiples):
+            v = reduce(xor, terms, offset)
+            if (v + carry) & guards == guards:
+                return v
+        return None
 
 
 def has_full_support_vector(
@@ -167,25 +241,21 @@ def has_full_support_vector(
     """Search the span of ``ns`` for a vector with every coordinate nonzero.
 
     The support of a vector is invariant under nonzero scaling, so the scan
-    fixes the first nonzero coefficient to 1 (projective normalization) and
-    walks the remaining (q^p - 1)/(q - 1) combinations exhaustively.  Returns
-    the first witness found, or (False, None) when no combination works.
+    fixes the first nonzero coefficient to 1 (projective normalization): for
+    each lead it walks the coset basis[lead] + span(basis[lead + 1:]), which
+    makes (q^p - 1)/(q - 1) combinations in all.  Returns the first witness
+    found, or (False, None) when no combination works.
     """
     p = ns.dimension
     if p == 0:
         return False, None
-    if p > support_cap:
-        raise SearchTooLargeError(
-            f"null-space dimension {p} exceeds support search cap {support_cap}"
-        )
-    f = ns.field
+    check_search_size(p, support_cap)
+    scan = SupportScan(ns.field, ns.length)
+    multiples = [scan.multiples(vec) for vec in ns.basis_vectors]
     for lead in range(p):
-        tail = p - lead - 1
-        for rest in itertools.product(range(f.q), repeat=tail):
-            coeffs = (0,) * lead + (1,) + rest
-            v = _combine(ns.basis_vectors, coeffs, f, ns.length)
-            if all(x != 0 for x in v):
-                return True, v
+        hit = scan.first(multiples[lead][1], multiples[lead + 1 :])
+        if hit is not None:
+            return True, scan.unpack(hit)
     return False, None
 
 

@@ -28,10 +28,13 @@ from .gf import FieldContext
 from .gflinalg import (
     DEFAULT_SUPPORT_CAP,
     GfMatrix,
+    SupportScan,
+    check_search_size,
     has_full_support_vector,
     mat_vec,
     null_space,
     rank,
+    reduce_with_transform,
 )
 from .wcmtree import WcmSet, build_tree, extract_wcms
 
@@ -129,16 +132,66 @@ def _first_unbroken(
     return None
 
 
-def _with_weights(
-    rows: Sequence[tuple[int, ...]], changes: Mapping[tuple[int, int], int]
-) -> list[tuple[int, ...]]:
-    """Adjacency rows with the (cn, vn) -> weight replacements written in."""
-    out = list(rows)
-    for (cn, vn), wt in changes.items():
-        row = list(out[cn])
-        row[vn] = wt
-        out[cn] = tuple(row)
-    return out
+class _ColumnMembership:
+    """``_first_unbroken`` for candidates that change only column ``vn``.
+
+    Each matrix is [B | x] up to column order, B the kept rows without
+    column vn and x that column.  A full-support null vector has a nonzero
+    entry at vn; scaled to 1 it is y with B y = x and y of full support.
+    So one ``reduce_with_transform`` of B per matrix serves every x: T x
+    nonzero below the rank means x is outside B's column space and the
+    matrix is broken; otherwise y0 is read off T x and the matrix is
+    unbroken iff some y0 + n, n in null(B), has full support.  T x is a
+    packed int: y0 in the slots of B's columns, the rows below the rank
+    above them.  Matrices are reduced when the scan first reaches them.
+    """
+
+    def __init__(
+        self,
+        rows: Sequence[tuple[int, ...]],
+        vn: int,
+        groups: Sequence[Sequence[int]],
+        field: FieldContext,
+        support_cap: int,
+    ):
+        self.rows, self.vn, self.groups, self.support_cap = rows, vn, groups, support_cap
+        self.scan = SupportScan(field, len(rows[0]) - 1)
+        self.reduced: list[tuple[int, dict[int, list[int]], list[list[int]]] | None]
+        self.reduced = [None] * len(groups)
+
+    def _reduce(self, group: Sequence[int]) -> tuple[int, dict[int, list[int]], list[list[int]]]:
+        """Packed T x; per kept row meeting vn, c times its column of T for every c; null(B)."""
+        v, scan = self.vn, self.scan
+        kept = [r for r in range(len(self.rows)) if r not in group]
+        b = tuple(self.rows[r][:v] + self.rows[r][v + 1 :] for r in kept)
+        pivots, transform, ns = reduce_with_transform(GfMatrix(len(kept), scan.length, b, scan.field))
+        size = scan.length + len(kept) - len(pivots)
+        slots = list(pivots) + list(range(scan.length, size))
+        terms = {}
+        for j, r in enumerate(kept):
+            if self.rows[r][v]:
+                column = [0] * size
+                for i, slot in enumerate(slots):
+                    column[slot] = transform[i][j]
+                terms[r] = scan.multiples(column)
+        tx = reduce(xor, (terms[r][self.rows[r][v]] for r in terms), 0)
+        return tx, terms, [scan.multiples(vec) for vec in ns.basis_vectors]
+
+    def first_unbroken(self, deltas: Mapping[int, int]) -> int | None:
+        """``_first_unbroken`` with ``deltas[cn]`` added to column vn at row cn."""
+        shift = self.scan.width * self.scan.length
+        for i, group in enumerate(self.groups):
+            if self.reduced[i] is None:
+                self.reduced[i] = self._reduce(group)
+            tx, terms, null_multiples = self.reduced[i]
+            for cn, delta in deltas.items():
+                if cn in terms:
+                    tx ^= terms[cn][delta]
+            solvable = not tx >> shift
+            check_search_size(len(null_multiples) + solvable, self.support_cap)
+            if solvable and self.scan.first(tx, null_multiples) is not None:
+                return i
+        return None
 
 
 def evaluate_weight_conditions(
@@ -432,7 +485,10 @@ def remove_object(
             object_id, kind, "unremovable", e_min, e_bound, exact, None, (), tried,
             prot_checks, prot_rejections,
         )
+    columns: dict[int, _ColumnMembership] = {}
     for vn, edge_set in candidates:
+        if vn not in columns:
+            columns[vn] = _ColumnMembership(rows, vn, groups, c.field, support_cap)
         old = {edge: c.weight_of(*edge) for edge in edge_set}
         options = [
             [wt for wt in range(1, c.field.q) if wt != old[edge]]
@@ -441,7 +497,8 @@ def remove_object(
         for combo in itertools.product(*options):
             tried += 1
             changes = dict(zip(edge_set, combo))
-            if _first_unbroken(_with_weights(rows, changes), groups, c.field, support_cap) is not None:
+            deltas = {cn: old[cn, v] ^ wt for (cn, v), wt in changes.items()}
+            if columns[vn].first_unbroken(deltas) is not None:
                 continue
             if protected_ok is not None:
                 prot_checks += 1

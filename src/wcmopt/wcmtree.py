@@ -20,7 +20,6 @@ from .config import (
     ConfigurationError,
     allowance,
     classify_unlabeled,
-    cn_flippable_partners,
 )
 from .gflinalg import GfMatrix
 
@@ -104,38 +103,54 @@ def build_tree(c: Configuration, mode: str = "gast") -> UnlabeledTree:
     if not topo.supports(mode):
         raise ConfigurationError(f"configuration is not an unlabeled {kind}")
     loop_max = topo.b_o_ut if kind == "ost" else topo.b_ut
+    top = allowance(c.gamma, kind)
     capped = mode in ("eas", "bast")
     if mode == "eas":
         loop_max = 0
     elif mode == "bast":
-        g = allowance(c.gamma, kind)
-        loop_max = min(loop_max, max(0, c.num_vns * g // 2 - c.d1))
+        loop_max = min(loop_max, max(0, c.num_vns * top // 2 - c.d1))
 
+    # Depth-first with an explicit stack, keeping each VN's unsatisfied count
+    # for the current path: a CN's two VNs gain one on entering it and lose
+    # it on leaving.  Counts only grow down the path, so a node's partners
+    # are among its parent's.
+    pairs = {cn: [v for v, _ in c.cn_neighbors[cn]] for cn in sorted(c.deg2_cns)}
+    unsat = list(c.vn_deg1_counts)
+    path: list[int] = []
     children: dict[tuple[int, ...], tuple[int, ...]] = {}
     b_et = 0
     leaf_depths: list[int] = []
-
-    def grow(path: tuple[int, ...]) -> None:
-        nonlocal b_et
+    # (cn, its parent's partners) enters cn, the root as cn None; (cn, None) leaves cn
+    todo: list[tuple[int | None, tuple[int, ...] | None]] = [(None, tuple(pairs))]
+    while todo:
+        cn, pool = todo.pop()
+        if pool is None:
+            path.pop()
+            for v in pairs[cn]:
+                unsat[v] -= 1
+            continue
+        if cn is not None:
+            path.append(cn)
+            for v in pairs[cn]:
+                unsat[v] += 1
+            todo.append((cn, None))
         depth = len(path)
         b_et = max(b_et, depth)
+        partners = tuple(
+            p for p in pool if p != cn and all(unsat[v] < top for v in pairs[p])
+        )
         if depth >= loop_max:
-            if not capped and cn_flippable_partners(c, path, mode=kind):
+            if not capped and partners:
                 # the degree bound guarantees no partner survives this deep
                 raise TreeError(
-                    f"flippable partner beyond the degree bound at path {path}"
+                    f"flippable partner beyond the degree bound at path {tuple(path)}"
                 )
             leaf_depths.append(depth)
-            return
-        partners = sorted(cn_flippable_partners(c, path, mode=kind))
-        if not partners:
+        elif not partners:
             leaf_depths.append(depth)
-            return
-        children[path] = tuple(partners)
-        for cn in partners:
-            grow(path + (cn,))
-
-    grow(())
+        else:
+            children[tuple(path)] = partners
+            todo.extend((p, partners) for p in reversed(partners))
     b_st = min(leaf_depths)
     return UnlabeledTree(mode=kind, loop_max=loop_max, children=children, b_et=b_et, b_st=b_st)
 

@@ -5,10 +5,47 @@ from __future__ import annotations
 import itertools
 import random
 
-from wcmopt.config import CodeGraph, Configuration
+from wcmopt.config import (
+    CodeGraph,
+    Configuration,
+    ConfigurationError,
+    allowance,
+    classify_unlabeled,
+    cn_flippable_partners,
+)
 from wcmopt.gf import FieldContext
-from wcmopt.gflinalg import GfMatrix, NullSpaceBasis, mat_vec
-from wcmopt.removal import OracleResult, OracleTooLargeError
+from wcmopt.gflinalg import DEFAULT_SUPPORT_CAP, GfMatrix, NullSpaceBasis, SearchTooLargeError, mat_vec
+from wcmopt.removal import (
+    EXTRA_CHANGES,
+    NoCandidateError,
+    OracleResult,
+    OracleTooLargeError,
+    RemovalPlan,
+    _e_bound,
+    _first_unbroken,
+    compute_e_min,
+    select_candidate_edges,
+)
+from wcmopt.wcmtree import TreeError, UnlabeledTree
+
+
+def reference_full_support(ns: NullSpaceBasis) -> tuple[bool, tuple[int, ...] | None]:
+    """Slow reference for ``has_full_support_vector``: the projective walk, one vector at a time.
+
+    Leads in order, then the remaining coefficients in product order, so
+    the witness is the fast scanner's.
+    """
+    f = ns.field
+    if ns.dimension > DEFAULT_SUPPORT_CAP:
+        raise SearchTooLargeError("over the cap")
+    for lead in range(ns.dimension):
+        for rest in itertools.product(range(f.q), repeat=ns.dimension - lead - 1):
+            acc = [0] * ns.length
+            for c, vec in zip((1,) + rest, ns.basis_vectors[lead:]):
+                acc = [a ^ f.mul(c, x) for a, x in zip(acc, vec)]
+            if all(acc):
+                return True, tuple(acc)
+    return False, None
 
 
 def naive_full_support(ns: NullSpaceBasis) -> tuple[bool, tuple[int, ...] | None]:
@@ -117,6 +154,95 @@ def reference_induce(graph: CodeGraph, vns) -> Configuration:
         graph.gamma, graph.field, len(vset), len(cn_ids), edges,
         vn_ids=tuple(vset), cn_ids=cn_ids,
     )
+
+
+def rows_with_weights(rows, changes) -> list[tuple[int, ...]]:
+    """Adjacency rows with the (cn, vn) -> weight replacements written in."""
+    out = list(rows)
+    for (cn, vn), wt in changes.items():
+        row = list(out[cn])
+        row[vn] = wt
+        out[cn] = tuple(row)
+    return out
+
+
+def reference_remove_object(c: Configuration, w, protected_ok=None, *,
+                            support_cap=DEFAULT_SUPPORT_CAP, oracle_cap=10_000_000):
+    """Slow reference for ``remove_object``: a whole ``_first_unbroken`` per candidate.
+
+    Every candidate writes its weights into the adjacency rows and scans
+    every matrix from scratch; order, counters and plan are the fast path's.
+    """
+    kind = w.kind
+    rows = c.adjacency().entries
+    groups = [rec.removed_rows for rec in w.wcms]
+    if _first_unbroken(rows, groups, c.field, support_cap) is None:
+        return RemovalPlan("", kind, "not_in_z", 0, _e_bound(c, kind), True, None, ())
+    e_min, e_bound, exact = compute_e_min(c, kind, oracle_cap)
+    tried = checks = rejections = 0
+    start = e_min if exact else 1
+    try:
+        candidates = list(select_candidate_edges(c, e_bound, e_bound + EXTRA_CHANGES, start))
+    except NoCandidateError:
+        return RemovalPlan("", kind, "unremovable", e_min, e_bound, exact, None, ())
+    for vn, edge_set in candidates:
+        old = {edge: c.weight_of(*edge) for edge in edge_set}
+        options = [[wt for wt in range(1, c.field.q) if wt != old[e]] for e in edge_set]
+        for combo in itertools.product(*options):
+            tried += 1
+            changes = dict(zip(edge_set, combo))
+            if _first_unbroken(rows_with_weights(rows, changes), groups, c.field, support_cap) is not None:
+                continue
+            if protected_ok is not None:
+                checks += 1
+                if not protected_ok(changes):
+                    rejections += 1
+                    continue
+            return RemovalPlan(
+                "", kind, "removed", e_min, e_bound, exact, vn,
+                tuple((cn, v, old[(cn, v)], new) for (cn, v), new in changes.items()),
+                tried, checks, rejections,
+            )
+    return RemovalPlan("", kind, "unremovable", e_min, e_bound, exact, None, (), tried, checks, rejections)
+
+
+def reference_build_tree(c: Configuration, mode: str = "gast") -> UnlabeledTree:
+    """Slow reference for ``build_tree``: recursion with one ``cn_flippable_partners`` per node."""
+    kind = "ost" if mode == "ost" else "gast"
+    topo = classify_unlabeled(c)
+    if not topo.supports(mode):
+        raise ConfigurationError(f"configuration is not an unlabeled {kind}")
+    loop_max = topo.b_o_ut if kind == "ost" else topo.b_ut
+    capped = mode in ("eas", "bast")
+    if mode == "eas":
+        loop_max = 0
+    elif mode == "bast":
+        loop_max = min(loop_max, max(0, c.num_vns * allowance(c.gamma, kind) // 2 - c.d1))
+    children = {}
+    depths = []
+
+    def grow(path):
+        if len(path) >= loop_max:
+            if not capped and cn_flippable_partners(c, path, mode=kind):
+                raise TreeError(f"flippable partner beyond the degree bound at path {path}")
+            depths.append(len(path))
+            return
+        partners = sorted(cn_flippable_partners(c, path, mode=kind))
+        if not partners:
+            depths.append(len(path))
+            return
+        children[path] = tuple(partners)
+        for cn in partners:
+            grow(path + (cn,))
+
+    grow(())
+    return UnlabeledTree(kind, loop_max, children, max(depths), min(depths))
+
+
+def sub_configuration(cfg: Configuration, vns) -> Configuration:
+    """The configuration a VN subset of ``cfg`` induces."""
+    weights = {(cn, vn): w for cn, vn, w in cfg.edges}
+    return CodeGraph(cfg.num_cns, cfg.num_vns, cfg.gamma, cfg.field, weights).induce(vns)
 
 
 def random_weights(cfg: Configuration, rng: random.Random) -> Configuration:

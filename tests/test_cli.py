@@ -7,7 +7,7 @@ from wcmopt import fixtures as fx
 from wcmopt.cli import (
     EXIT_OK,
     EXIT_ORACLE,
-    EXIT_PARSE,
+    EXIT_INPUT,
     EXIT_SUPPORT,
     EXIT_UNREMOVABLE,
     ParseError,
@@ -88,7 +88,7 @@ class TestFormats:
         path = tmp_path / "bad.txt"
         path.write_text(f"# note\n{comment}\n{text}")
         argv = [command, str(path)] + (["--max-a", "1"] if command == "enumerate" else [])
-        assert main(argv) == EXIT_PARSE
+        assert main(argv) == EXIT_INPUT
         assert f"parse error: {path}:2: bad poly= value" in capsys.readouterr().err
 
     def test_field_poly_override(self):
@@ -126,7 +126,17 @@ class TestCommands:
     def test_analyze_parse_failure_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("q=4 gamma=3 a=2 ell=1\n1 1\n")
-        assert main(["analyze", str(bad)]) == EXIT_PARSE
+        assert main(["analyze", str(bad)]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("command", ["analyze", "remove"])
+    @pytest.mark.parametrize("name, mode", [("gast_6_0_0_9_0", "ost"), ("ost_6_2_11_0", "gast")])
+    def test_unsupported_shape_is_an_input_error(self, command, name, mode, tmp_path, capsys):
+        out_path = tmp_path / "out.cfg"
+        argv = [command, fixture_path(f"{name}.cfg"), "--mode", mode, "--out", str(out_path)]
+        assert main(argv) == EXIT_INPUT
+        out = capsys.readouterr().out
+        assert out.endswith(f"[error]\nmessage=configuration is not an unlabeled {mode}\n")
+        assert "[tree]" not in out and not out_path.exists()
 
     def test_analyze_ost_mode(self, capsys):
         assert main(["analyze", fixture_path("ost_6_2_11_0.cfg"), "--mode", "ost"]) == EXIT_OK
@@ -282,7 +292,7 @@ class TestCommands:
     def test_target_beyond_code_length_names_its_line(self, tmp_path, capsys):
         targets = tmp_path / "targets.txt"
         targets.write_text("# targets\nkind=gast vns=1,2,13\n")
-        assert main(["optimize", fixture_path("toy_code.txt"), str(targets)]) == EXIT_PARSE
+        assert main(["optimize", fixture_path("toy_code.txt"), str(targets)]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert f"{targets}:2: target 1,2,13 references a VN beyond 12" in err
 

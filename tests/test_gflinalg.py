@@ -1,8 +1,10 @@
 import random
+from functools import reduce
+from operator import xor
 
 import pytest
 
-from conftest import naive_full_support, span_size_rank
+from conftest import gf16, naive_full_support, reference_full_support, span_size_rank
 from wcmopt import fixtures as fx
 from wcmopt.gf import gf4, gf8
 from wcmopt.gflinalg import (
@@ -15,6 +17,7 @@ from wcmopt.gflinalg import (
     mat_vec,
     null_space,
     rank,
+    reduce_with_transform,
     rref,
     spans_equal,
 )
@@ -148,6 +151,56 @@ def test_full_support_agrees_with_naive_oracle():
         mine = has_full_support_vector(ns)[0]
         naive = naive_full_support(ns)[0]
         assert mine == naive
+
+
+def random_null_spaces(rng, count):
+    for _ in range(count):
+        field = rng.choice([gf4(), gf8(), gf16()])
+        length = rng.randrange(2, 7)
+        m = GfMatrix.from_rows(
+            [[rng.choice([0, rng.randrange(field.q)]) for _ in range(length)]
+             for _ in range(rng.randrange(1, length + 1))],
+            field,
+        )
+        yield m, null_space(m)
+
+
+def test_full_support_witness_matches_projective_walk():
+    # the witness is the first hit of the projective walk, lead by lead; a
+    # null_space basis can only hit at lead 0 (each vector is 0 at the other
+    # free columns), so random recombinations of it are scanned too
+    rng = random.Random(22)
+    hits = 0
+    for _, ns in random_null_spaces(rng, 300):
+        if not 0 < ns.dimension <= 3:
+            continue
+        f, p = ns.field, ns.dimension
+        mixed = []
+        for _ in range(p):
+            coeffs = [rng.randrange(f.q) for _ in range(p)]
+            mixed.append(tuple(
+                reduce(xor, (f.mul(c, x) for c, x in zip(coeffs, column)))
+                for column in zip(*ns.basis_vectors)
+            ))
+        for basis in (ns.basis_vectors, tuple(mixed)):
+            nsb = NullSpaceBasis(p, basis, ns.length, f)
+            found = has_full_support_vector(nsb)
+            assert found == reference_full_support(nsb)
+            hits += found[0]
+    assert hits > 40
+
+
+def test_reduce_with_transform():
+    rng = random.Random(23)
+    for m, ns in random_null_spaces(rng, 100):
+        pivots, transform, basis = reduce_with_transform(m)
+        reduced, rk = rref(m)
+        t = GfMatrix(m.rows, m.rows, transform, m.field)
+        assert rank(t) == m.rows and len(pivots) == rk
+        for col in range(m.cols):
+            column = [row[col] for row in m.entries]
+            assert mat_vec(t, column) == tuple(row[col] for row in reduced.entries)
+        assert basis == ns
 
 
 def test_mat_vec_examples():

@@ -1,3 +1,4 @@
+import gc
 import pathlib
 import random
 import warnings
@@ -10,13 +11,16 @@ from conftest import (
     random_weights,
     reference_oracle_in_family,
     reference_oracle_is_gas,
+    reference_remove_object,
+    rows_with_weights,
     satisfied_labeling,
+    sub_configuration,
 )
 from wcmopt import fixtures as fx, removal
 from wcmopt.cli import parse_code, parse_config, parse_targets
 from wcmopt.config import CodeGraph, classify_unlabeled
 from wcmopt.gf import gf4, gf8
-from wcmopt.gflinalg import DEFAULT_SUPPORT_CAP, spans_equal
+from wcmopt.gflinalg import DEFAULT_SUPPORT_CAP, SearchTooLargeError, spans_equal
 from wcmopt.removal import (
     InvalidValuesError,
     NoCandidateError,
@@ -31,8 +35,8 @@ from wcmopt.removal import (
     oracle_is_gas,
     remove_object,
     select_candidate_edges,
+    _ColumnMembership,
     _first_unbroken,
-    _with_weights,
 )
 from wcmopt.wcmtree import build_tree, extract_wcms
 
@@ -486,13 +490,127 @@ class TestMembershipKernel:
                 candidate = cfg.with_weights(changes)
                 report = evaluate_weight_conditions(candidate, wcms.rebuilt(candidate))
                 first = _first_unbroken(
-                    _with_weights(cfg.adjacency().entries, changes), groups, field, DEFAULT_SUPPORT_CAP
+                    rows_with_weights(cfg.adjacency().entries, changes), groups, field, DEFAULT_SUPPORT_CAP
                 )
                 assert (first is None) == report.all_broken
                 if first is not None:
                     assert first + 1 == report.unbroken_indices()[0]
                 verdicts.append(first is None)
         assert any(verdicts) and not all(verdicts)
+
+
+def labeled_members(field, rng, count):
+    """``count`` satisfied and ``count`` random labelings of every shipped shape, with its matrices."""
+    for name in fx.all_fixture_configurations():
+        base = getattr(fx, name)(field=field)
+        wcms = pipeline(base, "gast" if classify_unlabeled(base).is_unlabeled_gast else "ost")
+        for _ in range(count):
+            yield name, satisfied_labeling(base, rng), wcms
+            yield name, random_weights(base, rng), wcms
+
+
+def removal_outcome(remove, cfg, wcms, reject=False, **caps):
+    """The plan's repr or the search error, and every change set offered to a rejecting hook."""
+    offered = []
+
+    def protected_ok(changes):
+        offered.append(sorted(changes.items()))
+        return False
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = repr(remove(cfg, wcms, protected_ok if reject else None, **caps))
+    except SearchTooLargeError as exc:
+        result = f"SearchTooLargeError: {exc}"
+    return result, offered
+
+
+def membership_outcome(first_unbroken):
+    try:
+        return first_unbroken()
+    except SearchTooLargeError as exc:
+        return str(exc)
+
+
+class TestColumnUpdate:
+    """Column-update membership in the candidate loop against whole-matrix scans."""
+
+    @pytest.mark.parametrize("field", [gf4(), gf8(), gf16()], ids=["gf4", "gf8", "gf16"])
+    def test_plans_match_reference(self, field):
+        rng = random.Random(field.q + 3)
+        results = set()
+        for name, cfg, wcms in labeled_members(field, rng, 3):
+            fast = removal_outcome(remove_object, cfg, wcms, oracle_cap=7 ** 6)
+            assert fast == removal_outcome(reference_remove_object, cfg, wcms, oracle_cap=7 ** 6), name
+            results.add(fast[0].split("result='")[1].split("'")[0])
+        assert {"removed", "not_in_z"} <= results
+
+    @pytest.mark.parametrize("field, reject", [(gf4(), True), (gf8(), False), (gf16(), False)],
+                             ids=["gf4-reject-all", "gf8", "gf16"])
+    def test_search_errors_match_reference_at_every_cap(self, field, reject):
+        # a hook that rejects every success walks the whole candidate list,
+        # so the first candidate whose scan overruns the cap raises; once the
+        # cap reaches the widest null space scanned nothing raises and larger
+        # caps repeat that walk, so the sweep stops there
+        rng = random.Random(field.q + 4)
+        errors = late_errors = 0
+        for name, cfg, wcms in labeled_members(field, rng, 1):
+            for cap in range(cfg.num_vns + 1):
+                fast = removal_outcome(remove_object, cfg, wcms, reject, support_cap=cap, oracle_cap=0)
+                ref = removal_outcome(reference_remove_object, cfg, wcms, reject, support_cap=cap, oracle_cap=0)
+                assert fast == ref, (name, cap)
+                if not fast[0].startswith("SearchTooLargeError"):
+                    break
+                errors += 1
+                late_errors += bool(fast[1])
+        assert errors > 0 and (late_errors > 0 or not reject)
+
+    @pytest.mark.parametrize("field", [gf4(), gf8(), gf16()], ids=["gf4", "gf8", "gf16"])
+    def test_membership_matches_first_unbroken_per_candidate(self, field):
+        rng = random.Random(field.q + 5)
+        verdicts = set()
+        for name, cfg, wcms in labeled_members(field, rng, 1):
+            rows = cfg.adjacency().entries
+            groups = [rec.removed_rows for rec in wcms.wcms]
+            try:
+                candidates = list(select_candidate_edges(cfg, 3))
+            except NoCandidateError:
+                continue
+            for cap in (0, 1, 2, DEFAULT_SUPPORT_CAP):
+                columns = {}
+                for vn, edge_set in candidates[:30]:
+                    column = columns.setdefault(vn, _ColumnMembership(rows, vn, groups, field, cap))
+                    for _ in range(2):
+                        changes = {e: rng.choice([w for w in range(1, field.q) if w != cfg.weight_of(*e)])
+                                   for e in edge_set}
+                        deltas = {cn: cfg.weight_of(cn, v) ^ wt for (cn, v), wt in changes.items()}
+                        fast = membership_outcome(lambda: column.first_unbroken(deltas))
+                        ref = membership_outcome(
+                            lambda: _first_unbroken(rows_with_weights(rows, changes), groups, field, cap)
+                        )
+                        assert fast == ref, (name, cap, changes)
+                        verdicts.add(type(fast))
+        assert verdicts == {int, type(None), str}
+
+
+def test_pipeline_leaves_no_cyclic_garbage():
+    # garbage in reference cycles waits for the collector and raises the
+    # peak memory of a long run of calls
+    rng = random.Random(11)
+    members = [
+        satisfied_labeling(shape(field=field), rng)
+        for field, shape in [(gf16(), fx.ugast_6_0_9_0), (gf16(), fx.ugast_8_0_16_0),
+                             (gf8(), fx.ugast_6_0_9_0), (gf8(), fx.ugast_6_2_11_0)]
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for cfg in members:
+            assert remove_object(cfg, extract_wcms(cfg, build_tree(cfg))).result == "removed"
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestPinnedCounters:
@@ -526,12 +644,6 @@ class TestPinnedCounters:
             (p.candidates_tried, p.protected_checks, p.protected_rejections) for p in report.plan_log
         ] == per_plan
         assert (report.protected_checks, report.protected_rejections) == totals
-
-
-def sub_configuration(cfg, vns):
-    """The configuration a VN subset of ``cfg`` induces."""
-    weights = {(cn, vn): w for cn, vn, w in cfg.edges}
-    return CodeGraph(cfg.num_cns, cfg.num_vns, cfg.gamma, cfg.field, weights).induce(vns)
 
 
 def scan_cases(field, budget, rng):

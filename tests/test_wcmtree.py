@@ -1,7 +1,9 @@
 import math
+import random
 
 import pytest
 
+from conftest import reference_build_tree, sub_configuration
 from wcmopt import fixtures as fx
 from wcmopt.config import (
     Configuration,
@@ -13,6 +15,7 @@ from wcmopt.config import (
 from wcmopt.gf import gf4
 from wcmopt.wcmtree import (
     TreeError,
+    UnlabeledTree,
     USymmetryViolationError,
     WrongTreeShapeError,
     b_max,
@@ -119,6 +122,31 @@ def test_loop_max_is_the_degree_bound_under_the_mode_cap():
             assert build_tree(cfg, mode).loop_max == expected, (name, mode)
             built += 1
     assert built >= 20
+
+
+def tree_outcome(build, cfg, mode):
+    try:
+        tree = build(cfg, mode)
+    except (TreeError, ConfigurationError) as exc:
+        return type(exc), str(exc)
+    return tree, list(tree.children)
+
+
+def test_build_tree_matches_reference():
+    # the shipped shapes and VN subsets of them, whose checks lose degree
+    rng = random.Random(4)
+    outcomes = set()
+    for name, cfg in fx.all_fixture_configurations().items():
+        shapes = [cfg] + [
+            sub_configuration(cfg, sorted(rng.sample(range(cfg.num_vns), rng.randint(2, cfg.num_vns - 1))))
+            for _ in range(8)
+        ]
+        for shape in shapes:
+            for mode in ("gast", "ost", "eas", "bast"):
+                fast = tree_outcome(build_tree, shape, mode)
+                assert fast == tree_outcome(reference_build_tree, shape, mode), (name, shape.vn_ids, mode)
+                outcomes.add(isinstance(fast[0], UnlabeledTree))
+    assert outcomes == {True, False}
 
 
 def test_permutation_closure():
