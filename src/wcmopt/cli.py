@@ -3,9 +3,11 @@
 Commands: analyze, remove, optimize, enumerate, verify.  All output is
 line-oriented key=value blocks (or one JSON object per block with
 ``--format json-lines``); identical inputs always give identical output.
-Exit codes: 0 ok, 2 parse error, 3 unremovable, 4 oracle infeasible,
-5 support search infeasible (a null space wider than ``--support-cap`` in
-``remove`` or ``optimize``).
+Each command takes only the options it reads.  Exit codes: 0 ok, 2 input
+error (a file that does not parse, an option the command does not take, a
+negative count or cap), 3 unremovable, 4 oracle infeasible, 5 support
+search infeasible (a null space wider than ``--support-cap`` in ``remove``
+or ``optimize``).
 """
 
 from __future__ import annotations
@@ -593,14 +595,31 @@ def _int_flag(value: str) -> int:
     return int(value, 0)
 
 
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def count(value: str) -> int:
+        n = int(value)
+        if n < minimum:
+            raise argparse.ArgumentTypeError(f"{n} is below {minimum}")
+        return n
+
+    return count
+
+
+# Options some commands take; each command declares only the ones it reads.
+_FLAGS = {
+    "--mode": dict(choices=("gast", "ost", "eas", "bast"), default="gast"),
+    "--support-cap": dict(type=_at_least(0), default=DEFAULT_SUPPORT_CAP),
+    "--oracle-cap": dict(type=_at_least(0), default=DEFAULT_ORACLE_CAP),
+    "--out": dict(default=None, help="output path for modified files"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field-poly", type=_int_flag, default=None,
                         help="override the primitive polynomial bitmask")
-    common.add_argument("--mode", choices=("gast", "ost", "eas", "bast"), default="gast")
-    common.add_argument("--support-cap", type=int, default=DEFAULT_SUPPORT_CAP)
-    common.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
-    common.add_argument("--out", default=None, help="output path for modified files")
     common.add_argument("--format", choices=("text", "json-lines"), default="text")
 
     parser = argparse.ArgumentParser(
@@ -609,30 +628,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common], help="classify a configuration and report its matrix family")
-    p.add_argument("config")
-    p.set_defaults(func=cmd_analyze)
+    def command(name: str, func, summary: str, *flags: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common], help=summary)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("verify", parents=[common], help="exhaustive oracle verdict for a configuration")
+    p = command("analyze", cmd_analyze, "classify a configuration and report its matrix family",
+                "--mode", "--support-cap", "--oracle-cap")
     p.add_argument("config")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("remove", parents=[common], help="search edge re-weightings that remove the object")
+    p = command("verify", cmd_verify, "exhaustive oracle verdict for a configuration",
+                "--support-cap", "--oracle-cap")
     p.add_argument("config")
-    p.set_defaults(func=cmd_remove)
 
-    p = sub.add_parser("optimize", parents=[common], help="remove listed objects from a full code graph")
+    p = command("remove", cmd_remove, "search edge re-weightings that remove the object",
+                "--mode", "--support-cap", "--oracle-cap", "--out")
+    p.add_argument("config")
+
+    p = command("optimize", cmd_optimize, "remove listed objects from a full code graph",
+                "--support-cap", "--oracle-cap", "--out")
     p.add_argument("code")
     p.add_argument("targets")
     p.add_argument("--phases", choices=("gast", "gast+ost"), default="gast")
-    p.set_defaults(func=cmd_optimize)
 
-    p = sub.add_parser("enumerate", parents=[common], help="scan a code graph for embedded objects (desk scale)")
+    p = command("enumerate", cmd_enumerate, "scan a code graph for embedded objects (desk scale)",
+                "--oracle-cap", "--out")
     p.add_argument("code")
-    p.add_argument("--max-a", type=int, required=True)
+    p.add_argument("--max-a", type=_at_least(1), required=True)
     p.add_argument("--kind", choices=("gast", "ost"), default="gast")
-    p.add_argument("--budget", type=int, default=200_000)
-    p.set_defaults(func=cmd_enumerate)
+    p.add_argument("--budget", type=_at_least(0), default=200_000)
 
     return parser
 

@@ -1,12 +1,16 @@
 """Unlabeled search tree over simultaneously-unsatisfiable degree-2 CNs.
 
-Each tree node is a degree-2 CN; a root-to-node path is an ordered set of
-degree-2 CNs that can be unsatisfied together while the object keeps its
-class.  Leaves (plus the always-removed degree-1 rows) yield the weight
-consistency matrices (WCMs); deduplicating the leaf row-sets gives the
-minimum matrix family the removal step has to operate on.  The counting
-functions evaluate that family's size directly from the tree profile so
-formula and construction can be cross-checked.
+In the paper's tree a root-to-node path is an ordered set of degree-2 CNs
+that can be unsatisfied together while the object keeps its class.  Every
+ordering of such a set is also a path, so a set of size j stands for j!
+nodes and the paper's counts divide by j!.  Here the tree is that set
+family: each flippable CN set, sorted, maps to the CNs that can join it.
+Leaf sets (plus the always-removed degree-1 rows) yield the weight
+consistency matrices (WCMs), the minimum matrix family the removal step
+has to operate on; all sets together are the t' submatrices of the
+suboptimal family.  Ordered paths are a view derived from the family, for
+reports and tests; the counting functions evaluate the paper's formulas
+from the set counts so formula and construction can be cross-checked.
 """
 
 from __future__ import annotations
@@ -38,51 +42,58 @@ class USymmetryViolationError(TreeError):
 
 @dataclass(frozen=True)
 class UnlabeledTree:
-    """Materialized tree: child CN lists keyed by the ordered path from the root."""
+    """The tree as its set family, in lexicographic order from the root ``()``.
+
+    ``family`` maps each sorted flippable CN set to the CNs that can join it,
+    ascending; a leaf set, or one at the depth cap, maps to ``()``.
+    """
 
     mode: str  # the family: 'gast' or 'ost'
     loop_max: int
-    children: dict[tuple[int, ...], tuple[int, ...]]
+    family: dict[tuple[int, ...], tuple[int, ...]]
     b_et: int
     b_st: int
 
     def u(self, path: tuple[int, ...]) -> int:
-        return len(self.children.get(path, ()))
+        return len(self.family.get(tuple(sorted(path)), ()))
 
     @property
     def u0(self) -> int:
-        return self.u(())
+        return len(self.family[()])
+
+    def leaf_sets(self) -> list[tuple[int, ...]]:
+        return [s for s, pool in self.family.items() if not pool]
 
     def paths(self) -> Iterator[tuple[int, ...]]:
-        """All node paths, root first, in deterministic DFS order."""
+        """All ordered paths: every ordering of every set, root first, in DFS order."""
         stack = [()]
         while stack:
             path = stack.pop()
             yield path
-            for child in reversed(self.children.get(path, ())):
+            for child in reversed(self.family[tuple(sorted(path))]):
                 stack.append(path + (child,))
 
-    def leaves(self) -> list[tuple[int, ...]]:
-        return [p for p in self.paths() if not self.children.get(p)]
-
-    def nodes_at_level(self, level: int) -> list[tuple[int, ...]]:
-        return [p for p in self.paths() if len(p) == level]
+    @property
+    def children(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """The ordered tree: child CNs of every inner path, in DFS order."""
+        return {p: kids for p in self.paths() if (kids := self.family[tuple(sorted(p))])}
 
     def level_node_counts(self) -> list[int]:
+        """Ordered nodes per level: j! orderings of each set of size j."""
         counts = [0] * (self.b_et + 1)
-        for p in self.paths():
-            counts[len(p)] += 1
+        for s in self.family:
+            counts[len(s)] += factorial(len(s))
         return counts
 
     def u_profile(self) -> tuple[int, ...] | None:
         """Per-level child count when it is uniform across the level, else None."""
-        profile = []
-        for level in range(self.b_et):
-            us = {self.u(p) for p in self.nodes_at_level(level)}
-            if len(us) != 1:
-                return None
-            profile.append(us.pop())
-        return tuple(profile)
+        us: dict[int, set[int]] = {}
+        for s, pool in self.family.items():
+            us.setdefault(len(s), set()).add(len(pool))
+        profile = [us[level] for level in range(self.b_et)]
+        if any(len(u) != 1 for u in profile):
+            return None
+        return tuple(u.pop() for u in profile)
 
 
 def build_tree(c: Configuration, mode: str = "gast") -> UnlabeledTree:
@@ -92,9 +103,9 @@ def build_tree(c: Configuration, mode: str = "gast") -> UnlabeledTree:
     b_o_ut, or a GAST subclass with a narrower family: 'eas' caps the depth
     at 0 (b = d1, no degree-2 CN ever unsatisfied) and 'bast' at
     floor(a*g/2) - d1 (at most floor(a*g/2) unsatisfied CNs in total).  The
-    tree's ``mode`` is the family, 'gast' or 'ost'.  Children are generated
-    in ascending CN-index order for determinism; b_et is the deepest level
-    attained, b_st the shallowest leaf depth.
+    tree's ``mode`` is the family, 'gast' or 'ost'.  Each set is visited
+    once, in lexicographic order; b_et is the largest set size, b_st the
+    smallest leaf set size.
     """
     if mode not in ("gast", "ost", "eas", "bast"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -111,48 +122,44 @@ def build_tree(c: Configuration, mode: str = "gast") -> UnlabeledTree:
         loop_max = min(loop_max, max(0, c.num_vns * top // 2 - c.d1))
 
     # Depth-first with an explicit stack, keeping each VN's unsatisfied count
-    # for the current path: a CN's two VNs gain one on entering it and lose
-    # it on leaving.  Counts only grow down the path, so a node's partners
-    # are among its parent's.
-    pairs = {cn: [v for v, _ in c.cn_neighbors[cn]] for cn in sorted(c.deg2_cns)}
+    # for the current set: a CN's two VNs gain one on entering it and lose it
+    # on leaving.  Counts only grow as a set grows, so a set's partner pool is
+    # filtered from its parent's; a sorted set grows only by partners above
+    # its last CN, so each set is entered once.
+    pairs = {cn: tuple(v for v, _ in c.cn_neighbors[cn]) for cn in sorted(c.deg2_cns)}
     unsat = list(c.vn_deg1_counts)
     path: list[int] = []
-    children: dict[tuple[int, ...], tuple[int, ...]] = {}
-    b_et = 0
-    leaf_depths: list[int] = []
-    # (cn, its parent's partners) enters cn, the root as cn None; (cn, None) leaves cn
-    todo: list[tuple[int | None, tuple[int, ...] | None]] = [(None, tuple(pairs))]
+    family: dict[tuple[int, ...], tuple[int, ...]] = {}
+    # (cn, its parent's pool) enters cn, the root as cn -1; (cn, None) leaves cn
+    todo: list[tuple[int, tuple[int, ...] | None]] = [(-1, tuple(pairs))]
     while todo:
         cn, pool = todo.pop()
         if pool is None:
             path.pop()
-            for v in pairs[cn]:
-                unsat[v] -= 1
+            x, y = pairs[cn]
+            unsat[x] -= 1
+            unsat[y] -= 1
             continue
-        if cn is not None:
+        if cn >= 0:
             path.append(cn)
-            for v in pairs[cn]:
-                unsat[v] += 1
+            x, y = pairs[cn]
+            unsat[x] += 1
+            unsat[y] += 1
             todo.append((cn, None))
-        depth = len(path)
-        b_et = max(b_et, depth)
-        partners = tuple(
-            p for p in pool if p != cn and all(unsat[v] < top for v in pairs[p])
+        pool = tuple(
+            p for p in pool if p != cn and unsat[pairs[p][0]] < top and unsat[pairs[p][1]] < top
         )
-        if depth >= loop_max:
-            if not capped and partners:
-                # the degree bound guarantees no partner survives this deep
-                raise TreeError(
-                    f"flippable partner beyond the degree bound at path {tuple(path)}"
-                )
-            leaf_depths.append(depth)
-        elif not partners:
-            leaf_depths.append(depth)
+        if len(path) < loop_max:
+            family[tuple(path)] = pool
+            todo.extend((p, pool) for p in reversed(pool) if p > cn)
+        elif pool and not capped:
+            # the degree bound guarantees no partner survives this deep
+            raise TreeError(f"flippable partner beyond the degree bound at path {tuple(path)}")
         else:
-            children[tuple(path)] = partners
-            todo.extend((p, partners) for p in reversed(partners))
-    b_st = min(leaf_depths)
-    return UnlabeledTree(mode=kind, loop_max=loop_max, children=children, b_et=b_et, b_st=b_st)
+            family[tuple(path)] = ()
+    b_et = max(len(s) for s in family)
+    b_st = min(len(s) for s, pool in family.items() if not pool)
+    return UnlabeledTree(mode=kind, loop_max=loop_max, family=family, b_et=b_et, b_st=b_st)
 
 
 @dataclass(frozen=True)
@@ -184,25 +191,21 @@ class WcmSet:
 
 
 def extract_wcms(c: Configuration, tree: UnlabeledTree) -> WcmSet:
-    """Deduplicate leaf row-groups into the minimum consistency-matrix family.
+    """The minimum consistency-matrix family: one record per leaf set.
 
-    Every leaf removes its path's degree-2 CNs plus all degree-1 CNs from the
-    adjacency matrix; two leaves whose paths permute the same CN set collapse
-    to one record.  Records are ordered lexicographically by their sorted
-    degree-2 group so indices are stable across runs.
+    Every leaf set's CNs plus all degree-1 CNs are removed from the
+    adjacency matrix.  Records follow the family's lexicographic order of
+    their sorted degree-2 group, so indices are stable across runs.
     """
     a = c.adjacency()
-    o_rows = tuple(sorted(c.deg1_cns))
-    groups = {tuple(sorted(path)) for path in tree.leaves()}
     records = []
-    for group in sorted(groups):
-        removed = tuple(sorted(set(group) | set(o_rows)))
+    for group in tree.leaf_sets():
+        removed = tuple(sorted(c.deg1_cns.union(group)))
         records.append(WcmRecord(removed, group, a.drop_rows(removed)))
-    t_prime, _ = count_suboptimal(tree)
     return WcmSet(
         wcms=tuple(records),
         t=len(records),
-        t_prime=t_prime,
+        t_prime=len(tree.family),
         kind=tree.mode,
         b_st=tree.b_st,
         b_et=tree.b_et,
@@ -214,35 +217,20 @@ def count_wcms_general(tree: UnlabeledTree) -> int:
 
     Leaves at depth k each appear k! times (one per ordering of the same CN
     set), so the distinct count is the leaf count per depth divided by k!,
-    summed over depths.  A childless root means the single matrix that drops
-    only the degree-1 rows.
+    summed over depths: the number of leaf sets.  A childless root is the
+    single matrix that drops only the degree-1 rows.
     """
-    if tree.b_et == 0:
-        return 1
-    per_depth: dict[int, int] = {}
-    for leaf in tree.leaves():
-        per_depth[len(leaf)] = per_depth.get(len(leaf), 0) + 1
-    total = 0
-    for depth, count in per_depth.items():
-        if count % factorial(depth) != 0:
-            raise TreeError(
-                f"leaf count {count} at depth {depth} is not divisible by {depth}!"
-            )
-        total += count // factorial(depth)
-    return total
+    return len(tree.leaf_sets())
 
 
 def count_wcms_same_size(tree: UnlabeledTree) -> int:
     """Count for trees whose leaves all sit at the deepest level."""
-    depths = {len(p) for p in tree.leaves()}
+    depths = {len(s) for s in tree.leaf_sets()}
     if depths != {tree.b_et}:
         raise WrongTreeShapeError(
             f"leaves at depths {sorted(depths)}; same-size form needs all at {tree.b_et}"
         )
-    if tree.b_et == 0:
-        return 1
-    full = len(tree.nodes_at_level(tree.b_et))
-    return full // factorial(tree.b_et)
+    return sum(1 for s in tree.family if len(s) == tree.b_et)
 
 
 def count_wcms_u_symmetric(u_profile: "list[int] | tuple[int, ...]") -> int:
@@ -268,21 +256,12 @@ def count_suboptimal(tree: UnlabeledTree) -> tuple[int, int]:
     """Size of the full distinct-submatrix family, and the saving over WCMs.
 
     Every tree node (the root included) is linked to one matrix; level-j node
-    counts divide by j! to deduplicate orderings, and the root contributes
-    the drop-degree-1-rows-only matrix.  The reduction is that total minus
-    the WCM count.
+    counts divide by j! to deduplicate orderings, which leaves one matrix per
+    set, and the root contributes the drop-degree-1-rows-only matrix.  The
+    reduction is that total minus the WCM count.
     """
-    counts = tree.level_node_counts()
-    t_prime = 1
-    for level in range(1, tree.b_et + 1):
-        n = counts[level]
-        if n % factorial(level) != 0:
-            raise TreeError(
-                f"node count {n} at level {level} is not divisible by {level}!"
-            )
-        t_prime += n // factorial(level)
-    t = count_wcms_general(tree)
-    return t_prime, t_prime - t
+    t_prime = len(tree.family)
+    return t_prime, t_prime - count_wcms_general(tree)
 
 
 def b_max(c: Configuration, tree: UnlabeledTree) -> int:

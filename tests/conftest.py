@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import NamedTuple
 
 from wcmopt.config import (
     CodeGraph,
@@ -26,7 +27,7 @@ from wcmopt.removal import (
     compute_e_min,
     select_candidate_edges,
 )
-from wcmopt.wcmtree import TreeError, UnlabeledTree
+from wcmopt.wcmtree import TreeError
 
 
 def reference_full_support(ns: NullSpaceBasis) -> tuple[bool, tuple[int, ...] | None]:
@@ -206,8 +207,21 @@ def reference_remove_object(c: Configuration, w, protected_ok=None, *,
     return RemovalPlan("", kind, "unremovable", e_min, e_bound, exact, None, (), tried, checks, rejections)
 
 
-def reference_build_tree(c: Configuration, mode: str = "gast") -> UnlabeledTree:
-    """Slow reference for ``build_tree``: recursion with one ``cn_flippable_partners`` per node."""
+class OrderedTree(NamedTuple):
+    """The paper's ordered tree: child CN lists keyed by the ordered path from the root."""
+
+    mode: str
+    loop_max: int
+    children: dict[tuple[int, ...], tuple[int, ...]]
+    b_et: int
+    b_st: int
+
+    def nodes(self) -> list[tuple[int, ...]]:
+        return [()] + [path + (cn,) for path, kids in self.children.items() for cn in kids]
+
+
+def reference_build_tree(c: Configuration, mode: str = "gast") -> OrderedTree:
+    """Slow reference for ``build_tree``: every ordered path, one ``cn_flippable_partners`` per node."""
     kind = "ost" if mode == "ost" else "gast"
     topo = classify_unlabeled(c)
     if not topo.supports(mode):
@@ -236,7 +250,7 @@ def reference_build_tree(c: Configuration, mode: str = "gast") -> UnlabeledTree:
             grow(path + (cn,))
 
     grow(())
-    return UnlabeledTree(kind, loop_max, children, max(depths), min(depths))
+    return OrderedTree(kind, loop_max, children, max(depths), min(depths))
 
 
 def sub_configuration(cfg: Configuration, vns) -> Configuration:

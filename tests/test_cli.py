@@ -132,11 +132,42 @@ class TestCommands:
     @pytest.mark.parametrize("name, mode", [("gast_6_0_0_9_0", "ost"), ("ost_6_2_11_0", "gast")])
     def test_unsupported_shape_is_an_input_error(self, command, name, mode, tmp_path, capsys):
         out_path = tmp_path / "out.cfg"
-        argv = [command, fixture_path(f"{name}.cfg"), "--mode", mode, "--out", str(out_path)]
-        assert main(argv) == EXIT_INPUT
+        argv = [command, fixture_path(f"{name}.cfg"), "--mode", mode]
+        assert main(argv + (["--out", str(out_path)] if command == "remove" else [])) == EXIT_INPUT
         out = capsys.readouterr().out
         assert out.endswith(f"[error]\nmessage=configuration is not an unlabeled {mode}\n")
         assert "[tree]" not in out and not out_path.exists()
+
+    @pytest.mark.parametrize("command, files, flags", [
+        ("analyze", ["gast_6_0_0_9_0.cfg"], ["--out", "OUT"]),
+        ("verify", ["gast_6_0_0_9_0.cfg"], ["--mode", "ost"]),
+        ("remove", ["gast_6_0_0_9_0.cfg"], ["--phases", "gast"]),
+        ("optimize", ["toy_code.txt", "toy_targets.txt"], ["--mode", "gast"]),
+        ("enumerate", ["toy_code.txt"], ["--max-a", "1", "--support-cap", "0"]),
+    ], ids=["analyze", "verify", "remove", "optimize", "enumerate"])
+    def test_stray_flag_is_an_input_error(self, command, files, flags, tmp_path, capsys):
+        # a flag its command does not read is refused, not silently ignored
+        out_path = tmp_path / "out.txt"
+        flags = [str(out_path) if f == "OUT" else f for f in flags]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *map(fixture_path, files), *flags])
+        assert exc.value.code == EXIT_INPUT
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("argv, flag, bad", [
+        (["enumerate", "toy_code.txt", "--max-a", "3"], "--budget", "-5"),
+        (["enumerate", "toy_code.txt"], "--max-a", "0"),
+        (["analyze", "gast_6_0_0_9_0.cfg"], "--support-cap", "-1"),
+        (["verify", "gast_6_0_0_9_0.cfg"], "--oracle-cap", "-1"),
+    ], ids=["budget", "max-a", "support-cap", "oracle-cap"])
+    def test_negative_count_is_an_input_error(self, argv, flag, bad, capsys):
+        command, path, *rest = argv
+        with pytest.raises(SystemExit) as exc:
+            main([command, fixture_path(path), *rest, flag, bad])
+        assert exc.value.code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert f"argument {flag}: {bad} is below" in captured.err and captured.out == ""
 
     def test_analyze_ost_mode(self, capsys):
         assert main(["analyze", fixture_path("ost_6_2_11_0.cfg"), "--mode", "ost"]) == EXIT_OK

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -15,7 +17,6 @@ from wcmopt.config import (
 from wcmopt.gf import gf4
 from wcmopt.wcmtree import (
     TreeError,
-    UnlabeledTree,
     USymmetryViolationError,
     WrongTreeShapeError,
     b_max,
@@ -59,11 +60,10 @@ def test_tree_profile_u_symmetric():
 
 def test_tree_child_counts_strictly_decrease():
     for builder in (fx.gast_6_0_0_9_0, fx.ugast_7_9_13_0, fx.ugast_6_0_9_0):
-        tree = build_tree(builder())
-        for path, kids in tree.children.items():
+        children = build_tree(builder()).children
+        for path, kids in children.items():
             if path:
-                parent = path[:-1]
-                assert len(kids) < len(tree.children[parent])
+                assert len(kids) < len(children[path[:-1]])
 
 
 def test_tree_depth_bounds_ordering():
@@ -76,7 +76,7 @@ def test_tree_depth_bounds_ordering():
         cfg = builder()
         tree = build_tree(cfg)
         assert tree.b_st <= tree.b_et <= classify_unlabeled(cfg).b_ut
-        assert all(tree.b_st <= len(p) <= tree.b_et for p in tree.leaves())
+        assert all(tree.b_st <= len(s) <= tree.b_et for s in tree.leaf_sets())
 
 
 def test_tree_root_only_when_nothing_flippable():
@@ -129,24 +129,94 @@ def tree_outcome(build, cfg, mode):
         tree = build(cfg, mode)
     except (TreeError, ConfigurationError) as exc:
         return type(exc), str(exc)
-    return tree, list(tree.children)
+    return tree.mode, tree.loop_max, tree.b_et, tree.b_st, list(tree.children.items())
+
+
+def reference_shapes(seed):
+    """Every shipped shape and eight VN subsets of each, whose checks lose degree."""
+    rng = random.Random(seed)
+    for name, cfg in fx.all_fixture_configurations().items():
+        yield name, cfg
+        for _ in range(8):
+            yield name, sub_configuration(cfg, sorted(rng.sample(range(cfg.num_vns), rng.randint(2, cfg.num_vns - 1))))
 
 
 def test_build_tree_matches_reference():
-    # the shipped shapes and VN subsets of them, whose checks lose degree
-    rng = random.Random(4)
+    # every field, and the full ordered tree in DFS order
     outcomes = set()
-    for name, cfg in fx.all_fixture_configurations().items():
-        shapes = [cfg] + [
-            sub_configuration(cfg, sorted(rng.sample(range(cfg.num_vns), rng.randint(2, cfg.num_vns - 1))))
-            for _ in range(8)
-        ]
-        for shape in shapes:
-            for mode in ("gast", "ost", "eas", "bast"):
-                fast = tree_outcome(build_tree, shape, mode)
-                assert fast == tree_outcome(reference_build_tree, shape, mode), (name, shape.vn_ids, mode)
-                outcomes.add(isinstance(fast[0], UnlabeledTree))
+    for name, shape in reference_shapes(4):
+        for mode in ("gast", "ost", "eas", "bast"):
+            fast = tree_outcome(build_tree, shape, mode)
+            assert fast == tree_outcome(reference_build_tree, shape, mode), (name, shape.vn_ids, mode)
+            outcomes.add(isinstance(fast[0], str))
     assert outcomes == {True, False}
+
+
+def test_partner_beyond_the_degree_bound_matches_reference(monkeypatch):
+    # a degree bound forced below the real one leaves partners at the depth
+    # cap; both builders refuse, at the same first path
+    import conftest
+    from wcmopt import wcmtree
+
+    bound = {}
+
+    def lowered(c):
+        return dataclasses.replace(classify_unlabeled(c), b_ut=bound["b_ut"])
+
+    monkeypatch.setattr(wcmtree, "classify_unlabeled", lowered)
+    monkeypatch.setattr(conftest, "classify_unlabeled", lowered)
+    raised = 0
+    for name, cfg in fx.all_fixture_configurations().items():
+        topo = classify_unlabeled(cfg)
+        if not topo.is_unlabeled_gast:
+            continue
+        for b_ut in range(topo.b_ut):
+            bound["b_ut"] = b_ut
+            fast = tree_outcome(build_tree, cfg, "gast")
+            assert fast == tree_outcome(reference_build_tree, cfg, "gast"), (name, b_ut)
+            raised += fast[0] is TreeError
+    assert raised >= 10
+
+
+def test_ordered_counts_are_factorial_multiples_of_set_counts():
+    # the paper's identity, on the independently built ordered tree: level j
+    # holds j! orderings of each family set of size j, and depth k holds k!
+    # leaves per leaf set of size k
+    checked = 0
+    for name, shape in reference_shapes(5):
+        for mode in ("gast", "ost", "eas", "bast"):
+            try:
+                ref = reference_build_tree(shape, mode)
+            except (TreeError, ConfigurationError):
+                continue
+            tree = build_tree(shape, mode)
+            nodes = ref.nodes()
+            sets = Counter(len(s) for s in tree.family)
+            leaf_sets = Counter(len(s) for s in tree.leaf_sets())
+            assert Counter(len(p) for p in nodes) == {j: math.factorial(j) * n for j, n in sets.items()}
+            assert Counter(len(p) for p in nodes if p not in ref.children) == {
+                k: math.factorial(k) * n for k, n in leaf_sets.items()
+            }, (name, shape.vn_ids, mode)
+            checked += 1
+    assert checked >= 80
+
+
+def test_family_is_the_suboptimal_count():
+    # build_tree's work counter: one entry per distinct set, which is one
+    # per sorted path of the ordered tree
+    built = 0
+    for name, cfg in fx.all_fixture_configurations().items():
+        for mode in ("gast", "ost"):
+            if classify_unlabeled(cfg).supports(mode):
+                tree = build_tree(cfg, mode)
+                sorted_paths = [p for p in reference_build_tree(cfg, mode).nodes() if list(p) == sorted(p)]
+                assert len(tree.family) == count_suboptimal(tree)[0] == len(sorted_paths), (name, mode)
+                built += 1
+    assert built >= 9
+    for builder, sets, ordered in ((fx.ugast_6_0_9_0, 34, 82), (fx.ugast_8_0_16_0, 209, 1313)):
+        cfg = builder()
+        assert len(build_tree(cfg).family) == sets
+        assert len(reference_build_tree(cfg).nodes()) == ordered
 
 
 def test_permutation_closure():
@@ -210,11 +280,9 @@ def test_leaf_count_identity():
     # leaves at depth k come in k! orderings of each distinct removal group
     for builder in (fx.gast_6_0_0_9_0, fx.ugast_6_0_9_0, fx.gast_6_2_2_5_2):
         cfg = builder()
-        tree = build_tree(cfg)
-        wcms = extract_wcms(cfg, tree)
-        by_depth = {}
-        for leaf in tree.leaves():
-            by_depth[len(leaf)] = by_depth.get(len(leaf), 0) + 1
+        wcms = extract_wcms(cfg, build_tree(cfg))
+        ref = reference_build_tree(cfg)
+        by_depth = Counter(len(p) for p in ref.nodes() if p not in ref.children)
         for depth, count in by_depth.items():
             distinct = sum(1 for rec in wcms.wcms if len(rec.deg2_group) == depth)
             assert count == math.factorial(depth) * distinct
@@ -231,9 +299,8 @@ def test_same_size_single_level():
     from wcmopt.wcmtree import UnlabeledTree
 
     # one level with k children: k distinct groups, no dedup needed
-    tree = UnlabeledTree(
-        mode="gast", loop_max=1, children={(): (0, 1, 2, 3)}, b_et=1, b_st=1
-    )
+    family = {(): (0, 1, 2, 3), (0,): (), (1,): (), (2,): (), (3,): ()}
+    tree = UnlabeledTree(mode="gast", loop_max=1, family=family, b_et=1, b_st=1)
     assert count_wcms_same_size(tree) == 4
     assert count_wcms_general(tree) == 4
 
@@ -265,13 +332,14 @@ def test_suboptimal_counts():
 def test_suboptimal_against_direct_nonleaf_sum():
     # reduction = 1 + sum over levels j < b_et of (nodes with children)/j!
     for builder in (fx.gast_6_2_2_5_2, fx.ugast_7_9_13_0, fx.gast_6_0_0_9_0, fx.ugast_6_0_9_0):
-        tree = build_tree(builder())
+        cfg = builder()
+        ref = reference_build_tree(cfg)
         direct = 1
-        for level in range(1, tree.b_et):
-            nonleaf = sum(1 for p in tree.nodes_at_level(level) if tree.children.get(p))
+        for level in range(1, ref.b_et):
+            nonleaf = sum(1 for p in ref.children if len(p) == level)
             assert nonleaf % math.factorial(level) == 0
             direct += nonleaf // math.factorial(level)
-        assert count_suboptimal(tree)[1] == direct
+        assert count_suboptimal(build_tree(cfg))[1] == direct
 
 
 def test_family_coverage_and_minimality():

@@ -8,14 +8,15 @@ two checkouts and diffing the listings shows which commands changed:
     python3 tools/cli_grid.py --root ../parent > parent.txt
     diff parent.txt change.txt
 
-The grid: every ``fixtures/*.cfg`` under analyze, verify and remove, in
-each ``--mode`` and ``--format``, with four cap settings; optimize on both
+Each command gets only the options it takes.  The grid: every
+``fixtures/*.cfg`` under analyze and remove in each ``--mode``, and under
+verify, in each ``--format`` with four cap settings; optimize on both
 toy codes in both phases, formats and cap settings; enumerate on both toy
 codes for both kinds and formats, with and without ``--out``.  Commands run
 as ``python -m wcmopt`` subprocesses on the checkout's ``src``, from a
 scratch directory where ``fixtures`` links to the checkout's fixtures, so
 paths in the output are the same for every checkout.  It takes about
-90 s on two cores (one command runs per usable core), which is why no test
+50 s on two cores (one command runs per usable core), which is why no test
 runs it.
 """
 
@@ -47,10 +48,11 @@ def grid(root: Path) -> list[list[str]]:
     for cfg in cfgs:
         for command in ("analyze", "verify", "remove"):
             out = ["--out", "OUT"] if command == "remove" else []
-            for mode in MODES:
+            for mode in MODES if command != "verify" else (None,):
                 for fmt in FORMATS:
                     for cap in CAPS:
-                        commands.append([command, cfg, "--mode", mode, "--format", fmt, *cap, *out])
+                        flags = ["--mode", mode] if mode else []
+                        commands.append([command, cfg, *flags, "--format", fmt, *cap, *out])
     for code, targets in CODES:
         for phases in ("gast", "gast+ost"):
             for fmt in FORMATS:
