@@ -59,7 +59,7 @@ class ParseError(Exception):
 
 def _field_for(q: int, poly_comment: int | None, poly_flag: int | None) -> FieldContext:
     lam = q.bit_length() - 1
-    if q != 1 << lam or lam < 2:
+    if lam < 2 or q != 1 << lam:
         raise FieldError(f"q={q} is not a power of two >= 4")
     poly = poly_flag if poly_flag is not None else poly_comment
     return FieldContext(lam, poly)
@@ -80,21 +80,49 @@ def _scan_poly_comment(lines: list[str], path: str) -> int | None:
     return None
 
 
-def _parse_header(path: str, lineno: int, line: str, keys: Sequence[str]) -> dict[str, int]:
-    out = {}
-    fields = line.split()
-    for item in fields:
-        if "=" not in item:
+def _key_values(path: str, lineno: int, line: str) -> dict[str, str]:
+    """The key=value tokens of a header or target line; each key at most once."""
+    out: dict[str, str] = {}
+    for item in line.split():
+        k, eq, v = item.partition("=")
+        if not eq:
             raise ParseError(path, lineno, f"expected key=value, got {item!r}")
-        k, v = item.split("=", 1)
+        if k in out:
+            raise ParseError(path, lineno, f"repeated key {k!r}")
+        out[k] = v
+    return out
+
+
+def _prelude(
+    text: str, path: str, poly_flag: int | None, keys: Sequence[str]
+) -> tuple[int, dict[str, int], FieldContext, list[tuple[int, str]]]:
+    """Header line number, integer header, field, and the numbered body lines.
+
+    Comments and blank lines are dropped; every file has a ``gamma`` of at
+    least 1 and takes its field from ``q``, a ``poly=`` comment and the
+    ``--field-poly`` override.
+    """
+    raw = text.splitlines()
+    lines = [(i + 1, l.strip()) for i, l in enumerate(raw) if l.strip() and not l.strip().startswith("#")]
+    if not lines:
+        raise ParseError(path, 1, "empty file")
+    lineno, header = lines[0]
+    h = {}
+    for k, v in _key_values(path, lineno, header).items():
         try:
-            out[k] = int(v)
+            h[k] = int(v)
         except ValueError:
             raise ParseError(path, lineno, f"non-integer value for {k}: {v!r}") from None
-    missing = [k for k in keys if k not in out]
+    missing = [k for k in keys if k not in h]
     if missing:
         raise ParseError(path, lineno, f"header missing {missing}")
-    return out
+    if h["gamma"] < 1:
+        raise ParseError(path, lineno, f"gamma={h['gamma']} is below 1")
+    try:
+        field = _field_for(h["q"], _scan_poly_comment(raw, path), poly_flag)
+    except FieldError as exc:
+        raise ParseError(path, lineno, str(exc)) from None
+    return lineno, h, field, lines[1:]
 
 
 # ------------------------------------------------------------- configuration
@@ -102,17 +130,9 @@ def _parse_header(path: str, lineno: int, line: str, keys: Sequence[str]) -> dic
 
 def parse_config(text: str, path: str = "<config>", poly_flag: int | None = None) -> Configuration:
     """Parse the dense configuration format: header plus an ell x a matrix."""
-    raw = text.splitlines()
-    lines = [(i + 1, l.strip()) for i, l in enumerate(raw) if l.strip() and not l.strip().startswith("#")]
-    if not lines:
-        raise ParseError(path, 1, "empty file")
-    lineno, header = lines[0]
-    h = _parse_header(path, lineno, header, ("q", "gamma", "a", "ell"))
-    try:
-        field = _field_for(h["q"], _scan_poly_comment(raw, path), poly_flag)
-    except FieldError as exc:
-        raise ParseError(path, lineno, str(exc)) from None
-    body = lines[1:]
+    lineno, h, field, body = _prelude(text, path, poly_flag, ("q", "gamma", "a", "ell"))
+    if h["a"] < 1:
+        raise ParseError(path, lineno, f"a={h['a']} is below 1")
     if len(body) != h["ell"]:
         raise ParseError(path, lineno, f"expected {h['ell']} matrix rows, found {len(body)}")
     edges = []
@@ -149,18 +169,9 @@ def serialize_config(cfg: Configuration) -> str:
 
 def parse_code(text: str, path: str = "<code>", poly_flag: int | None = None) -> CodeGraph:
     """Parse the sparse triplet format for a full parity-check matrix."""
-    raw = text.splitlines()
-    lines = [(i + 1, l.strip()) for i, l in enumerate(raw) if l.strip() and not l.strip().startswith("#")]
-    if not lines:
-        raise ParseError(path, 1, "empty file")
-    lineno, header = lines[0]
-    h = _parse_header(path, lineno, header, ("rows", "cols", "q", "gamma"))
-    try:
-        field = _field_for(h["q"], _scan_poly_comment(raw, path), poly_flag)
-    except FieldError as exc:
-        raise ParseError(path, lineno, str(exc)) from None
+    lineno, h, field, body = _prelude(text, path, poly_flag, ("rows", "cols", "q", "gamma"))
     weights: dict[tuple[int, int], int] = {}
-    for ln, line in lines[1:]:
+    for ln, line in body:
         parts = line.split()
         if len(parts) != 3:
             raise ParseError(path, ln, f"expected 'row col weight', got {line!r}")
@@ -195,15 +206,17 @@ def serialize_code(graph: CodeGraph) -> str:
 
 
 def parse_targets(text: str, path: str = "<targets>", *, cols: int | None = None) -> list[Target]:
-    """Target records, one per line; with ``cols``, VN ids must lie in 1..cols."""
+    """Target records, one per line; with ``cols``, VN ids must lie in 1..cols.
+
+    A (kind, VN set) pair may be listed only once.
+    """
     targets = []
+    seen = set()
     for i, raw in enumerate(text.splitlines()):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = dict(
-            item.split("=", 1) for item in line.split() if "=" in item
-        )
+        fields = _key_values(path, i + 1, line)
         if "vns" not in fields:
             raise ParseError(path, i + 1, "target record missing vns=")
         kind = fields.get("kind", "gast")
@@ -224,6 +237,9 @@ def parse_targets(text: str, path: str = "<targets>", *, cols: int | None = None
         target = Target(vn_ids=vns, kind=kind, expected_params=params)
         if cols is not None and vns[-1] >= cols:
             raise ParseError(path, i + 1, f"target {target.object_id} references a VN beyond {cols}")
+        if (kind, vns) in seen:
+            raise ParseError(path, i + 1, f"target {kind} {target.object_id} listed twice")
+        seen.add((kind, vns))
         targets.append(target)
     return targets
 

@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass, field as dataclass_field, replace
 from functools import reduce
 from operator import xor
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .config import (
     CodeGraph,
@@ -205,12 +205,13 @@ def evaluate_weight_conditions(
     the sum of per-component dimensions, and for an unbroken matrix every
     component contributes at least 1.  This is the full diagnostic behind
     ``analyze`` and ``verify``; yes/no membership goes through
-    ``_first_unbroken``, which stops at the first unbroken matrix.
+    ``_first_unbroken``, which stops at the first unbroken matrix.  The
+    matrices are ``w``'s removal groups taken from ``c``'s own weights.
     """
     records = []
     for rec in w.wcms:
         kept = [r for r in range(c.num_cns) if r not in set(rec.removed_rows)]
-        ns = null_space(rec.matrix)
+        ns = null_space(_restrict(c, kept, range(c.num_vns)))
         found, witness = has_full_support_vector(ns, support_cap)
         comps = _vn_components(c, kept)
         dims = []
@@ -283,32 +284,29 @@ class OracleResult:
     witness: tuple[int, ...] | None
 
 
-def _guards(c: Configuration, cns: Iterable[int]) -> int:
-    """The guard bits of ``cns`` in ``_scan``'s unsatisfied masks."""
-    lam = c.field.lam
-    return sum(1 << (lam + 1) * cn + lam for cn in cns)
-
-
 def _scan(
     c: Configuration, cap: int, accept: Callable[[int, list[int]], bool]
 ) -> OracleResult:
     """First assignment, in product order, at the smallest b that ``accept`` takes.
 
-    Syndromes pack lam + 1 bits per CN: an assignment's is one XOR of two half-sums,
-    and adding 2^lam - 1 to each CN carries the unsatisfied ones into bit lam.
-    ``accept`` gets that mask of guard bits and each VN's unsatisfied count.
+    Syndromes are ``SupportScan`` vectors over the CNs: an assignment's is one
+    XOR of two half-sums, and the scan's carry moves the unsatisfied CNs into
+    its guard bits.  ``accept`` gets that mask of guard bits and each VN's
+    unsatisfied count.
     """
-    q, a, lam, ell = c.field.q, c.num_vns, c.field.lam, c.num_cns
+    q, a, ell = c.field.q, c.num_vns, c.num_cns
     if (total := (q - 1) ** a) > cap:
         raise OracleTooLargeError(f"(q-1)^a = {total} assignments exceeds oracle cap {cap}")
-    cols = [[0] * (q - 1) for _ in range(a)]
+    scan = SupportScan(c.field, ell)
+    carry, guards = scan.carry, scan.guards
+    cols = [[0] * ell for _ in range(a)]
     for cn, vn, wt in c.edges:
-        cols[vn] = [s ^ c.field.mul_row(wt)[x] << (lam + 1) * cn for x, s in enumerate(cols[vn], 1)]
-    head = [reduce(xor, vals, 0) for vals in itertools.product(*cols[: a // 2])]
-    tail = [reduce(xor, vals, 0) for vals in itertools.product(*cols[a // 2 :])]
-    ones = sum(1 << (lam + 1) * r for r in range(ell))
-    carry, guards = ones * (q - 1), ones << lam
-    vn_masks = [_guards(c, (cn for cn, _ in nbrs)) for nbrs in c.vn_neighbors]
+        cols[vn][cn] = wt
+    # x times column vn, for x = 1 .. q - 1: VN vn's syndrome term at value x
+    terms = [scan.multiples(col)[1:] for col in cols]
+    head = [reduce(xor, vals, 0) for vals in itertools.product(*terms[: a // 2])]
+    tail = [reduce(xor, vals, 0) for vals in itertools.product(*terms[a // 2 :])]
+    vn_masks = [(t[0] + carry) & guards for t in terms]
     verdicts: dict[int, int] = {}
     best, where = ell + 1, 0
     for i, p in enumerate(head):
@@ -351,11 +349,14 @@ def oracle_in_family(
     """
     if kind not in ("gast", "ost"):
         raise ValueError(f"unknown family kind {kind!r}")
-    high = _guards(c, c.high_cns)
-    return _scan(
-        c, cap,
-        lambda m, u: m.bit_count() <= b_cap and not m & high and keeps_majority(c.gamma, u, kind),
-    )
+
+    def accept(m: int, u: list[int]) -> bool:
+        # Unsatisfied CNs add their degrees to the VN counts, so the counts
+        # sum to 2b - d1 exactly when none of them has degree > 2.
+        b = m.bit_count()
+        return b <= b_cap and sum(u) == 2 * b - c.d1 and keeps_majority(c.gamma, u, kind)
+
+    return _scan(c, cap, accept)
 
 
 def _e_bound(c: Configuration, kind: str) -> int:
@@ -545,10 +546,15 @@ class Target:
 
 @dataclass
 class _ProtectedEntry:
+    """A removed object: its matrix family, judged on the object re-induced from a graph.
+
+    Re-weighting keeps the structure, so ``graph.induce(vn_ids)`` numbers
+    the rows as ``wcms`` does on every later graph.
+    """
+
     object_id: str
-    kind: str
     vn_ids: tuple[int, ...]
-    removal_groups: tuple[tuple[int, ...], ...]  # graph CN row ids
+    wcms: WcmSet
     edge_keys: frozenset[tuple[int, int]]
 
 
@@ -576,14 +582,6 @@ class OptimizationReport:
         return len(self.changes)
 
 
-def _entry_in_family(graph: CodeGraph, entry: _ProtectedEntry, support_cap: int) -> bool:
-    """Whether a protected object is back in its family on ``graph``."""
-    cfg = graph.induce(entry.vn_ids)
-    row_of = {cn_id: i for i, cn_id in enumerate(cfg.cn_ids or ())}
-    groups = [[row_of[g] for g in group] for group in entry.removal_groups]
-    return _first_unbroken(cfg.adjacency().entries, groups, cfg.field, support_cap) is not None
-
-
 def _graph_protected_ok(
     graph: CodeGraph,
     registry: list[_ProtectedEntry],
@@ -599,7 +597,7 @@ def _graph_protected_ok(
     tentative = graph.apply_changes(changes_graph)
     for entry in affected:
         report.protected_checks += 1
-        if _entry_in_family(tentative, entry, support_cap):
+        if is_in_Z(tentative.induce(entry.vn_ids), entry.wcms, support_cap):
             report.protected_rejections += 1
             return False
     return True
@@ -686,23 +684,9 @@ def optimize_code(
                 current = current.apply_changes(graph_changes)
                 report.changes.extend(plan.changes)
             report.processed.append(plan)
-            edge_keys = frozenset(
-                (cn_ids[cn], vn_ids[vn])
-                for cn in range(cfg.num_cns)
-                for vn, _ in cfg.cn_neighbors[cn]
-            )
-            registry.append(
-                _ProtectedEntry(
-                    object_id=target.object_id,
-                    kind=phase_kind,
-                    vn_ids=vn_ids,
-                    removal_groups=tuple(
-                        tuple(cn_ids[r] for r in rec.removed_rows) for rec in wcms.wcms
-                    ),
-                    edge_keys=edge_keys,
-                )
-            )
+            edge_keys = frozenset((cn_ids[cn], vn_ids[vn]) for cn, vn, _ in cfg.edges)
+            registry.append(_ProtectedEntry(target.object_id, vn_ids, wcms, edge_keys))
     for entry in registry:
-        if not _entry_in_family(current, entry, support_cap):
+        if not is_in_Z(current.induce(entry.vn_ids), entry.wcms, support_cap):
             report.reverified.append(entry.object_id)
     return current, report

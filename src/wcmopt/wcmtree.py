@@ -25,7 +25,6 @@ from .config import (
     allowance,
     classify_unlabeled,
 )
-from .gflinalg import GfMatrix
 
 
 class TreeError(Exception):
@@ -164,11 +163,14 @@ def build_tree(c: Configuration, mode: str = "gast") -> UnlabeledTree:
 
 @dataclass(frozen=True)
 class WcmRecord:
-    """One consistency matrix: the rows removed from A, and what remains."""
+    """One consistency matrix, named by the rows it removes from A.
+
+    The tree fixes the rows; the weights come from whichever labeled
+    configuration the matrix is taken from.
+    """
 
     removed_rows: tuple[int, ...]   # sorted CN indices: degree-1 rows plus the group
     deg2_group: tuple[int, ...]     # sorted degree-2 part only
-    matrix: GfMatrix
 
 
 @dataclass(frozen=True)
@@ -181,29 +183,25 @@ class WcmSet:
     b_et: int
 
     def rebuilt(self, c: Configuration) -> "WcmSet":
-        """Same removal groups re-extracted from a re-weighted configuration."""
-        a = c.adjacency()
-        new = tuple(
-            WcmRecord(w.removed_rows, w.deg2_group, a.drop_rows(w.removed_rows))
-            for w in self.wcms
-        )
-        return WcmSet(new, self.t, self.t_prime, self.kind, self.b_st, self.b_et)
+        """This set: records hold no weights, so re-weighting leaves nothing to rebuild.
+
+        Kept for the benchmark harness, which still calls it.
+        """
+        return self
 
 
 def extract_wcms(c: Configuration, tree: UnlabeledTree) -> WcmSet:
     """The minimum consistency-matrix family: one record per leaf set.
 
-    Every leaf set's CNs plus all degree-1 CNs are removed from the
+    Each record removes a leaf set's CNs plus all degree-1 CNs from the
     adjacency matrix.  Records follow the family's lexicographic order of
     their sorted degree-2 group, so indices are stable across runs.
     """
-    a = c.adjacency()
-    records = []
-    for group in tree.leaf_sets():
-        removed = tuple(sorted(c.deg1_cns.union(group)))
-        records.append(WcmRecord(removed, group, a.drop_rows(removed)))
+    records = tuple(
+        WcmRecord(tuple(sorted(c.deg1_cns.union(group))), group) for group in tree.leaf_sets()
+    )
     return WcmSet(
-        wcms=tuple(records),
+        wcms=records,
         t=len(records),
         t_prime=len(tree.family),
         kind=tree.mode,

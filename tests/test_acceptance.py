@@ -119,28 +119,28 @@ def test_criterion_5_null_space_fixtures():
     cfg = fx.gast_6_0_0_9_0()
     tree = build_tree(cfg)
     wcms = extract_wcms(cfg, tree)
-    by_group = {rec.deg2_group: rec for rec in wcms.wcms}
-    ns = null_space(by_group[(0, 3, 8)].matrix)
+    by_group = {rec.deg2_group: cfg.adjacency().drop_rows(rec.removed_rows) for rec in wcms.wcms}
+    ns = null_space(by_group[(0, 3, 8)])
     assert ns.dimension == 2
     assert spans_equal(
         ns.basis_vectors, [(A, 0, 0, 0, 1, 1), (0, 1, 1, A, 0, 0)], cfg.field
     )
     # remaining nine: one-dimensional span of the full-support witness
-    for group, rec in by_group.items():
+    for group, matrix in by_group.items():
         if group == (0, 3, 8):
             continue
-        other = null_space(rec.matrix)
+        other = null_space(matrix)
         assert other.dimension == 1
         assert in_span(other.basis_vectors, (A, 1, 1, A, 1, 1), cfg.field)
 
     cfg2 = fx.gast_6_2_2_5_2()
     wcms2 = extract_wcms(cfg2, build_tree(cfg2))
-    by_group2 = {rec.deg2_group: rec for rec in wcms2.wcms}
-    short = null_space(by_group2[(1, 3)].matrix)
+    by_group2 = {rec.deg2_group: cfg2.adjacency().drop_rows(rec.removed_rows) for rec in wcms2.wcms}
+    short = null_space(by_group2[(1, 3)])
     assert short.dimension == 2
     for v in [(0, 1, 1, A2, 1, 0), (1, 1, 1, 0, 0, A2)]:
         assert in_span(short.basis_vectors, v, cfg2.field)
-    single = null_space(by_group2[(2,)].matrix)
+    single = null_space(by_group2[(2,)])
     assert single.dimension == 1
     assert spans_equal(single.basis_vectors, [(A2, 1, 1, 1, A, A)], cfg2.field)
     report(5, "all documented null spaces match up to change of basis, dimensions exact")
@@ -151,21 +151,21 @@ def test_criterion_6_removal_replays():
     wcms = extract_wcms(base, build_tree(base))
 
     first = fx.gast_6_0_0_9_0(w11=A, w61=A)
-    rep1 = evaluate_weight_conditions(first, wcms.rebuilt(first))
+    rep1 = evaluate_weight_conditions(first, wcms)
     assert rep1.unbroken_indices() == (5, 7, 10)
 
     second = fx.gast_6_0_0_9_0(w11=A, w61=A2)
-    rep2 = evaluate_weight_conditions(second, wcms.rebuilt(second))
+    rep2 = evaluate_weight_conditions(second, wcms)
     assert rep2.all_broken
 
     variant = fx.gast_6_0_0_9_0(w11=A)
-    plan = remove_object(variant, wcms.rebuilt(variant))
+    plan = remove_object(variant, wcms)
     assert plan.result == "removed" and len(plan.changes) == 1
 
     tuned = fx.gast_6_2_2_5_2(w=A)
     wcms2 = extract_wcms(fx.gast_6_2_2_5_2(), build_tree(fx.gast_6_2_2_5_2()))
-    assert evaluate_weight_conditions(tuned, wcms2.rebuilt(tuned)).all_broken
-    assert not is_in_Z(tuned, wcms2.rebuilt(tuned))
+    assert evaluate_weight_conditions(tuned, wcms2).all_broken
+    assert not is_in_Z(tuned, wcms2)
     report(6, "replays: survivors {5,7,10}, full break, 1-change variant, tuned-weight removal")
 
 
@@ -204,7 +204,7 @@ def test_criterion_8_property_suites():
         wcms = extract_wcms(base, build_tree(base, mode=kind))
         for _ in range(70):
             cfg = random_weights(base, rng)
-            rep = evaluate_weight_conditions(cfg, wcms.rebuilt(cfg))
+            rep = evaluate_weight_conditions(cfg, wcms)
             for rec in rep.records:
                 assert rec.p == sum(rec.component_dims)
                 if not rec.broken:
@@ -219,7 +219,7 @@ def test_criterion_8_property_suites():
         wcms = extract_wcms(base, build_tree(base))
         for _ in range(70):
             cfg = satisfied_labeling(base, rng)
-            rep = evaluate_weight_conditions(cfg, wcms.rebuilt(cfg))
+            rep = evaluate_weight_conditions(cfg, wcms)
             assert all(not rec.broken for rec in rep.records)
             cases += 1
     assert cases >= 200
@@ -232,14 +232,13 @@ def test_criterion_8_property_suites():
     while removed < 200 and attempts < 1200:
         attempts += 1
         cfg = random_weights(base, rng)
-        rebuilt = wcms.rebuilt(cfg)
-        if not is_in_Z(cfg, rebuilt):
+        if not is_in_Z(cfg, wcms):
             continue
-        plan = remove_object(cfg, rebuilt)
+        plan = remove_object(cfg, wcms)
         if plan.result != "removed":
             continue
         post = cfg.with_weights({(cn, vn): new for cn, vn, _, new in plan.changes})
-        rep = evaluate_weight_conditions(post, wcms.rebuilt(post))
+        rep = evaluate_weight_conditions(post, wcms)
         assert rep.all_broken
         for rec in rep.records:
             matrix_rows = base.num_cns - len(rec.removed_rows)
@@ -265,7 +264,7 @@ def test_criterion_8_property_suites():
         cap = base.d1 + tree.b_et
         for _ in range(25):
             cfg = random_weights(base, rng)
-            assert is_in_Z(cfg, wcms.rebuilt(cfg)) == oracle_in_family(cfg, cap, kind).is_member
+            assert is_in_Z(cfg, wcms) == oracle_in_family(cfg, cap, kind).is_member
             cases += 1
     assert cases >= 200
 

@@ -61,6 +61,7 @@ class TestFormats:
         targets = [
             Target(vn_ids=(0, 1, 5), kind="gast", expected_params=(3, 1, 1, 2, 0)),
             Target(vn_ids=(2, 3), kind="ost"),
+            Target(vn_ids=(2, 3), kind="gast"),  # the same VNs under another kind
         ]
         text = serialize_targets(targets)
         assert parse_targets(text) == targets
@@ -90,6 +91,34 @@ class TestFormats:
         argv = [command, str(path)] + (["--max-a", "1"] if command == "enumerate" else [])
         assert main(argv) == EXIT_INPUT
         assert f"parse error: {path}:2: bad poly= value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, header, message", [
+        ("verify", "q=4 gamma=3 a=0 ell=0", "a=0 is below 1"),
+        ("verify", "q=4 gamma=0 a=1 ell=0", "gamma=0 is below 1"),
+        ("verify", "q=4 gamma=1 a=2 ell=1 a=1\n1", "repeated key 'a'"),
+        ("verify", "q=0 gamma=1 a=1 ell=1\n1", "q=0 is not a power of two >= 4"),
+        ("enumerate", "rows=1 cols=1 q=4 gamma=0", "gamma=0 is below 1"),
+    ], ids=["config-a", "config-gamma", "config-repeat", "config-q", "code-gamma"])
+    def test_degenerate_or_repeated_header_is_a_parse_error(self, command, header, message, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# note\n{header}\n")
+        argv = [command, str(path)] + (["--max-a", "1"] if command == "enumerate" else [])
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert f"parse error: {path}:2: {message}" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("records, message", [
+        ("kind=gast vns=1,2,3,4,5,6 vns=7", "repeated key 'vns'"),
+        ("kind=gast vns=1,2,3,4,5,6 gast", "expected key=value, got 'gast'"),
+        ("kind=gast vns=1,2,3,4,5,6\nkind=gast vns=6,5,4,3,2,1", "target gast 1,2,3,4,5,6 listed twice"),
+    ], ids=["repeated-key", "bare-token", "repeated-target"])
+    def test_malformed_target_record_is_a_parse_error(self, records, message, tmp_path, capsys):
+        targets = tmp_path / "targets.txt"
+        targets.write_text(f"# targets\n{records}\n")
+        assert main(["optimize", fixture_path("toy_code.txt"), str(targets)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        line = 2 + records.count("\n")
+        assert f"parse error: {targets}:{line}: {message}" in captured.err and captured.out == ""
 
     def test_field_poly_override(self):
         text = serialize_config(fx.gast_6_0_0_9_0())

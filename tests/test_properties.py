@@ -100,7 +100,7 @@ def test_component_decomposition_on_random_labelings():
         wcms = extract_wcms(base, tree)
         for _ in range(50):
             cfg = random_weights(base, rng)
-            report = evaluate_weight_conditions(cfg, wcms.rebuilt(cfg))
+            report = evaluate_weight_conditions(cfg, wcms)
             for rec in report.records:
                 assert rec.p == sum(rec.component_dims)
                 if not rec.broken:
@@ -122,7 +122,7 @@ def test_component_decomposition_on_removal_candidates():
             for _ in range(20):
                 member = satisfied_labeling(base, rng)
                 cfg = member.with_weights(random_reweighting(member, rng))
-                report = evaluate_weight_conditions(cfg, wcms.rebuilt(cfg))
+                report = evaluate_weight_conditions(cfg, wcms)
                 for rec in report.records:
                     assert rec.p == sum(rec.component_dims)
                     if not rec.broken:
@@ -142,7 +142,7 @@ def test_b_equal_d1_implies_all_unbroken():
         wcms = extract_wcms(base, tree)
         for _ in range(70):
             cfg = satisfied_labeling(base, rng)
-            report = evaluate_weight_conditions(cfg, wcms.rebuilt(cfg))
+            report = evaluate_weight_conditions(cfg, wcms)
             assert all(not rec.broken for rec in report.records)
             checked += 1
     assert checked >= 200
@@ -160,17 +160,17 @@ def test_short_wcm_state_after_removal():
     while removed < 200 and attempts < 1000:
         attempts += 1
         cfg = random_weights(base, rng)
-        rebuilt = wcms.rebuilt(cfg)
-        if not is_in_Z(cfg, rebuilt):
+        if not is_in_Z(cfg, wcms):
             continue
-        plan = remove_object(cfg, rebuilt)
+        plan = remove_object(cfg, wcms)
         if plan.result != "removed":
             continue
         post = cfg.with_weights({(cn, vn): new for cn, vn, _, new in plan.changes})
-        report = evaluate_weight_conditions(post, wcms.rebuilt(post))
+        report = evaluate_weight_conditions(post, wcms)
         assert report.all_broken
-        for rec, raw in zip(report.records, wcms.rebuilt(post).wcms):
-            if raw.matrix.rows < raw.matrix.cols:
+        for rec, raw in zip(report.records, wcms.wcms):
+            matrix = post.adjacency().drop_rows(raw.removed_rows)
+            if matrix.rows < matrix.cols:
                 assert rec.p > 0
                 assert rec.broken
         removed += 1
@@ -187,7 +187,7 @@ def test_oracle_and_wcm_membership_agree():
         assert (base.field.q - 1) ** base.num_vns <= 10**5
         for _ in range(50):
             cfg = random_weights(base, rng)
-            via_wcm = is_in_Z(cfg, wcms.rebuilt(cfg))
+            via_wcm = is_in_Z(cfg, wcms)
             via_oracle = oracle_in_family(cfg, cap, kind).is_member
             assert via_wcm == via_oracle
             checked += 1
@@ -236,7 +236,7 @@ def test_membership_agreement_wider_regimes():
         cap = base.d1 + tree.b_et
         for _ in range(n):
             cfg = random_weights(base, rng)
-            assert is_in_Z(cfg, wcms.rebuilt(cfg)) == oracle_in_family(cfg, cap, kind).is_member
+            assert is_in_Z(cfg, wcms) == oracle_in_family(cfg, cap, kind).is_member
 
 
 def test_subclass_caps_agree_with_oracle():
@@ -251,7 +251,7 @@ def test_subclass_caps_agree_with_oracle():
         b_cap = base.d1 + tree.b_et
         for _ in range(60):
             cfg = random_weights(base, rng)
-            assert is_in_Z(cfg, wcms.rebuilt(cfg)) == oracle_in_family(cfg, b_cap, "gast").is_member
+            assert is_in_Z(cfg, wcms) == oracle_in_family(cfg, b_cap, "gast").is_member
 
 
 def test_oracle_witness_consistency():

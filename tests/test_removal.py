@@ -49,11 +49,6 @@ def pipeline(cfg, mode="gast"):
     return extract_wcms(cfg, tree)
 
 
-def reweighted(cfg, wcms, **kwargs):
-    changed = fx.gast_6_0_0_9_0(**kwargs)
-    return changed, wcms.rebuilt(changed)
-
-
 class TestWeightConditions:
     def test_baseline_all_unbroken(self):
         cfg = fx.gast_6_0_0_9_0()
@@ -67,8 +62,8 @@ class TestWeightConditions:
     def test_first_change_set_leaves_three_unbroken(self):
         base = fx.gast_6_0_0_9_0()
         wcms = pipeline(base)
-        cfg, rebuilt = reweighted(base, wcms, w11=A, w61=A)
-        report = evaluate_weight_conditions(cfg, rebuilt)
+        cfg = fx.gast_6_0_0_9_0(w11=A, w61=A)
+        report = evaluate_weight_conditions(cfg, wcms)
         assert report.unbroken_indices() == (5, 7, 10)
         survivors = [r for r in report.records if not r.broken]
         for rec in survivors:
@@ -77,8 +72,8 @@ class TestWeightConditions:
     def test_second_change_set_breaks_all(self):
         base = fx.gast_6_0_0_9_0()
         wcms = pipeline(base)
-        cfg, rebuilt = reweighted(base, wcms, w11=A, w61=A2)
-        report = evaluate_weight_conditions(cfg, rebuilt)
+        cfg = fx.gast_6_0_0_9_0(w11=A, w61=A2)
+        report = evaluate_weight_conditions(cfg, wcms)
         assert report.all_broken
         rec2 = report.records[1]
         assert rec2.p == 1
@@ -87,9 +82,21 @@ class TestWeightConditions:
     def test_variant_has_two_unbroken(self):
         base = fx.gast_6_0_0_9_0()
         wcms = pipeline(base)
-        cfg, rebuilt = reweighted(base, wcms, w11=A)
-        report = evaluate_weight_conditions(cfg, rebuilt)
+        cfg = fx.gast_6_0_0_9_0(w11=A)
+        report = evaluate_weight_conditions(cfg, wcms)
         assert report.unbroken_indices() == (1, 2)
+
+    def test_matrices_take_the_weights_of_the_configuration_judged(self):
+        # a family extracted before a re-weighting judges the new weights
+        base = fx.gast_6_0_0_9_0()
+        tree = build_tree(base)
+        before = extract_wcms(base, tree)
+        plan = remove_object(base, before)
+        post = base.with_weights({(cn, vn): new for cn, vn, _, new in plan.changes})
+        for cfg in (post, fx.gast_6_0_0_9_0(w11=A)):
+            report = evaluate_weight_conditions(cfg, before)
+            assert report == evaluate_weight_conditions(cfg, extract_wcms(cfg, tree))
+            assert before.rebuilt(cfg) == before
 
     def test_decomposition_invariants(self):
         for builder in (fx.gast_6_0_0_9_0, fx.gast_6_2_2_5_2):
@@ -111,7 +118,7 @@ class TestWeightConditions:
         base = fx.gast_6_2_2_5_2()
         wcms = pipeline(base)
         cfg = fx.gast_6_2_2_5_2(w=A)
-        report = evaluate_weight_conditions(cfg, wcms.rebuilt(cfg))
+        report = evaluate_weight_conditions(cfg, wcms)
         assert report.all_broken
         short = next(r for r in report.records if tuple(g + 1 for g in r.deg2_group) == (2, 4))
         assert short.p == 1
@@ -124,7 +131,7 @@ class TestMembership:
         wcms = pipeline(cfg)
         assert is_in_Z(cfg, wcms)
         removed = fx.gast_6_0_0_9_0(w11=A, w61=A2)
-        assert not is_in_Z(removed, wcms.rebuilt(removed))
+        assert not is_in_Z(removed, wcms)
 
     def test_b_for_values(self):
         cfg = fx.gast_6_0_0_9_0()
@@ -210,7 +217,7 @@ class TestRemoveObject:
         plan = remove_object(cfg, pipeline(cfg), oracle_cap=728)
         assert not plan.e_min_exact and plan.e_min == plan.e_bound
         removed = fx.gast_6_0_0_9_0(w11=A, w61=A2)
-        out = remove_object(removed, pipeline(cfg).rebuilt(removed), oracle_cap=1)
+        out = remove_object(removed, pipeline(cfg), oracle_cap=1)
         assert (out.result, out.e_min, out.e_min_exact) == ("not_in_z", 0, True)
         borderline = fx.gast_borderline_no_deg2()
         out = remove_object(borderline, pipeline(borderline), oracle_cap=1)
@@ -225,7 +232,7 @@ class TestRemoveObject:
         assert plan.selected_vn == 0
         # post-state verification
         post = cfg.with_weights({(cn, vn): new for cn, vn, _, new in plan.changes})
-        assert not is_in_Z(post, pipeline(cfg).rebuilt(post))
+        assert not is_in_Z(post, pipeline(cfg))
         assert not oracle_is_gas(post).is_member
 
     def test_variant_single_change(self):
@@ -239,11 +246,11 @@ class TestRemoveObject:
         plan = remove_object(cfg, pipeline(cfg))
         assert plan.result == "removed" and len(plan.changes) == 1
         post = cfg.with_weights({(cn, vn): new for cn, vn, _, new in plan.changes})
-        assert evaluate_weight_conditions(post, pipeline(cfg).rebuilt(post)).all_broken
+        assert evaluate_weight_conditions(post, pipeline(cfg)).all_broken
 
     def test_not_in_family_is_noop(self):
         cfg = fx.gast_6_0_0_9_0(w11=A, w61=A2)
-        wcms = pipeline(fx.gast_6_0_0_9_0()).rebuilt(cfg)
+        wcms = pipeline(fx.gast_6_0_0_9_0())
         plan = remove_object(cfg, wcms)
         assert plan.result == "not_in_z" and plan.changes == ()
 
@@ -407,13 +414,12 @@ class TestLargerFields:
         removed = 0
         for _ in range(10):
             cfg = random_weights(base, rng)
-            rebuilt = wcms.rebuilt(cfg)
-            if not is_in_Z(cfg, rebuilt):
+            if not is_in_Z(cfg, wcms):
                 continue
-            plan = remove_object(cfg, rebuilt)
+            plan = remove_object(cfg, wcms)
             assert plan.result == "removed"
             post = cfg.with_weights({(cn, vn): new for cn, vn, _, new in plan.changes})
-            assert not is_in_Z(post, wcms.rebuilt(post))
+            assert not is_in_Z(post, wcms)
             if len(plan.changes) == 1:
                 removed += 1
         # at least one member needed fewer changes than the fallback bound
@@ -428,15 +434,14 @@ class TestLargerFields:
         assert wcms.t == 6
         for _ in range(5):
             cfg = random_weights(base, rng)
-            rebuilt = wcms.rebuilt(cfg)
-            if not is_in_Z(cfg, rebuilt):
+            if not is_in_Z(cfg, wcms):
                 continue
-            plan = remove_object(cfg, rebuilt)
+            plan = remove_object(cfg, wcms)
             if plan.result == "removed":
                 post = cfg.with_weights(
                     {(cn, vn): new for cn, vn, _, new in plan.changes}
                 )
-                assert not is_in_Z(post, wcms.rebuilt(post))
+                assert not is_in_Z(post, wcms)
 
 
 class TestRandomizedAgreement:
@@ -455,8 +460,8 @@ class TestRandomizedAgreement:
                     if vn == col
                 }
             )
-            rep_a = evaluate_weight_conditions(cfg, wcms.rebuilt(cfg))
-            rep_b = evaluate_weight_conditions(scaled, wcms.rebuilt(scaled))
+            rep_a = evaluate_weight_conditions(cfg, wcms)
+            rep_b = evaluate_weight_conditions(scaled, wcms)
             assert [r.broken for r in rep_a.records] == [r.broken for r in rep_b.records]
 
     def test_satisfied_labeling_member_via_all_wcms(self):
@@ -468,7 +473,7 @@ class TestRandomizedAgreement:
             b, _, _ = compute_b_for_values(
                 cfg, oracle_is_gas(cfg).witness
             )
-            report = evaluate_weight_conditions(cfg, wcms.rebuilt(cfg))
+            report = evaluate_weight_conditions(cfg, wcms)
             assert not report.all_broken
 
 
@@ -488,7 +493,7 @@ class TestMembershipKernel:
                 cfg = satisfied_labeling(base, rng)
                 changes = random_reweighting(cfg, rng)
                 candidate = cfg.with_weights(changes)
-                report = evaluate_weight_conditions(candidate, wcms.rebuilt(candidate))
+                report = evaluate_weight_conditions(candidate, wcms)
                 first = _first_unbroken(
                     rows_with_weights(cfg.adjacency().entries, changes), groups, field, DEFAULT_SUPPORT_CAP
                 )
