@@ -38,7 +38,7 @@ from .removal import (
     oracle_is_gas,
     remove_object,
 )
-from .wcmtree import b_max, build_tree, count_suboptimal, extract_wcms, z_family
+from .wcmtree import build_tree, count_suboptimal, extract_wcms, z_family
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -98,8 +98,8 @@ def _prelude(
 ) -> tuple[int, dict[str, int], FieldContext, list[tuple[int, str]]]:
     """Header line number, integer header, field, and the numbered body lines.
 
-    Comments and blank lines are dropped; every file has a ``gamma`` of at
-    least 1 and takes its field from ``q``, a ``poly=`` comment and the
+    Comments and blank lines are dropped; every header count but ``q`` is at
+    least 1, and the field comes from ``q``, a ``poly=`` comment and the
     ``--field-poly`` override.
     """
     raw = text.splitlines()
@@ -116,8 +116,9 @@ def _prelude(
     missing = [k for k in keys if k not in h]
     if missing:
         raise ParseError(path, lineno, f"header missing {missing}")
-    if h["gamma"] < 1:
-        raise ParseError(path, lineno, f"gamma={h['gamma']} is below 1")
+    for k in keys:
+        if k != "q" and h[k] < 1:
+            raise ParseError(path, lineno, f"{k}={h[k]} is below 1")
     try:
         field = _field_for(h["q"], _scan_poly_comment(raw, path), poly_flag)
     except FieldError as exc:
@@ -131,8 +132,6 @@ def _prelude(
 def parse_config(text: str, path: str = "<config>", poly_flag: int | None = None) -> Configuration:
     """Parse the dense configuration format: header plus an ell x a matrix."""
     lineno, h, field, body = _prelude(text, path, poly_flag, ("q", "gamma", "a", "ell"))
-    if h["a"] < 1:
-        raise ParseError(path, lineno, f"a={h['a']} is below 1")
     if len(body) != h["ell"]:
         raise ParseError(path, lineno, f"expected {h['ell']} matrix rows, found {len(body)}")
     edges = []
@@ -421,14 +420,11 @@ def cmd_analyze(args: argparse.Namespace, rep: Reporter) -> int:
 def cmd_verify(args: argparse.Namespace, rep: Reporter) -> int:
     cfg = parse_config(_read(args.config), args.config, args.field_poly)
     topo = classify_unlabeled(cfg)
-    trees = {kind: build_tree(cfg, kind) for kind in ("gast", "ost") if topo.supports(kind)}
+    kinds = [kind for kind in ("gast", "ost") if topo.supports(kind)]
     try:
         gas = oracle_is_gas(cfg, "gas", cap=args.oracle_cap)
         os_res = oracle_is_gas(cfg, "os", cap=args.oracle_cap) if cfg.gamma % 2 == 0 else None
-        fams = {
-            kind: oracle_in_family(cfg, b_max(cfg, tree), kind, cap=args.oracle_cap)
-            for kind, tree in trees.items()
-        }
+        fams = {kind: oracle_in_family(cfg, kind, cap=args.oracle_cap) for kind in kinds}
     except OracleTooLargeError as exc:
         rep.block("error", {"message": str(exc)})
         return EXIT_ORACLE
@@ -447,9 +443,8 @@ def cmd_verify(args: argparse.Namespace, rep: Reporter) -> int:
             smallest, witness = res.smallest_b, res.witness
     # Matrix-based verdict on the same family, for the agreement line.
     wcm_verdict = None
-    tree = trees.get("gast", trees.get("ost"))
-    if tree is not None:
-        wcms = extract_wcms(cfg, tree)
+    if kinds:
+        wcms = extract_wcms(cfg, build_tree(cfg, kinds[0]))
         try:
             report = evaluate_weight_conditions(cfg, wcms, args.support_cap)
             wcm_verdict = not report.all_broken
@@ -551,9 +546,8 @@ def cmd_enumerate(args: argparse.Namespace, rep: Reporter) -> int:
             cfg = graph.induce(subset)
             if not classify_unlabeled(cfg).supports(kind):
                 continue
-            tree = build_tree(cfg, kind)
             try:
-                fam = oracle_in_family(cfg, b_max(cfg, tree), kind, cap=args.oracle_cap)
+                fam = oracle_in_family(cfg, kind, cap=args.oracle_cap)
             except OracleTooLargeError:
                 rep.block(
                     "warning",

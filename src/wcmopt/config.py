@@ -56,55 +56,46 @@ class Configuration:
         self.edges = tuple(sorted(edges))
         self.vn_ids = vn_ids
         self.cn_ids = cn_ids
-        self._validate()
-        self._index()
-
-    def _validate(self) -> None:
-        seen: set[tuple[int, int]] = set()
-        vn_degree = [0] * self.num_vns
-        cn_degree = [0] * self.num_cns
+        # One pass checks and indexes the edges; sorting puts a repeated
+        # (cn, vn) right after its first copy.
+        cn_nbrs: list[list[tuple[int, int]]] = [[] for _ in range(num_cns)]
+        vn_nbrs: list[list[tuple[int, int]]] = [[] for _ in range(num_vns)]
+        last = None
         for cn, vn, w in self.edges:
-            if not (0 <= cn < self.num_cns and 0 <= vn < self.num_vns):
+            if not (0 <= cn < num_cns and 0 <= vn < num_vns):
                 raise MalformedConfigurationError(f"edge ({cn},{vn}) out of range")
             if w == 0:
                 raise MalformedConfigurationError(f"edge ({cn},{vn}) has zero weight")
-            self.field.validate(w)
-            if (cn, vn) in seen:
+            field.validate(w)
+            if (cn, vn) == last:
                 raise MalformedConfigurationError(f"duplicate edge ({cn},{vn})")
-            seen.add((cn, vn))
-            vn_degree[vn] += 1
-            cn_degree[cn] += 1
-        for vn, deg in enumerate(vn_degree):
-            if deg != self.gamma:
-                raise MalformedConfigurationError(
-                    f"VN v{vn + 1} has degree {deg}, column weight is {self.gamma}"
-                )
-        for cn, deg in enumerate(cn_degree):
-            if deg == 0:
-                raise MalformedConfigurationError(f"CN c{cn + 1} has no edges")
-        self._cn_degree = tuple(cn_degree)
-
-    def _index(self) -> None:
-        cn_nbrs: list[list[tuple[int, int]]] = [[] for _ in range(self.num_cns)]
-        vn_nbrs: list[list[tuple[int, int]]] = [[] for _ in range(self.num_vns)]
-        for cn, vn, w in self.edges:
+            last = cn, vn
             cn_nbrs[cn].append((vn, w))
             vn_nbrs[vn].append((cn, w))
-        self.cn_neighbors = tuple(tuple(x) for x in cn_nbrs)
-        self.vn_neighbors = tuple(tuple(x) for x in vn_nbrs)
-        self.deg1_cns = frozenset(i for i, d in enumerate(self._cn_degree) if d == 1)
-        self.deg2_cns = frozenset(i for i, d in enumerate(self._cn_degree) if d == 2)
-        self.high_cns = frozenset(i for i, d in enumerate(self._cn_degree) if d > 2)
+        for vn, nbrs in enumerate(vn_nbrs):
+            if len(nbrs) != gamma:
+                raise MalformedConfigurationError(
+                    f"VN v{vn + 1} has degree {len(nbrs)}, column weight is {gamma}"
+                )
+        for cn, nbrs in enumerate(cn_nbrs):
+            if not nbrs:
+                raise MalformedConfigurationError(f"CN c{cn + 1} has no edges")
+        self.cn_neighbors = tuple(map(tuple, cn_nbrs))
+        self.vn_neighbors = tuple(map(tuple, vn_nbrs))
+        self.deg1_cns = frozenset(i for i, x in enumerate(cn_nbrs) if len(x) == 1)
+        self.deg2_cns = frozenset(i for i, x in enumerate(cn_nbrs) if len(x) == 2)
+        self.high_cns = frozenset(i for i, x in enumerate(cn_nbrs) if len(x) > 2)
         self.d1 = len(self.deg1_cns)
         self.d2 = len(self.deg2_cns)
         self.d3 = len(self.high_cns)
-        deg1_counts = [0] * self.num_vns
+        deg1_counts = [0] * num_vns
         for cn in self.deg1_cns:
             deg1_counts[cn_nbrs[cn][0][0]] += 1
         self.vn_deg1_counts = tuple(deg1_counts)
+        self._adjacency: GfMatrix | None = None
 
     def cn_degree(self, cn: int) -> int:
-        return self._cn_degree[cn]
+        return len(self.cn_neighbors[cn])
 
     def weight_of(self, cn: int, vn: int) -> int:
         for v, w in self.cn_neighbors[cn]:
@@ -113,10 +104,18 @@ class Configuration:
         raise KeyError(f"no edge ({cn},{vn})")
 
     def adjacency(self) -> GfMatrix:
-        rows = [[0] * self.num_vns for _ in range(self.num_cns)]
-        for cn, vn, w in self.edges:
-            rows[cn][vn] = w
-        return GfMatrix.from_rows(rows, self.field)
+        """The adjacency matrix, built on the first call and shared after.
+
+        Every matrix the pipeline takes of a configuration is cut from this
+        one; a re-weighting is a new configuration with its own.
+        """
+        if self._adjacency is None:
+            rows = [[0] * self.num_vns for _ in range(self.num_cns)]
+            for cn, vn, w in self.edges:
+                rows[cn][vn] = w
+            entries = tuple(map(tuple, rows))
+            self._adjacency = GfMatrix(self.num_cns, self.num_vns, entries, self.field)
+        return self._adjacency
 
     def with_weights(self, changes: Mapping[tuple[int, int], int]) -> "Configuration":
         """New configuration with the given (cn, vn) -> weight replacements."""

@@ -210,17 +210,22 @@ class SupportScan:
     def multiples(self, vec: Sequence[int]) -> list[int]:
         """c vec packed, for c = 0 .. q - 1.
 
-        Multiplying by c is linear over GF(2): c vec is the XOR over bits b
-        of c 2^b times the 0/1 vector of vec's bit b.
+        Multiplying by c is linear over GF(2): 2^k vec, for k < lam, is the
+        XOR over bits b of 2^k 2^b times the 0/1 vector of vec's bit b, and
+        every other c vec is (c without its lowest bit) vec XOR (that bit) vec.
         """
         f = self.field
         packed = sum(x << self.width * i for i, x in enumerate(vec))
         ones = ((1 << self.width * len(vec)) - 1) // ((1 << self.width) - 1)
         bits = [(packed >> b & ones, 1 << b) for b in range(f.lam)]
-        return [
-            reduce(xor, (e * times[x] for e, x in bits), 0)
-            for times in map(f.mul_row, range(f.q))
-        ]
+        out = [0] * f.q
+        for k in range(f.lam):
+            times = f.mul_row(1 << k)
+            out[1 << k] = reduce(xor, (e * times[x] for e, x in bits), 0)
+        for c in range(3, f.q):
+            if c & (c - 1):
+                out[c] = out[c & (c - 1)] ^ out[c & -c]
+        return out
 
     def first(self, offset: int, multiples: Sequence[Sequence[int]]) -> int | None:
         """First full-support vector offset + sum c_i b_i, with the c_i in product order.

@@ -208,18 +208,20 @@ def evaluate_weight_conditions(
     ``_first_unbroken``, which stops at the first unbroken matrix.  The
     matrices are ``w``'s removal groups taken from ``c``'s own weights.
     """
+    a = c.adjacency()
     records = []
     for rec in w.wcms:
         kept = [r for r in range(c.num_cns) if r not in set(rec.removed_rows)]
-        ns = null_space(_restrict(c, kept, range(c.num_vns)))
+        ns = null_space(a.keep_rows(kept))
         found, witness = has_full_support_vector(ns, support_cap)
         comps = _vn_components(c, kept)
+        # A component's rows are zero outside its columns, so their rank is
+        # the rank of the component's own matrix.
         dims = []
         for comp in comps:
             comp_set = set(comp)
             rows = [r for r in kept if c.cn_neighbors[r][0][0] in comp_set]
-            comp_matrix = _restrict(c, rows, comp)
-            dims.append(len(comp) - rank(comp_matrix))
+            dims.append(len(comp) - rank(a.keep_rows(rows)))
         if sum(dims) != ns.dimension:
             raise AssertionError(
                 f"component dimensions {dims} do not sum to {ns.dimension}"
@@ -237,19 +239,6 @@ def evaluate_weight_conditions(
             )
         )
     return WeightConditionReport(tuple(records))
-
-
-def _restrict(c: Configuration, rows: Sequence[int], cols: Sequence[int]) -> GfMatrix:
-    colpos = {v: i for i, v in enumerate(cols)}
-    data = []
-    for r in rows:
-        row = [0] * len(cols)
-        for v, wt in c.cn_neighbors[r]:
-            row[colpos[v]] = wt
-        data.append(row)
-    if not data:
-        return GfMatrix(0, len(cols), (), c.field)
-    return GfMatrix.from_rows(data, c.field)
 
 
 def is_in_Z(
@@ -299,11 +288,8 @@ def _scan(
         raise OracleTooLargeError(f"(q-1)^a = {total} assignments exceeds oracle cap {cap}")
     scan = SupportScan(c.field, ell)
     carry, guards = scan.carry, scan.guards
-    cols = [[0] * ell for _ in range(a)]
-    for cn, vn, wt in c.edges:
-        cols[vn][cn] = wt
     # x times column vn, for x = 1 .. q - 1: VN vn's syndrome term at value x
-    terms = [scan.multiples(col)[1:] for col in cols]
+    terms = [scan.multiples(col)[1:] for col in zip(*c.adjacency().entries)]
     head = [reduce(xor, vals, 0) for vals in itertools.product(*terms[: a // 2])]
     tail = [reduce(xor, vals, 0) for vals in itertools.product(*terms[a // 2 :])]
     vn_masks = [(t[0] + carry) & guards for t in terms]
@@ -338,14 +324,16 @@ def oracle_is_gas(
 
 
 def oracle_in_family(
-    c: Configuration, b_cap: int, kind: str = "gast", cap: int = DEFAULT_ORACLE_CAP
+    c: Configuration, kind: str = "gast", cap: int = DEFAULT_ORACLE_CAP
 ) -> OracleResult:
     """Structural family membership checked exhaustively.
 
     'gast': some assignment satisfies the strict per-VN majorities with all
-    unsatisfied CNs of degree <= 2 and at most b_cap of them.  'ost': the
-    same with weak majorities (the family deliberately spans both shapes, so
-    equality is permitted but not required).
+    unsatisfied CNs of degree <= 2.  'ost': the same with weak majorities
+    (the family deliberately spans both shapes, so equality is permitted but
+    not required).  No cap on b is needed: the unsatisfied degree-2 set of
+    such an assignment is a set of ``build_tree``'s family, so b is at most
+    d1 + b_et.
     """
     if kind not in ("gast", "ost"):
         raise ValueError(f"unknown family kind {kind!r}")
@@ -353,8 +341,7 @@ def oracle_in_family(
     def accept(m: int, u: list[int]) -> bool:
         # Unsatisfied CNs add their degrees to the VN counts, so the counts
         # sum to 2b - d1 exactly when none of them has degree > 2.
-        b = m.bit_count()
-        return b <= b_cap and sum(u) == 2 * b - c.d1 and keeps_majority(c.gamma, u, kind)
+        return sum(u) == 2 * m.bit_count() - c.d1 and keeps_majority(c.gamma, u, kind)
 
     return _scan(c, cap, accept)
 
@@ -397,21 +384,18 @@ def compute_e_min(
 
 
 def select_candidate_edges(
-    c: Configuration,
-    e_bound: int,
-    max_size: int | None = None,
-    min_size: int = 1,
+    c: Configuration, max_size: int, min_size: int = 1
 ) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
     """Yield (vn, edge set) candidates in deterministic order.
 
     Selection follows the maximum-degree-1 rule: the VNs attaining the
     largest number of degree-1 neighbors come first (ascending index), and
-    for each the subsets of its degree-2-CN edges are emitted smallest
-    first, one edge per CN.  Edges on degree->2 CNs are never candidates.
-    For oscillating objects the same rule lands on the topologically
-    oscillating VNs automatically, since they attain the degree-1 maximum.
+    for each the subsets of its degree-2-CN edges, of ``min_size`` to
+    ``max_size`` edges, are emitted smallest first, one edge per CN.  Edges
+    on degree->2 CNs are never candidates.  For oscillating objects the same
+    rule lands on the topologically oscillating VNs automatically, since they
+    attain the degree-1 maximum.
     """
-    top = max_size if max_size is not None else e_bound
     d1_counts = c.vn_deg1_counts
     d1_max = max(d1_counts)
     maximal_vns = [v for v, cnt in enumerate(d1_counts) if cnt == d1_max]
@@ -428,7 +412,7 @@ def select_candidate_edges(
             "no degree-2 CN incident to any maximal degree-1 VN"
         )
     for v in maximal_vns:
-        for size in range(max(1, min_size), top + 1):
+        for size in range(max(1, min_size), max_size + 1):
             for combo in itertools.combinations(per_vn_edges[v], size):
                 yield v, combo
 
@@ -476,11 +460,8 @@ def remove_object(
     prot_checks = 0
     prot_rejections = 0
     start = e_min if exact else 1
-    max_size = e_bound + EXTRA_CHANGES
     try:
-        candidates = list(
-            select_candidate_edges(c, e_bound, max_size=max_size, min_size=start)
-        )
+        candidates = list(select_candidate_edges(c, e_bound + EXTRA_CHANGES, start))
     except NoCandidateError:
         return RemovalPlan(
             object_id, kind, "unremovable", e_min, e_bound, exact, None, (), tried,

@@ -183,7 +183,7 @@ def reference_remove_object(c: Configuration, w, protected_ok=None, *,
     tried = checks = rejections = 0
     start = e_min if exact else 1
     try:
-        candidates = list(select_candidate_edges(c, e_bound, e_bound + EXTRA_CHANGES, start))
+        candidates = list(select_candidate_edges(c, e_bound + EXTRA_CHANGES, start))
     except NoCandidateError:
         return RemovalPlan("", kind, "unremovable", e_min, e_bound, exact, None, ())
     for vn, edge_set in candidates:

@@ -261,10 +261,9 @@ def test_criterion_8_property_suites():
             continue
         tree = build_tree(base, mode=kind)
         wcms = extract_wcms(base, tree)
-        cap = base.d1 + tree.b_et
         for _ in range(25):
             cfg = random_weights(base, rng)
-            assert is_in_Z(cfg, wcms) == oracle_in_family(cfg, cap, kind).is_member
+            assert is_in_Z(cfg, wcms) == oracle_in_family(cfg, kind).is_member
             cases += 1
     assert cases >= 200
 

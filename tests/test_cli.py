@@ -98,7 +98,10 @@ class TestFormats:
         ("verify", "q=4 gamma=1 a=2 ell=1 a=1\n1", "repeated key 'a'"),
         ("verify", "q=0 gamma=1 a=1 ell=1\n1", "q=0 is not a power of two >= 4"),
         ("enumerate", "rows=1 cols=1 q=4 gamma=0", "gamma=0 is below 1"),
-    ], ids=["config-a", "config-gamma", "config-repeat", "config-q", "code-gamma"])
+        ("enumerate", "rows=-2 cols=-1 q=4 gamma=3", "rows=-2 is below 1"),
+        ("enumerate", "rows=1 cols=0 q=4 gamma=3", "cols=0 is below 1"),
+    ], ids=["config-a", "config-gamma", "config-repeat", "config-q", "code-gamma", "code-rows",
+            "code-cols"])
     def test_degenerate_or_repeated_header_is_a_parse_error(self, command, header, message, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text(f"# note\n{header}\n")

@@ -35,6 +35,37 @@ def test_validation_rejects_zero_weight_and_duplicates():
         Configuration(2, f, 1, 1, [(0, 0, 1), (0, 0, 2)])
 
 
+M = MalformedConfigurationError
+
+
+@pytest.mark.parametrize("gamma, a, ell, edges, error, message", [
+    (1, 1, 1, [(0, 0, 1), (1, 0, 0)], M, "edge (1,0) out of range"),
+    (1, 1, 1, [(0, 0, 0)], M, "edge (0,0) has zero weight"),
+    (1, 1, 1, [(0, 0, 4)], FieldError, "value 4 outside GF(4)"),
+    (2, 1, 1, [(0, 0, 2), (0, 0, 1)], M, "duplicate edge (0,0)"),
+    (2, 1, 1, [(0, 0, 5), (0, 0, 1)], FieldError, "value 5 outside GF(4)"),
+    (2, 2, 2, [(0, 0, 1), (1, 0, 1), (0, 1, 1)], M, "VN v2 has degree 1, column weight is 2"),
+    (1, 2, 2, [(0, 0, 1)], M, "VN v2 has degree 0, column weight is 1"),
+    (1, 1, 2, [(0, 0, 1)], M, "CN c2 has no edges"),
+    (1, 2, 1, [(1, 0, 1), (0, 1, 0)], M, "edge (0,1) has zero weight"),
+], ids=["range", "zero", "field", "duplicate", "field-before-duplicate", "vn-degree",
+        "vn-before-cn", "empty-cn", "first-sorted-offender"])
+def test_constructor_errors_name_the_first_offender(gamma, a, ell, edges, error, message):
+    with pytest.raises(error) as exc:
+        Configuration(gamma, gf4(), a, ell, edges)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_adjacency_is_built_once_per_configuration():
+    cfg = fx.gast_6_0_0_9_0()
+    matrix = cfg.adjacency()
+    assert cfg.adjacency() is matrix
+    cn, vn, old = cfg.edges[0]
+    moved = cfg.with_weights({(cn, vn): old % 3 + 1})
+    assert moved.adjacency().entries[cn][vn] == old % 3 + 1
+    assert cfg.adjacency() is matrix and matrix.entries[cn][vn] == old
+
+
 def test_degree_bookkeeping():
     cfg = fx.gast_6_2_2_5_2()
     assert (cfg.d1, cfg.d2, cfg.d3, cfg.num_cns) == (2, 5, 2, 9)

@@ -12,6 +12,7 @@ from wcmopt.gflinalg import (
     GfMatrix,
     NullSpaceBasis,
     SearchTooLargeError,
+    SupportScan,
     has_full_support_vector,
     in_span,
     mat_vec,
@@ -188,6 +189,19 @@ def test_full_support_witness_matches_projective_walk():
             assert found == reference_full_support(nsb)
             hits += found[0]
     assert hits > 40
+
+
+@pytest.mark.parametrize("field", [gf4(), gf8(), gf16()], ids=["gf4", "gf8", "gf16"])
+def test_support_scan_multiples_match_field_products(field):
+    rng = random.Random(field.q)
+    for length in (0, 1, 15):
+        scan = SupportScan(field, length)
+        for _ in range(20):
+            vec = [rng.randrange(field.q) for _ in range(length)]
+            assert scan.multiples(vec) == [
+                sum(field.mul(c, x) << scan.width * i for i, x in enumerate(vec))
+                for c in range(field.q)
+            ]
 
 
 def test_reduce_with_transform():

@@ -36,8 +36,7 @@ def scan(graph: CodeGraph, max_a: int = 5) -> list[Target]:
             topo = classify_unlabeled(cfg)
             if not topo.is_unlabeled_gast:
                 continue
-            tree = build_tree(cfg)
-            fam = oracle_in_family(cfg, cfg.d1 + tree.b_et, "gast")
+            fam = oracle_in_family(cfg, "gast")
             if fam.is_member:
                 found.append(
                     Target(vn_ids=subset, expected_params=cfg.params(fam.smallest_b))
@@ -50,8 +49,7 @@ def still_member(graph: CodeGraph, target: Target) -> bool:
     topo = classify_unlabeled(cfg)
     if not topo.is_unlabeled_gast:
         return False
-    tree = build_tree(cfg)
-    return oracle_in_family(cfg, cfg.d1 + tree.b_et, "gast").is_member
+    return oracle_in_family(cfg, "gast").is_member
 
 
 def test_random_graph_sweep():

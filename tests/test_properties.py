@@ -14,6 +14,7 @@ from conftest import (
     naive_full_support,
     random_reweighting,
     random_weights,
+    reference_oracle_in_family,
     satisfied_labeling,
 )
 from wcmopt import fixtures as fx
@@ -183,12 +184,11 @@ def test_oracle_and_wcm_membership_agree():
     for kind, base in _fixture_topologies():
         tree = build_tree(base, mode=kind)
         wcms = extract_wcms(base, tree)
-        cap = base.d1 + tree.b_et
         assert (base.field.q - 1) ** base.num_vns <= 10**5
         for _ in range(50):
             cfg = random_weights(base, rng)
             via_wcm = is_in_Z(cfg, wcms)
-            via_oracle = oracle_in_family(cfg, cap, kind).is_member
+            via_oracle = oracle_in_family(cfg, kind).is_member
             assert via_wcm == via_oracle
             checked += 1
     assert checked >= 200
@@ -233,16 +233,15 @@ def test_membership_agreement_wider_regimes():
         base = builder()
         tree = build_tree(base, mode=kind)
         wcms = extract_wcms(base, tree)
-        cap = base.d1 + tree.b_et
         for _ in range(n):
             cfg = random_weights(base, rng)
-            assert is_in_Z(cfg, wcms) == oracle_in_family(cfg, cap, kind).is_member
+            assert is_in_Z(cfg, wcms) == oracle_in_family(cfg, kind).is_member
 
 
 def test_subclass_caps_agree_with_oracle():
     # the elementary cap keeps b = d1 only; the balanced cap allows
     # floor(a*g/2) unsatisfied checks in total.  Membership through the
-    # capped matrix family must match the exhaustive scan at the same cap.
+    # capped matrix family must match the exhaustive reference at the same cap.
     rng = random.Random(47)
     base = fx.gast_6_2_2_5_2()
     for mode in ("eas", "bast"):
@@ -251,7 +250,7 @@ def test_subclass_caps_agree_with_oracle():
         b_cap = base.d1 + tree.b_et
         for _ in range(60):
             cfg = random_weights(base, rng)
-            assert is_in_Z(cfg, wcms) == oracle_in_family(cfg, b_cap, "gast").is_member
+            assert is_in_Z(cfg, wcms) == reference_oracle_in_family(cfg, b_cap, "gast").is_member
 
 
 def test_oracle_witness_consistency():
