@@ -5,15 +5,14 @@ line-oriented key=value blocks (or one JSON object per block with
 ``--format json-lines``); identical inputs always give identical output.
 Each command takes only the options it reads.  Exit codes: 0 ok, 2 input
 error (a file that does not parse, an option the command does not take, a
-negative count or cap), 3 unremovable, 4 oracle infeasible, 5 support
-search infeasible (a null space wider than ``--support-cap`` in ``remove``
-or ``optimize``).
+negative count or cap, ``enumerate --kind ost`` on an odd column weight),
+3 unremovable, 4 oracle infeasible, 5 support search infeasible (a null
+space wider than ``--support-cap`` in ``remove`` or ``optimize``).
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 import warnings
@@ -534,18 +533,24 @@ def cmd_optimize(args: argparse.Namespace, rep: Reporter) -> int:
 def cmd_enumerate(args: argparse.Namespace, rep: Reporter) -> int:
     graph = parse_code(_read(args.code), args.code, args.field_poly)
     kind = args.kind
+    if kind == "ost" and graph.gamma % 2:
+        rep.block(
+            "error",
+            {"message": f"--kind ost needs an even column weight; the code has gamma={graph.gamma}"},
+        )
+        return EXIT_INPUT
     found: list[Target] = []
     examined = 0
     truncated = False
-    for size in range(1, args.max_a + 1):
-        for subset in itertools.combinations(range(graph.cols), size):
+    for size in range(1, min(args.max_a, graph.cols) + 1):
+        for subset, topo in graph.shapes(size):
             examined += 1
             if examined > args.budget:
                 truncated = True
                 break
-            cfg = graph.induce(subset)
-            if not classify_unlabeled(cfg).supports(kind):
+            if not topo.supports(kind):
                 continue
+            cfg = graph.induce(subset)
             try:
                 fam = oracle_in_family(cfg, kind, cap=args.oracle_cap)
             except OracleTooLargeError:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import copy
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .gf import FieldContext
 from .gflinalg import GfMatrix
@@ -187,17 +187,17 @@ class TopoClass:
         return self.is_unlabeled_ost if mode == "ost" else self.is_unlabeled_gast
 
 
-def _degree_bound(c: Configuration, kind: str, warn: bool) -> int:
+def _degree_bound(a: int, gamma: int, d1: int, kind: str, warn: bool) -> int:
     """floor((a*allowance - d1)/2), a negative operand clamped to 0."""
-    top = c.num_vns * allowance(c.gamma, kind)
-    if top < c.d1:
+    top = a * allowance(gamma, kind)
+    if top < d1:
         if warn:
             warnings.warn(
-                f"degree bound operand negative (a*allowance={top} < d1={c.d1}); clamping to 0",
+                f"degree bound operand negative (a*allowance={top} < d1={d1}); clamping to 0",
                 stacklevel=3,
             )
         return 0
-    return (top - c.d1) // 2
+    return (top - d1) // 2
 
 
 def compute_b_ut(c: Configuration, warn: bool = True) -> int:
@@ -208,36 +208,43 @@ def compute_b_ut(c: Configuration, warn: bool = True) -> int:
     ``warn=False`` suppresses the diagnostic for bulk classification sweeps
     over arbitrary subsets.
     """
-    return _degree_bound(c, "gast", warn)
+    return _degree_bound(c.num_vns, c.gamma, c.d1, "gast", warn)
 
 
 def compute_b_o_ut(c: Configuration, warn: bool = True) -> int:
     """Oscillating-set analogue of compute_b_ut; defined for even gamma only."""
     if c.gamma % 2 != 0:
         raise NotApplicableError("oscillating VNs require an even column weight")
-    return _degree_bound(c, "ost", warn)
+    return _degree_bound(c.num_vns, c.gamma, c.d1, "ost", warn)
 
 
-def classify_unlabeled(c: Configuration) -> TopoClass:
-    """Classify the unlabeled shape by per-VN neighbor majorities.
+def shape_class(
+    gamma: int, d1: int, d2: int, d3: int, vn_deg1_counts: Sequence[int]
+) -> TopoClass:
+    """Classify an unlabeled shape from its check-degree counts alone.
 
     Degree-1 CNs are the unsatisfied ones: GAS keeps the strict majority of
     ``keeps_majority`` at every VN, OS the weak one with an equality.  The
-    -T variants additionally require d2 > d3.  Results never depend on edge
-    weights.
+    -T variants additionally require d2 > d3.  ``vn_deg1_counts`` holds
+    each VN's number of degree-1 CNs, so its length is a.
     """
-    is_gas = keeps_majority(c.gamma, c.vn_deg1_counts, "gas")
-    is_os = keeps_majority(c.gamma, c.vn_deg1_counts, "os")
-    type_two = c.d2 > c.d3
-    b_o_ut = compute_b_o_ut(c, warn=False) if c.gamma % 2 == 0 else None
+    a = len(vn_deg1_counts)
+    is_gas = keeps_majority(gamma, vn_deg1_counts, "gas")
+    is_os = keeps_majority(gamma, vn_deg1_counts, "os")
+    type_two = d2 > d3
     return TopoClass(
         is_unlabeled_gas=is_gas,
         is_unlabeled_gast=is_gas and type_two,
         is_unlabeled_os=is_os,
         is_unlabeled_ost=is_os and type_two,
-        b_ut=compute_b_ut(c, warn=False),
-        b_o_ut=b_o_ut,
+        b_ut=_degree_bound(a, gamma, d1, "gast", False),
+        b_o_ut=_degree_bound(a, gamma, d1, "ost", False) if gamma % 2 == 0 else None,
     )
+
+
+def classify_unlabeled(c: Configuration) -> TopoClass:
+    """``shape_class`` of the configuration's counts; never depends on edge weights."""
+    return shape_class(c.gamma, c.d1, c.d2, c.d3, c.vn_deg1_counts)
 
 
 def cn_flippable_partners(
@@ -333,6 +340,43 @@ class CodeGraph:
             self.gamma, self.field, len(vset), len(cn_ids), edges,
             vn_ids=tuple(vset), cn_ids=cn_ids,
         )
+
+    def shapes(self, size: int) -> Iterator[tuple[tuple[int, ...], TopoClass]]:
+        """Every VN subset of ``size`` in lexicographic order, with its unlabeled class.
+
+        The walk adds and removes one column at a time and keeps each
+        check's in-subset degree and the number of checks at each degree,
+        so a subset's class comes from the running counts without building
+        a Configuration; it equals ``classify_unlabeled(self.induce(subset))``.
+        """
+        col_rows, deg = self._col_rows, [0] * self.rows
+        at = [self.rows] + [0] * (self.cols + 2)  # checks per in-subset degree
+        classes: dict[tuple, TopoClass] = {}
+        chosen: list[int] = []
+        v, last = 0, self.cols - size
+        while True:
+            if len(chosen) == size:
+                deg1 = tuple([[deg[r] for r in col_rows[u]].count(1) for u in chosen])
+                key = at[1], at[2], self.rows - at[0] - at[1] - at[2], deg1
+                if key not in classes:  # few distinct shapes: classify each once
+                    classes[key] = shape_class(self.gamma, *key)
+                yield tuple(chosen), classes[key]
+            elif v <= last + len(chosen):
+                for r in col_rows[v]:
+                    at[deg[r]] -= 1
+                    deg[r] += 1
+                    at[deg[r]] += 1
+                chosen.append(v)
+                v += 1
+                continue
+            if not chosen:
+                return
+            v = chosen.pop()
+            for r in col_rows[v]:
+                at[deg[r]] -= 1
+                deg[r] -= 1
+                at[deg[r]] += 1
+            v += 1
 
     def apply_changes(self, changes: Mapping[tuple[int, int], int]) -> "CodeGraph":
         """New graph with existing entries re-weighted.

@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass, field as dataclass_field, replace
 from functools import reduce
 from operator import xor
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .config import (
     CodeGraph,
@@ -274,20 +274,22 @@ class OracleResult:
 
 
 def _scan(
-    c: Configuration, cap: int, accept: Callable[[int, list[int]], bool]
+    c: Configuration, cap: int, kind: str, satisfied: Iterable[int] = ()
 ) -> OracleResult:
-    """First assignment, in product order, at the smallest b that ``accept`` takes.
+    """First assignment, in product order, at the smallest b that keeps ``kind``'s majorities.
 
     Syndromes are ``SupportScan`` vectors over the CNs: an assignment's is one
     XOR of two half-sums, and the scan's carry moves the unsatisfied CNs into
-    its guard bits.  ``accept`` gets that mask of guard bits and each VN's
-    unsatisfied count.
+    its guard bits.  An unsatisfied mask that meets the guard bits of a CN
+    in ``satisfied`` is rejected with one AND; any other is judged by
+    ``keeps_majority`` on each VN's unsatisfied count.
     """
     q, a, ell = c.field.q, c.num_vns, c.num_cns
     if (total := (q - 1) ** a) > cap:
         raise OracleTooLargeError(f"(q-1)^a = {total} assignments exceeds oracle cap {cap}")
     scan = SupportScan(c.field, ell)
     carry, guards = scan.carry, scan.guards
+    forbidden = sum(1 << scan.width * cn for cn in satisfied) << c.field.lam
     # x times column vn, for x = 1 .. q - 1: VN vn's syndrome term at value x
     terms = [scan.multiples(col)[1:] for col in zip(*c.adjacency().entries)]
     head = [reduce(xor, vals, 0) for vals in itertools.product(*terms[: a // 2])]
@@ -301,8 +303,10 @@ def _scan(
             bs = list(map(verdicts.__getitem__, masks))
         except KeyError:  # judge each new unsatisfied set once
             for m in set(masks).difference(verdicts):
-                counts = [(m & vm).bit_count() for vm in vn_masks]
-                verdicts[m] = m.bit_count() if accept(m, counts) else ell + 1
+                ok = not m & forbidden and keeps_majority(
+                    c.gamma, [(m & vm).bit_count() for vm in vn_masks], kind
+                )
+                verdicts[m] = m.bit_count() if ok else ell + 1
             bs = list(map(verdicts.__getitem__, masks))
         if min(bs) < best:
             best, where = min(bs), i * len(tail) + bs.index(min(bs))
@@ -320,7 +324,7 @@ def oracle_is_gas(
     """
     if kind not in ("gas", "os"):
         raise ValueError(f"unknown oracle kind {kind!r}")
-    return _scan(c, cap, lambda m, u: keeps_majority(c.gamma, u, kind))
+    return _scan(c, cap, kind)
 
 
 def oracle_in_family(
@@ -337,13 +341,7 @@ def oracle_in_family(
     """
     if kind not in ("gast", "ost"):
         raise ValueError(f"unknown family kind {kind!r}")
-
-    def accept(m: int, u: list[int]) -> bool:
-        # Unsatisfied CNs add their degrees to the VN counts, so the counts
-        # sum to 2b - d1 exactly when none of them has degree > 2.
-        return sum(u) == 2 * m.bit_count() - c.d1 and keeps_majority(c.gamma, u, kind)
-
-    return _scan(c, cap, accept)
+    return _scan(c, cap, kind, c.high_cns)
 
 
 def _e_bound(c: Configuration, kind: str) -> int:

@@ -14,17 +14,20 @@ from wcmopt.config import (
     classify_unlabeled,
     cn_flippable_partners,
 )
-from wcmopt.gf import FieldContext
+from wcmopt.gf import FieldContext, gf4
 from wcmopt.gflinalg import DEFAULT_SUPPORT_CAP, GfMatrix, NullSpaceBasis, SearchTooLargeError, mat_vec
 from wcmopt.removal import (
+    DEFAULT_ORACLE_CAP,
     EXTRA_CHANGES,
     NoCandidateError,
     OracleResult,
     OracleTooLargeError,
     RemovalPlan,
+    Target,
     _e_bound,
     _first_unbroken,
     compute_e_min,
+    oracle_in_family,
     select_candidate_edges,
 )
 from wcmopt.wcmtree import TreeError
@@ -155,6 +158,48 @@ def reference_induce(graph: CodeGraph, vns) -> Configuration:
         graph.gamma, graph.field, len(vset), len(cn_ids), edges,
         vn_ids=tuple(vset), cn_ids=cn_ids,
     )
+
+
+def random_code(rng: random.Random, rows: int, cols: int, gamma: int = 3) -> CodeGraph:
+    """GF(4) code graph with ``gamma`` random rows and random weights per column."""
+    weights = {
+        (r, c): rng.randrange(1, 4) for c in range(cols) for r in rng.sample(range(rows), gamma)
+    }
+    return CodeGraph(rows, cols, gamma, gf4(), weights)
+
+
+def reference_enumerate(
+    graph: CodeGraph, max_a: int, kind: str = "gast", budget: int = 200_000,
+    oracle_cap: int = DEFAULT_ORACLE_CAP,
+) -> tuple[list[Target], int, bool, list[tuple[int, ...]]]:
+    """Slow reference for ``enumerate``: every subset through ``induce`` and ``classify_unlabeled``.
+
+    Returns the targets found, the subsets examined, whether the budget cut
+    the scan, and the shape hits the oracle cap skipped, in scan order.
+    """
+    found: list[Target] = []
+    skipped: list[tuple[int, ...]] = []
+    examined = 0
+    truncated = False
+    for size in range(1, max_a + 1):
+        for subset in itertools.combinations(range(graph.cols), size):
+            examined += 1
+            if examined > budget:
+                truncated = True
+                break
+            cfg = graph.induce(subset)
+            if not classify_unlabeled(cfg).supports(kind):
+                continue
+            try:
+                fam = oracle_in_family(cfg, kind, cap=oracle_cap)
+            except OracleTooLargeError:
+                skipped.append(subset)
+                continue
+            if fam.is_member:
+                found.append(Target(subset, kind, cfg.params(fam.smallest_b)))
+        if truncated:
+            break
+    return found, budget if truncated else examined, truncated, skipped
 
 
 def rows_with_weights(rows, changes) -> list[tuple[int, ...]]:

@@ -1,8 +1,10 @@
 import json
 import pathlib
+import random
 
 import pytest
 
+from conftest import random_code, reference_enumerate
 from wcmopt import fixtures as fx
 from wcmopt.cli import (
     EXIT_OK,
@@ -454,3 +456,48 @@ class TestCommands:
             if t.expected_params == (6, 0, 0, 9, 0)
         ]
         assert [t.vn_ids for t in full] == [tuple(range(6)), tuple(range(12, 18))]
+
+    def test_enumerate_ost_needs_an_even_column_weight(self, capsys):
+        argv = ["enumerate", fixture_path("toy_code.txt"), "--max-a", "3", "--kind", "ost"]
+        assert main(argv) == EXIT_INPUT
+        out = capsys.readouterr().out
+        assert out.startswith("[error]") and "gamma=3" in out
+        assert "[enumerate]" not in out
+
+    @pytest.mark.parametrize("gamma", [3, 4])
+    def test_enumerate_matches_reference_loop(self, tmp_path, capsys, gamma):
+        # targets and their order, warnings, subsets examined and truncation
+        # agree with combinations -> induce -> classify -> oracle
+        rng = random.Random(40 + gamma)
+        kinds = ("gast", "ost") if gamma % 2 == 0 else ("gast",)
+        hits = dict.fromkeys(kinds, 0)
+        for trial in range(3):
+            graph = random_code(rng, rng.randint(6, 9), 8, gamma)
+            code_path = tmp_path / f"code{trial}.txt"
+            code_path.write_text(serialize_code(graph))
+            out_path = tmp_path / "found.txt"
+            runs = (
+                (graph.cols + 1, {}),
+                (5, {"budget": 0}),
+                (6, {"budget": 2 ** graph.cols // 3}),
+                (4, {"oracle_cap": 26}),
+            )
+            for kind in kinds:
+                for max_a, limits in runs:
+                    found, examined, truncated, skipped = reference_enumerate(
+                        graph, max_a, kind, **limits
+                    )
+                    flags = [f"--{k.replace('_', '-')}={v}" for k, v in limits.items()]
+                    assert main([
+                        "enumerate", str(code_path), "--max-a", str(max_a), "--kind", kind,
+                        "--format", "json-lines", "--out", str(out_path), *flags,
+                    ]) == EXIT_OK
+                    blocks = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+                    assert out_path.read_text() == serialize_targets(found)
+                    assert [b["message"] for b in blocks[:-1]] == [
+                        f"oracle cap hit for subset {s}; skipped" for s in skipped
+                    ]
+                    assert blocks[-1]["subsets_examined"] == examined
+                    assert blocks[-1]["truncated"] == ("yes" if truncated else "no")
+                    hits[kind] += len(found) + len(skipped)
+        assert all(hits.values()), hits

@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from conftest import random_weights, reference_induce
+from conftest import random_code, random_weights, reference_induce
 from wcmopt import fixtures as fx
 from wcmopt.config import (
     CodeGraph,
@@ -276,13 +277,6 @@ def test_codegraph_induce_rejects_vn_ids_outside_the_code(bad):
         graph.induce([*target.vn_ids, bad])
 
 
-def random_code(rng: random.Random, rows: int, cols: int, gamma: int = 3) -> CodeGraph:
-    weights = {
-        (r, c): rng.randrange(1, 4) for c in range(cols) for r in rng.sample(range(rows), gamma)
-    }
-    return CodeGraph(rows, cols, gamma, gf4(), weights)
-
-
 def test_codegraph_induce_matches_reference_scan():
     rng = random.Random(31)
     for _ in range(20):
@@ -297,3 +291,17 @@ def test_codegraph_induce_matches_reference_scan():
                 ), (step, vns)
             changes = {e: rng.randrange(1, 4) for e in rng.sample(keys, rng.randint(1, 4))}
             graph = graph.apply_changes(changes)
+
+
+def test_walk_classes_match_induced_configurations():
+    # every subset of small random codes, sizes 0 .. cols + 1
+    rng = random.Random(7)
+    for gamma in (2, 3, 4):
+        for _ in range(6):
+            graph = random_code(rng, rng.randint(gamma, 9), rng.randint(1, 8), gamma)
+            for size in range(graph.cols + 2):
+                walked = list(graph.shapes(size))
+                subsets = list(itertools.combinations(range(graph.cols), size))
+                assert [s for s, _ in walked] == subsets
+                for subset, topo in walked:
+                    assert topo == classify_unlabeled(graph.induce(subset)), subset

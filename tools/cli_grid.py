@@ -12,12 +12,13 @@ Each command gets only the options it takes.  The grid: every
 ``fixtures/*.cfg`` under analyze and remove in each ``--mode``, and under
 verify, in each ``--format`` with four cap settings; optimize on both
 toy codes in both phases, formats and cap settings; enumerate on both toy
-codes for both kinds and formats, with and without ``--out``.  Commands run
-as ``python -m wcmopt`` subprocesses on the checkout's ``src``, from a
-scratch directory where ``fixtures`` links to the checkout's fixtures, so
-paths in the output are the same for every checkout.  It takes about
-50 s on two cores (one command runs per usable core), which is why no test
-runs it.
+codes for both kinds and formats, with and without ``--out``, and with
+budgets and an oracle cap that make its output depend on scan order.
+Commands run as ``python -m wcmopt`` subprocesses on the checkout's
+``src``, from a scratch directory where ``fixtures`` links to the
+checkout's fixtures, so paths in the output are the same for every
+checkout.  It takes about 50 s on two cores (one command runs per usable
+core), which is why no test runs it.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ from pathlib import Path
 MODES = ("gast", "ost", "eas", "bast")
 FORMATS = ("text", "json-lines")
 CAPS = ((), ("--oracle-cap", "10"), ("--oracle-cap", "728"), ("--support-cap", "0"))
+# Budgets that stop toy_code.txt's scan inside sizes 3 and 5, and an oracle
+# cap that skips every shape hit of size >= 3 with a warning each.
+ENUMERATE_LIMITS = (("--budget", "100"), ("--budget", "1500"), ("--oracle-cap", "10"))
 CODES = (
     ("fixtures/toy_code.txt", "fixtures/toy_targets.txt"),
     ("fixtures/toy_code_overlap.txt", "fixtures/toy_targets_overlap.txt"),
@@ -63,9 +67,9 @@ def grid(root: Path) -> list[list[str]]:
                     ])
         for kind in ("gast", "ost"):
             for fmt in FORMATS:
-                for out in ([], ["--out", "OUT"]):
+                for extra in ([], ["--out", "OUT"], *ENUMERATE_LIMITS):
                     commands.append([
-                        "enumerate", code, "--max-a", "6", "--kind", kind, "--format", fmt, *out,
+                        "enumerate", code, "--max-a", "6", "--kind", kind, "--format", fmt, *extra,
                     ])
     return commands
 
