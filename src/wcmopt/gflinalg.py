@@ -53,14 +53,6 @@ class GfMatrix:
                 raise DimensionMismatchError("ragged rows")
         return cls(len(tup), ncols, tup, field)
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int, field: FieldContext) -> "GfMatrix":
-        return cls(rows, cols, tuple((0,) * cols for _ in range(rows)), field)
-
-    @classmethod
-    def identity(cls, n: int, field: FieldContext) -> "GfMatrix":
-        return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), field)
-
     def keep_rows(self, indices: Sequence[int]) -> "GfMatrix":
         """Submatrix of the given rows, preserving column order."""
         kept = tuple(self.entries[i] for i in indices)
@@ -146,24 +138,24 @@ def null_space(m: GfMatrix) -> NullSpaceBasis:
 
 
 def reduce_with_transform(
-    m: GfMatrix,
+    m: GfMatrix, ncols: int
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], NullSpaceBasis]:
-    """One ``rref`` of [m | I]: m's pivot columns, the row transform T, and null(m).
+    """One ``rref`` of m = [a | columns], a its first ``ncols`` columns.
 
-    T is invertible and T m is the reduced row-echelon form of m, so m y = x
-    is solvable iff T x vanishes below the rank, and then y0 with
-    y0[pivots[i]] = (T x)[i] and zeros elsewhere is a solution.
+    Returns a's pivot columns, P x for each later column x, and null(a).
+    P is the invertible row transform of the elimination, so P a is the
+    reduced row-echelon form of a; columns pivot left to right, so the
+    later ones change none of a's pivots.  a y = x is solvable iff P x
+    vanishes below a's rank, and then y0 with y0[pivots[i]] = (P x)[i] and
+    zeros elsewhere is a solution.
     """
-    n, ncols = m.rows, m.cols
-    eye = (tuple(int(i == r) for i in range(n)) for r in range(n))
-    aug = tuple(row + e for row, e in zip(m.entries, eye))
-    rows = rref(GfMatrix(n, ncols + n, aug, m.field))[0].entries
-    # [m | I] has full row rank, so every row has a pivot; m's come first.
-    leads = (next(c for c, x in enumerate(row) if x) for row in rows)
-    pivots = tuple(c for c in leads if c < ncols)
+    reduced, rk = rref(m)
+    rows = reduced.entries
+    # A reduced row's first nonzero entry is its pivot, a 1.
+    pivots = tuple(c for c in (row.index(1) for row in rows[:rk]) if c < ncols)
     basis = _null_basis(rows, pivots, ncols)
-    transform = tuple(row[ncols:] for row in rows)
-    return pivots, transform, NullSpaceBasis(len(basis), basis, ncols, m.field)
+    columns = list(zip(*rows))[ncols:] or [()] * (m.cols - ncols)
+    return pivots, tuple(columns), NullSpaceBasis(len(basis), basis, ncols, m.field)
 
 
 def mat_vec(m: GfMatrix, v: Sequence[int]) -> tuple[int, ...]:
@@ -262,17 +254,3 @@ def has_full_support_vector(
         if hit is not None:
             return True, scan.unpack(hit)
     return False, None
-
-
-def in_span(vectors: Sequence[Sequence[int]], v: Sequence[int], field: FieldContext) -> bool:
-    """True iff ``v`` lies in the span of ``vectors``."""
-    if not vectors:
-        return all(x == 0 for x in v)
-    base = GfMatrix.from_rows(vectors, field)
-    stacked = GfMatrix.from_rows(list(vectors) + [list(v)], field)
-    return rank(base) == rank(stacked)
-
-
-def spans_equal(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], field: FieldContext) -> bool:
-    """Mutual-membership test: the two vector lists generate the same space."""
-    return all(in_span(b, v, field) for v in a) and all(in_span(a, v, field) for v in b)

@@ -107,43 +107,33 @@ def _vn_components(c: Configuration, kept_rows: Sequence[int]) -> list[list[int]
     return [sorted(g) for g in sorted(groups.values())]
 
 
-def _first_unbroken(
-    rows: Sequence[tuple[int, ...]],
-    groups: Sequence[Sequence[int]],
-    field: FieldContext,
-    support_cap: int,
-) -> int | None:
-    """Position of the first consistency matrix with unbroken conditions.
-
-    ``rows`` is an adjacency matrix as row tuples and each group lists the
-    rows one matrix drops from it.  Matrices are tried in group order and
-    the scan stops at the first whose null space has a full-support vector,
-    so a support-cap overrun raises only on a matrix it reaches.  None
-    means every matrix is broken: the object is out of its family.
-    """
-    ncols = len(rows[0])
-    for i, group in enumerate(groups):
-        kept = tuple(row for r, row in enumerate(rows) if r not in group)
-        found, _ = has_full_support_vector(
-            null_space(GfMatrix(len(kept), ncols, kept, field)), support_cap
-        )
-        if found:
-            return i
-    return None
+_Reduced = tuple[int, dict[int, list[int]], dict[int, list[int]], list[list[int]]]
 
 
 class _ColumnMembership:
-    """``_first_unbroken`` for candidates that change only column ``vn``.
+    """The one membership test: the first matrix with unbroken conditions.
+
+    ``rows`` is an adjacency matrix as row tuples and each group lists the
+    rows one matrix drops from it.  ``first_unbroken(deltas)`` judges the
+    rows with ``deltas[cn]`` added to column vn at row cn, for rows in
+    ``changeable``.  Matrices are tried in group order up to the first
+    unbroken one, so a support-cap overrun raises only on a matrix the scan
+    reaches.  None means every matrix is broken.
 
     Each matrix is [B | x] up to column order, B the kept rows without
     column vn and x that column.  A full-support null vector has a nonzero
     entry at vn; scaled to 1 it is y with B y = x and y of full support.
-    So one ``reduce_with_transform`` of B per matrix serves every x: T x
-    nonzero below the rank means x is outside B's column space and the
-    matrix is broken; otherwise y0 is read off T x and the matrix is
-    unbroken iff some y0 + n, n in null(B), has full support.  T x is a
+    When the scan first reaches a matrix, one ``reduce_with_transform``
+    turns the kept rows of [B | x | e_r for r in changeable] into
+    P [B | x | e_r].  P x nonzero below the rank means x is outside B's
+    column space and the matrix is broken; otherwise y0 is read off P x
+    and the matrix is unbroken iff some y0 + n, n in null(B), has full
+    support.  A delta moves P x by delta P e_r.  This is exact: with T the
+    transform of the reduction of [B | I], P B = T B is B's reduced form,
+    so P = S T with S = [[I, *], [0, invertible]]; P x vanishes below the
+    rank exactly when T x does, and then the upper parts agree.  P x is a
     packed int: y0 in the slots of B's columns, the rows below the rank
-    above them.  Matrices are reduced when the scan first reaches them.
+    above them.
     """
 
     def __init__(
@@ -153,43 +143,52 @@ class _ColumnMembership:
         groups: Sequence[Sequence[int]],
         field: FieldContext,
         support_cap: int,
+        changeable: frozenset[int],
     ):
         self.rows, self.vn, self.groups, self.support_cap = rows, vn, groups, support_cap
+        self.changeable = changeable
         self.scan = SupportScan(field, len(rows[0]) - 1)
-        self.reduced: list[tuple[int, dict[int, list[int]], list[list[int]]] | None]
-        self.reduced = [None] * len(groups)
+        self.reduced: list[_Reduced | None] = [None] * len(groups)
 
-    def _reduce(self, group: Sequence[int]) -> tuple[int, dict[int, list[int]], list[list[int]]]:
-        """Packed T x; per kept row meeting vn, c times its column of T for every c; null(B)."""
-        v, scan = self.vn, self.scan
-        kept = [r for r in range(len(self.rows)) if r not in group]
-        b = tuple(self.rows[r][:v] + self.rows[r][v + 1 :] for r in kept)
-        pivots, transform, ns = reduce_with_transform(GfMatrix(len(kept), scan.length, b, scan.field))
+    def _reduce(self, group: Sequence[int]) -> _Reduced:
+        """Packed P x; P e_r per kept changeable row r; their multiples, once used; null(B)'s."""
+        v, scan, rows = self.vn, self.scan, self.rows
+        kept = [r for r in range(len(rows)) if r not in group]
+        units = [r for r in kept if r in self.changeable]
+        zeros = (0,) * len(units)
+        eye = {u: zeros[:i] + (1,) + zeros[i + 1 :] for i, u in enumerate(units)}
+        aug = tuple(rows[r][:v] + rows[r][v + 1 :] + (rows[r][v],) + eye.get(r, zeros) for r in kept)
+        pivots, (px, *pe), ns = reduce_with_transform(
+            GfMatrix(len(kept), scan.length + 1 + len(units), aug, scan.field), scan.length
+        )
         size = scan.length + len(kept) - len(pivots)
         slots = list(pivots) + list(range(scan.length, size))
-        terms = {}
-        for j, r in enumerate(kept):
-            if self.rows[r][v]:
-                column = [0] * size
-                for i, slot in enumerate(slots):
-                    column[slot] = transform[i][j]
-                terms[r] = scan.multiples(column)
-        tx = reduce(xor, (terms[r][self.rows[r][v]] for r in terms), 0)
-        return tx, terms, [scan.multiples(vec) for vec in ns.basis_vectors]
+        tx = sum(value << scan.width * slot for slot, value in zip(slots, px) if value)
+        columns = {}
+        for u, column in zip(units, pe):
+            columns[u] = vec = [0] * size
+            for slot, value in zip(slots, column):
+                vec[slot] = value
+        return tx, columns, {}, [scan.multiples(vec) for vec in ns.basis_vectors]
 
     def first_unbroken(self, deltas: Mapping[int, int]) -> int | None:
-        """``_first_unbroken`` with ``deltas[cn]`` added to column vn at row cn."""
-        shift = self.scan.width * self.scan.length
+        """Position of the first unbroken matrix with ``deltas[cn]`` added at row cn."""
+        if not self.changeable.issuperset(deltas):
+            raise ValueError(f"rows {sorted(set(deltas) - self.changeable)} are not changeable")
+        scan = self.scan
+        shift = scan.width * scan.length
         for i, group in enumerate(self.groups):
             if self.reduced[i] is None:
                 self.reduced[i] = self._reduce(group)
-            tx, terms, null_multiples = self.reduced[i]
+            tx, columns, terms, null_multiples = self.reduced[i]
             for cn, delta in deltas.items():
-                if cn in terms:
+                if cn in columns:
+                    if cn not in terms:
+                        terms[cn] = scan.multiples(columns[cn])
                     tx ^= terms[cn][delta]
             solvable = not tx >> shift
             check_search_size(len(null_multiples) + solvable, self.support_cap)
-            if solvable and self.scan.first(tx, null_multiples) is not None:
+            if solvable and scan.first(tx, null_multiples) is not None:
                 return i
         return None
 
@@ -204,14 +203,16 @@ def evaluate_weight_conditions(
     kept CNs) is computed alongside: the null-space dimension always equals
     the sum of per-component dimensions, and for an unbroken matrix every
     component contributes at least 1.  This is the full diagnostic behind
-    ``analyze`` and ``verify``; yes/no membership goes through
-    ``_first_unbroken``, which stops at the first unbroken matrix.  The
-    matrices are ``w``'s removal groups taken from ``c``'s own weights.
+    ``analyze``, which prints the witnesses and bases, and ``verify``;
+    yes/no membership goes through ``is_in_Z``, which stops at the first
+    unbroken matrix.  The matrices are ``w``'s removal groups taken from
+    ``c``'s own weights.
     """
     a = c.adjacency()
     records = []
     for rec in w.wcms:
-        kept = [r for r in range(c.num_cns) if r not in set(rec.removed_rows)]
+        removed = set(rec.removed_rows)
+        kept = [r for r in range(c.num_cns) if r not in removed]
         ns = null_space(a.keep_rows(kept))
         found, witness = has_full_support_vector(ns, support_cap)
         comps = _vn_components(c, kept)
@@ -246,10 +247,17 @@ def is_in_Z(
 ) -> bool:
     """Family membership: true iff some matrix has unbroken conditions.
 
-    The matrices are ``w``'s removal groups taken from ``c``'s own weights.
+    The matrices are ``w``'s removal groups taken from ``c``'s own weights,
+    tried in order up to the first unbroken one, so a support-cap overrun
+    raises only on a matrix the test reaches.  It is ``_ColumnMembership``
+    with no changeable rows; with the last column as x, [B | x] is the
+    adjacency rows as they stand.
     """
     groups = [rec.removed_rows for rec in w.wcms]
-    return _first_unbroken(c.adjacency().entries, groups, c.field, support_cap) is not None
+    column = _ColumnMembership(
+        c.adjacency().entries, c.num_vns - 1, groups, c.field, support_cap, frozenset()
+    )
+    return column.first_unbroken({}) is not None
 
 
 def compute_b_for_values(
@@ -451,7 +459,16 @@ def remove_object(
     kind = w.kind
     rows = c.adjacency().entries
     groups = [rec.removed_rows for rec in w.wcms]
-    if _first_unbroken(rows, groups, c.field, support_cap) is None:
+
+    def column(vn: int) -> _ColumnMembership:
+        changeable = frozenset(cn for cn, _ in c.vn_neighbors[vn] if cn in c.deg2_cns)
+        return _ColumnMembership(rows, vn, groups, c.field, support_cap, changeable)
+
+    # The entry check runs on the first VN the candidates re-weight, so the
+    # candidate loop reuses the matrices it reduced.
+    first_vn = c.vn_deg1_counts.index(max(c.vn_deg1_counts))
+    columns = {first_vn: column(first_vn)}
+    if columns[first_vn].first_unbroken({}) is None:
         return RemovalPlan(object_id, kind, "not_in_z", 0, _e_bound(c, kind), True, None, ())
     e_min, e_bound, exact = compute_e_min(c, kind, oracle_cap)
     tried = 0
@@ -465,10 +482,9 @@ def remove_object(
             object_id, kind, "unremovable", e_min, e_bound, exact, None, (), tried,
             prot_checks, prot_rejections,
         )
-    columns: dict[int, _ColumnMembership] = {}
     for vn, edge_set in candidates:
         if vn not in columns:
-            columns[vn] = _ColumnMembership(rows, vn, groups, c.field, support_cap)
+            columns[vn] = column(vn)
         old = {edge: c.weight_of(*edge) for edge in edge_set}
         options = [
             [wt for wt in range(1, c.field.q) if wt != old[edge]]

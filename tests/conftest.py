@@ -15,7 +15,16 @@ from wcmopt.config import (
     cn_flippable_partners,
 )
 from wcmopt.gf import FieldContext, gf4
-from wcmopt.gflinalg import DEFAULT_SUPPORT_CAP, GfMatrix, NullSpaceBasis, SearchTooLargeError, mat_vec
+from wcmopt.gflinalg import (
+    DEFAULT_SUPPORT_CAP,
+    GfMatrix,
+    NullSpaceBasis,
+    SearchTooLargeError,
+    has_full_support_vector,
+    mat_vec,
+    null_space,
+    rank,
+)
 from wcmopt.removal import (
     DEFAULT_ORACLE_CAP,
     EXTRA_CHANGES,
@@ -25,12 +34,52 @@ from wcmopt.removal import (
     RemovalPlan,
     Target,
     _e_bound,
-    _first_unbroken,
     compute_e_min,
     oracle_in_family,
     select_candidate_edges,
 )
 from wcmopt.wcmtree import TreeError
+
+
+def identity_matrix(n: int, field: FieldContext) -> GfMatrix:
+    return GfMatrix(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), field)
+
+
+def zero_matrix(rows: int, cols: int, field: FieldContext) -> GfMatrix:
+    return GfMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)), field)
+
+
+def in_span(vectors, v, field: FieldContext) -> bool:
+    """True iff ``v`` lies in the span of ``vectors``."""
+    if not vectors:
+        return all(x == 0 for x in v)
+    base = GfMatrix.from_rows(vectors, field)
+    stacked = GfMatrix.from_rows(list(vectors) + [list(v)], field)
+    return rank(base) == rank(stacked)
+
+
+def spans_equal(a, b, field: FieldContext) -> bool:
+    """Mutual-membership test: the two vector lists generate the same space."""
+    return all(in_span(b, v, field) for v in a) and all(in_span(a, v, field) for v in b)
+
+
+def reference_first_unbroken(rows, groups, field: FieldContext, support_cap: int) -> int | None:
+    """Slow reference for ``_ColumnMembership.first_unbroken``: whole-matrix scans.
+
+    Each group lists the rows one matrix drops from ``rows``; each matrix
+    gets a ``null_space`` and a ``has_full_support_vector`` in group order,
+    up to the first with a full-support null vector.  None means every
+    matrix is broken.
+    """
+    ncols = len(rows[0])
+    for i, group in enumerate(groups):
+        kept = tuple(row for r, row in enumerate(rows) if r not in group)
+        found, _ = has_full_support_vector(
+            null_space(GfMatrix(len(kept), ncols, kept, field)), support_cap
+        )
+        if found:
+            return i
+    return None
 
 
 def reference_full_support(ns: NullSpaceBasis) -> tuple[bool, tuple[int, ...] | None]:
@@ -214,7 +263,7 @@ def rows_with_weights(rows, changes) -> list[tuple[int, ...]]:
 
 def reference_remove_object(c: Configuration, w, protected_ok=None, *,
                             support_cap=DEFAULT_SUPPORT_CAP, oracle_cap=10_000_000):
-    """Slow reference for ``remove_object``: a whole ``_first_unbroken`` per candidate.
+    """Slow reference for ``remove_object``: a whole ``reference_first_unbroken`` per candidate.
 
     Every candidate writes its weights into the adjacency rows and scans
     every matrix from scratch; order, counters and plan are the fast path's.
@@ -222,7 +271,7 @@ def reference_remove_object(c: Configuration, w, protected_ok=None, *,
     kind = w.kind
     rows = c.adjacency().entries
     groups = [rec.removed_rows for rec in w.wcms]
-    if _first_unbroken(rows, groups, c.field, support_cap) is None:
+    if reference_first_unbroken(rows, groups, c.field, support_cap) is None:
         return RemovalPlan("", kind, "not_in_z", 0, _e_bound(c, kind), True, None, ())
     e_min, e_bound, exact = compute_e_min(c, kind, oracle_cap)
     tried = checks = rejections = 0
@@ -237,7 +286,7 @@ def reference_remove_object(c: Configuration, w, protected_ok=None, *,
         for combo in itertools.product(*options):
             tried += 1
             changes = dict(zip(edge_set, combo))
-            if _first_unbroken(rows_with_weights(rows, changes), groups, c.field, support_cap) is not None:
+            if reference_first_unbroken(rows_with_weights(rows, changes), groups, c.field, support_cap) is not None:
                 continue
             if protected_ok is not None:
                 checks += 1

@@ -8,17 +8,11 @@ import pathlib
 import random
 import time
 
-from conftest import random_weights, satisfied_labeling
+from conftest import in_span, random_weights, satisfied_labeling, spans_equal
 from wcmopt import fixtures as fx
 from wcmopt.cli import main, parse_code, parse_targets
 from wcmopt.gf import gf4, gf8
-from wcmopt.gflinalg import (
-    GfMatrix,
-    in_span,
-    null_space,
-    rank,
-    spans_equal,
-)
+from wcmopt.gflinalg import GfMatrix, null_space, rank
 from wcmopt.removal import (
     compute_e_min,
     evaluate_weight_conditions,

@@ -4,7 +4,16 @@ from operator import xor
 
 import pytest
 
-from conftest import gf16, naive_full_support, reference_full_support, span_size_rank
+from conftest import (
+    gf16,
+    identity_matrix,
+    in_span,
+    naive_full_support,
+    reference_full_support,
+    span_size_rank,
+    spans_equal,
+    zero_matrix,
+)
 from wcmopt import fixtures as fx
 from wcmopt.gf import gf4, gf8
 from wcmopt.gflinalg import (
@@ -14,13 +23,11 @@ from wcmopt.gflinalg import (
     SearchTooLargeError,
     SupportScan,
     has_full_support_vector,
-    in_span,
     mat_vec,
     null_space,
     rank,
     reduce_with_transform,
     rref,
-    spans_equal,
 )
 
 A, A2 = 2, 3
@@ -28,10 +35,10 @@ A, A2 = 2, 3
 
 def test_rref_identity_and_zero():
     f = gf4()
-    eye = GfMatrix.identity(3, f)
+    eye = identity_matrix(3, f)
     reduced, rk = rref(eye)
     assert rk == 3 and reduced.entries == eye.entries
-    zero = GfMatrix.zeros(3, 4, f)
+    zero = zero_matrix(3, 4, f)
     assert rref(zero)[1] == 0
 
 
@@ -57,7 +64,7 @@ def test_rref_idempotent_random():
 
 
 def test_null_space_identity_empty():
-    ns = null_space(GfMatrix.identity(4, gf4()))
+    ns = null_space(identity_matrix(4, gf4()))
     assert ns.dimension == 0 and ns.basis_vectors == ()
 
 
@@ -204,17 +211,49 @@ def test_support_scan_multiples_match_field_products(field):
             ]
 
 
+def random_matrices(rng, count):
+    """Random GF(4)/GF(8)/GF(16) matrices: zero-row, wide and tall, many rank-deficient."""
+    for _ in range(count):
+        field = rng.choice([gf4(), gf8(), gf16()])
+        cols = rng.randrange(1, 7)
+        rows = [[rng.choice([0, rng.randrange(field.q)]) for _ in range(cols)]
+                for _ in range(rng.randrange(0, cols + 3))]
+        if len(rows) > 1 and rng.random() < 0.5:  # one row a multiple of another
+            c = rng.randrange(1, field.q)
+            rows[-1] = [field.mul(c, x) for x in rng.choice(rows[:-1])]
+        yield GfMatrix(len(rows), cols, tuple(map(tuple, rows)), field)
+
+
 def test_reduce_with_transform():
+    # [m | x | e_u for u in units]: m y = x + d e_u is solvable iff the
+    # reduced x + d e_u vanishes below the rank, and y0 read off it solves it
     rng = random.Random(23)
-    for m, ns in random_null_spaces(rng, 100):
-        pivots, transform, basis = reduce_with_transform(m)
-        reduced, rk = rref(m)
-        t = GfMatrix(m.rows, m.rows, transform, m.field)
-        assert rank(t) == m.rows and len(pivots) == rk
-        for col in range(m.cols):
-            column = [row[col] for row in m.entries]
-            assert mat_vec(t, column) == tuple(row[col] for row in reduced.entries)
-        assert basis == ns
+    solvable = set()
+    for m in random_matrices(rng, 300):
+        f = m.field
+        x = [rng.choice([0, rng.randrange(f.q)]) for _ in range(m.rows)]
+        units = sorted(rng.sample(range(m.rows), rng.randrange(m.rows + 1)))
+        aug = tuple(row + (v,) + tuple(int(r == u) for u in units) for r, (row, v) in enumerate(zip(m.entries, x)))
+        pivots, reduced, basis = reduce_with_transform(GfMatrix(m.rows, m.cols + 1 + len(units), aug, f), m.cols)
+        rk = rank(m)
+        assert len(pivots) == rk and len(reduced) == 1 + len(units)
+        assert basis == null_space(m)
+        for _ in range(4):
+            deltas = {u: rng.randrange(f.q) for u in units}
+            rhs = [v ^ deltas.get(r, 0) for r, v in enumerate(x)]
+            px = list(reduced[0])
+            for u, column in zip(units, reduced[1:]):
+                px = [v ^ f.mul(deltas[u], t) for v, t in zip(px, column)]
+            augmented = GfMatrix(m.rows, m.cols + 1, tuple(row + (v,) for row, v in zip(m.entries, rhs)), f)
+            ok = not any(px[rk:])
+            assert ok == (rank(augmented) == rk)
+            solvable.add(ok)
+            if ok:
+                y0 = [0] * m.cols
+                for i, pc in enumerate(pivots):
+                    y0[pc] = px[i]
+                assert mat_vec(m, y0) == tuple(rhs)
+    assert solvable == {True, False}
 
 
 def test_mat_vec_examples():

@@ -9,18 +9,20 @@ from conftest import (
     gf16,
     random_reweighting,
     random_weights,
+    reference_first_unbroken,
     reference_oracle_in_family,
     reference_oracle_is_gas,
     reference_remove_object,
     rows_with_weights,
     satisfied_labeling,
+    spans_equal,
     sub_configuration,
 )
 from wcmopt import fixtures as fx, removal
 from wcmopt.cli import parse_code, parse_config, parse_targets
 from wcmopt.config import CodeGraph, classify_unlabeled
 from wcmopt.gf import gf4, gf8
-from wcmopt.gflinalg import DEFAULT_SUPPORT_CAP, SearchTooLargeError, spans_equal
+from wcmopt.gflinalg import DEFAULT_SUPPORT_CAP, SearchTooLargeError
 from wcmopt.removal import (
     InvalidValuesError,
     NoCandidateError,
@@ -36,7 +38,6 @@ from wcmopt.removal import (
     remove_object,
     select_candidate_edges,
     _ColumnMembership,
-    _first_unbroken,
 )
 from wcmopt.wcmtree import build_tree, extract_wcms
 
@@ -475,8 +476,9 @@ class TestRandomizedAgreement:
 class TestMembershipKernel:
     @pytest.mark.parametrize("field", [gf4(), gf8(), gf16()], ids=["gf4", "gf8", "gf16"])
     def test_kernel_matches_full_report(self, field):
-        # the short-circuiting kernel must name the same first unbroken
-        # matrix as the full diagnostic, on every shipped shape
+        # the short-circuiting kernel and its whole-matrix reference must
+        # name the same first unbroken matrix as the full diagnostic, on
+        # every shipped shape
         rng = random.Random(field.q)
         verdicts = []
         for name in fx.all_fixture_configurations():
@@ -489,14 +491,88 @@ class TestMembershipKernel:
                 changes = random_reweighting(cfg, rng)
                 candidate = cfg.with_weights(changes)
                 report = evaluate_weight_conditions(candidate, wcms)
-                first = _first_unbroken(
-                    rows_with_weights(cfg.adjacency().entries, changes), groups, field, DEFAULT_SUPPORT_CAP
+                rows = rows_with_weights(cfg.adjacency().entries, changes)
+                first = reference_first_unbroken(rows, groups, field, DEFAULT_SUPPORT_CAP)
+                one_shot = _ColumnMembership(
+                    rows, cfg.num_vns - 1, groups, field, DEFAULT_SUPPORT_CAP, frozenset()
                 )
+                assert one_shot.first_unbroken({}) == first
                 assert (first is None) == report.all_broken
                 if first is not None:
                     assert first + 1 == report.unbroken_indices()[0]
                 verdicts.append(first is None)
         assert any(verdicts) and not all(verdicts)
+
+    @pytest.mark.parametrize("field", [gf4(), gf8(), gf16()], ids=["gf4", "gf8", "gf16"])
+    def test_one_shot_matches_reference_on_every_column(self, field):
+        # every column as x, with no changeable rows and with the column's
+        # degree-2 rows, at support caps from 0 up; once no scan overruns
+        # a cap, larger caps give the same results, so the sweep stops
+        # there.  The post-plan configurations break every matrix, so the
+        # scan reaches them all
+        rng = random.Random(field.q + 6)
+        verdicts = set()
+        for name, cfg, wcms in labeled_members(field, rng, 1):
+            groups = [rec.removed_rows for rec in wcms.wcms]
+            cases = [(cfg, groups)]
+            plan = remove_object(cfg, wcms, oracle_cap=0)
+            if plan.result == "removed":
+                after = cfg.with_weights({(cn, vn): new for cn, vn, _, new in plan.changes})
+                cases.append((after, groups))
+            for case, case_groups in cases:
+                rows = case.adjacency().entries
+                for cap in range(case.num_vns + 1):
+                    ref = membership_outcome(lambda: reference_first_unbroken(rows, case_groups, field, cap))
+                    overrun = isinstance(ref, str)
+                    for vn in range(case.num_vns):
+                        deg2 = frozenset(cn for cn, _ in case.vn_neighbors[vn] if cn in case.deg2_cns)
+                        for changeable in (frozenset(), deg2):
+                            column = _ColumnMembership(rows, vn, case_groups, field, cap, changeable)
+                            fast = membership_outcome(lambda: column.first_unbroken({}))
+                            assert fast == ref, (name, vn, cap)
+                            verdicts.add(type(fast))
+                            if isinstance(fast, str):
+                                # the overrun comes from the matrix the reference stops at
+                                at = sum(r is not None for r in column.reduced) - 1
+                                assert reference_first_unbroken(rows, case_groups[:at], field, cap) is None
+                                assert membership_outcome(
+                                    lambda: reference_first_unbroken(rows, case_groups[at:at + 1], field, cap)
+                                ) == fast
+                    if not overrun:
+                        break
+        assert verdicts == {int, type(None), str}
+
+    @pytest.mark.parametrize("field", [gf4(), gf8(), gf16()], ids=["gf4", "gf8", "gf16"])
+    def test_group_dropping_every_row(self, field):
+        # B has no rows: x is in its column space and every vector is a
+        # null vector, so the matrix is unbroken once the cap allows a
+        # scan of all a columns (a kept small: the scan walks q^(a-2) vectors)
+        cfg = sub_configuration(satisfied_labeling(fx.gast_6_0_0_9_0(field=field), random.Random(7)), (0, 1, 2))
+        rows, groups = cfg.adjacency().entries, [tuple(range(cfg.num_cns))]
+        for cap in range(cfg.num_vns + 1):
+            ref = membership_outcome(lambda: reference_first_unbroken(rows, groups, field, cap))
+            assert ref == (0 if cap == cfg.num_vns else f"null-space dimension 3 exceeds support search cap {cap}")
+            for vn in range(cfg.num_vns):
+                for changeable in (frozenset(), frozenset(range(cfg.num_cns))):
+                    column = _ColumnMembership(rows, vn, groups, field, cap, changeable)
+                    assert membership_outcome(lambda: column.first_unbroken({})) == ref
+                    assert membership_outcome(lambda: column.first_unbroken(dict.fromkeys(changeable, 1))) == ref
+
+    def test_delta_outside_changeable_raises(self):
+        cfg = fx.gast_6_0_0_9_0()
+        groups = [rec.removed_rows for rec in pipeline(cfg).wcms]
+        deg2 = sorted(cn for cn, _ in cfg.vn_neighbors[0] if cn in cfg.deg2_cns)
+        far = next(cn for cn, row in enumerate(cfg.adjacency().entries) if row[0] == 0)
+        column = _ColumnMembership(
+            cfg.adjacency().entries, 0, groups, cfg.field, DEFAULT_SUPPORT_CAP, frozenset(deg2[:1])
+        )
+        assert column.first_unbroken({deg2[0]: 1}) == reference_first_unbroken(
+            rows_with_weights(cfg.adjacency().entries, {(deg2[0], 0): cfg.weight_of(deg2[0], 0) ^ 1}),
+            groups, cfg.field, DEFAULT_SUPPORT_CAP,
+        )
+        for row in (deg2[1], far):
+            with pytest.raises(ValueError, match=rf"rows \[{row}\] are not changeable"):
+                column.first_unbroken({deg2[0]: 1, row: 1})
 
 
 def labeled_members(field, rng, count):
@@ -580,14 +656,15 @@ class TestColumnUpdate:
             for cap in (0, 1, 2, DEFAULT_SUPPORT_CAP):
                 columns = {}
                 for vn, edge_set in candidates[:30]:
-                    column = columns.setdefault(vn, _ColumnMembership(rows, vn, groups, field, cap))
+                    deg2 = frozenset(cn for cn, _ in cfg.vn_neighbors[vn] if cn in cfg.deg2_cns)
+                    column = columns.setdefault(vn, _ColumnMembership(rows, vn, groups, field, cap, deg2))
                     for _ in range(2):
                         changes = {e: rng.choice([w for w in range(1, field.q) if w != cfg.weight_of(*e)])
                                    for e in edge_set}
                         deltas = {cn: cfg.weight_of(cn, v) ^ wt for (cn, v), wt in changes.items()}
                         fast = membership_outcome(lambda: column.first_unbroken(deltas))
                         ref = membership_outcome(
-                            lambda: _first_unbroken(rows_with_weights(rows, changes), groups, field, cap)
+                            lambda: reference_first_unbroken(rows_with_weights(rows, changes), groups, field, cap)
                         )
                         assert fast == ref, (name, cap, changes)
                         verdicts.add(type(fast))
