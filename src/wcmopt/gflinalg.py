@@ -2,8 +2,9 @@
 
 Everything here is exact integer arithmetic through a FieldContext; the
 matrices in play are configuration adjacency matrices and their row
-submatrices, a few dozen entries at most, so dense tuples are the right
-representation and no external library is used.
+submatrices, a few dozen entries at most.  Matrices are dense tuples of
+rows; elimination runs on rows packed into ints, one ``SupportScan``
+vector each, and no external library is used.
 """
 
 from __future__ import annotations
@@ -58,10 +59,6 @@ class GfMatrix:
         kept = tuple(self.entries[i] for i in indices)
         return GfMatrix(len(kept), self.cols, kept, self.field)
 
-    def drop_rows(self, indices: Iterable[int]) -> "GfMatrix":
-        drop = set(indices)
-        return self.keep_rows([i for i in range(self.rows) if i not in drop])
-
     def __str__(self) -> str:
         return "\n".join(" ".join(str(v) for v in row) for row in self.entries)
 
@@ -76,86 +73,136 @@ class NullSpaceBasis:
     field: FieldContext
 
 
+class SupportScan:
+    """Packed vectors over GF(q)^length and full-support search over cosets ``offset + span(basis)``.
+
+    A vector is one int with lam + 1 bits per coordinate, the top bit a
+    guard kept at 0, so a vector sum is one XOR, a coordinate is one shift
+    and mask, and adding 2^lam - 1 to every coordinate carries exactly the
+    nonzero ones into their guards.  The elimination kernel's rows are such
+    vectors too.
+    """
+
+    def __init__(self, field: FieldContext, length: int):
+        self.field = field
+        self.length = length
+        self.width = field.lam + 1
+        ones = sum(1 << self.width * i for i in range(length))
+        self.carry = ones * (field.q - 1)
+        self.guards = ones << field.lam
+
+    def pack(self, vec: Iterable[int]) -> int:
+        return sum(x << self.width * i for i, x in enumerate(vec))
+
+    def unpack(self, packed: int) -> tuple[int, ...]:
+        mask = self.field.q - 1
+        return tuple(packed >> self.width * i & mask for i in range(self.length))
+
+    def column(self, rows: Sequence[int], col: int, slots: Iterable[int]) -> int:
+        """Coordinate ``col`` of each packed row, row i's put in slot ``slots[i]``."""
+        shift, width, mask = self.width * col, self.width, self.field.q - 1
+        return sum((row >> shift & mask) << width * slot for row, slot in zip(rows, slots))
+
+    def multiples(self, packed: int) -> list[int]:
+        """c packed, for c = 0 .. q - 1.
+
+        Doubling shifts every coordinate up one bit; a coordinate that
+        reaches its guard is reduced by the field polynomial, which clears
+        the guard.  The multiples below 2^(k+1) are those below 2^k and
+        each of them plus 2^k packed.
+        """
+        lam, poly, guards = self.field.lam, self.field.primitive_poly, self.guards
+        out = [0, packed]
+        for _ in range(1, lam):
+            packed <<= 1
+            packed ^= ((packed & guards) >> lam) * poly
+            out += [v ^ packed for v in out]
+        return out
+
+    def first(self, offset: int, multiples: Sequence[Sequence[int]]) -> int | None:
+        """First full-support vector offset + sum c_i b_i, with the c_i in product order.
+
+        ``multiples[i]`` is ``self.multiples(b_i)``; c_0 varies slowest.
+        """
+        carry, guards = self.carry, self.guards
+        for terms in itertools.product(*multiples):
+            v = reduce(xor, terms, offset)
+            if (v + carry) & guards == guards:
+                return v
+        return None
+
+
+def eliminate(rows: list[int], ncols: int, scan: SupportScan) -> list[int]:
+    """Gauss-Jordan elimination of packed rows, in place, pivoting in the first ``ncols`` columns.
+
+    Later columns ride along and never pivot; ``scan`` spans every column.
+    Pivots are normalized to 1 and cleared above and below, so the first
+    ``ncols`` columns end in their canonical reduced row-echelon form.
+    Returns the pivot columns, row i's pivot first; the rows past them
+    are zero in the first ``ncols`` columns.
+    """
+    width, mask, f = scan.width, scan.field.q - 1, scan.field
+    pivots: list[int] = []
+    for col in range(ncols):
+        rk = len(pivots)
+        shift = width * col
+        for sel in range(rk, len(rows)):
+            if rows[sel] >> shift & mask:
+                break
+        else:
+            continue
+        row = rows[sel]
+        rows[sel] = rows[rk]
+        times = scan.multiples(row)
+        # factor c of a row clears with (c / pivot) times the pivot row, the
+        # pivot row itself included; it then becomes its normalized copy
+        scale = f.mul_row(f.inv(row >> shift & mask))
+        rows[rk] = row
+        rows[:] = [v ^ times[scale[v >> shift & mask]] for v in rows]
+        rows[rk] = times[scale[1]]
+        pivots.append(col)
+    return pivots
+
+
+def null_basis(rows: Sequence[int], pivots: Sequence[int], ncols: int, scan: SupportScan) -> list[int]:
+    """Packed null-space basis of the first ``ncols`` columns of rows ``eliminate`` reduced.
+
+    One vector per free column, 1 there.  Characteristic 2: the pivot value
+    solving a row's equation is the row's free-column entry itself
+    (negation is the identity).
+    """
+    return [
+        scan.column(rows, free, pivots) | 1 << scan.width * free
+        for free in range(ncols)
+        if free not in pivots
+    ]
+
+
+def _reduced(m: GfMatrix) -> tuple[SupportScan, list[int], list[int]]:
+    scan = SupportScan(m.field, m.cols)
+    rows = [scan.pack(row) for row in m.entries]
+    return scan, rows, eliminate(rows, m.cols, scan)
+
+
 def rref(m: GfMatrix) -> tuple[GfMatrix, int]:
     """Reduced row-echelon form and rank over GF(q).
 
     Pivots are normalized to 1 and eliminated above and below, so the result
     is canonical and idempotent.
     """
-    f = m.field
-    work = [list(row) for row in m.entries]
-    nrows, ncols = m.rows, m.cols
-    pivot_row = 0
-    for col in range(ncols):
-        if pivot_row >= nrows:
-            break
-        sel = next((r for r in range(pivot_row, nrows) if work[r][col] != 0), None)
-        if sel is None:
-            continue
-        work[pivot_row], work[sel] = work[sel], work[pivot_row]
-        pivot = work[pivot_row][col]
-        if pivot != 1:
-            scale = f.mul_row(f.inv(pivot))
-            work[pivot_row] = [scale[v] for v in work[pivot_row]]
-        prow = work[pivot_row]
-        for r in range(nrows):
-            factor = work[r][col]
-            if r != pivot_row and factor != 0:
-                times = f.mul_row(factor)
-                work[r] = [v ^ times[pv] for v, pv in zip(work[r], prow)]
-        pivot_row += 1
-    reduced = GfMatrix(nrows, ncols, tuple(tuple(row) for row in work), f)
-    return reduced, pivot_row
+    scan, rows, pivots = _reduced(m)
+    return GfMatrix(m.rows, m.cols, tuple(map(scan.unpack, rows)), m.field), len(pivots)
 
 
 def rank(m: GfMatrix) -> int:
-    return rref(m)[1]
-
-
-def _null_basis(
-    reduced_rows: Sequence[Sequence[int]], pivot_cols: Sequence[int], ncols: int
-) -> tuple[tuple[int, ...], ...]:
-    """Null-space basis from the nonzero rows of a reduced row-echelon form."""
-    basis = []
-    for free in (c for c in range(ncols) if c not in pivot_cols):
-        vec = [0] * ncols
-        vec[free] = 1
-        # Characteristic 2: the pivot value solving the row equation is the
-        # free-column entry itself (negation is the identity).
-        for r, pc in enumerate(pivot_cols):
-            vec[pc] = reduced_rows[r][free]
-        basis.append(tuple(vec))
-    return tuple(basis)
+    return len(_reduced(m)[2])
 
 
 def null_space(m: GfMatrix) -> NullSpaceBasis:
     """Basis of {v : m v = 0}; dimension = cols - rank (rank-nullity)."""
-    reduced, rk = rref(m)
-    rows = reduced.entries[:rk]
-    pivot_cols = [next(c for c in range(m.cols) if row[c] != 0) for row in rows]
-    basis = _null_basis(rows, pivot_cols, m.cols)
+    scan, rows, pivots = _reduced(m)
+    basis = tuple(map(scan.unpack, null_basis(rows, pivots, m.cols, scan)))
     return NullSpaceBasis(len(basis), basis, m.cols, m.field)
-
-
-def reduce_with_transform(
-    m: GfMatrix, ncols: int
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], NullSpaceBasis]:
-    """One ``rref`` of m = [a | columns], a its first ``ncols`` columns.
-
-    Returns a's pivot columns, P x for each later column x, and null(a).
-    P is the invertible row transform of the elimination, so P a is the
-    reduced row-echelon form of a; columns pivot left to right, so the
-    later ones change none of a's pivots.  a y = x is solvable iff P x
-    vanishes below a's rank, and then y0 with y0[pivots[i]] = (P x)[i] and
-    zeros elsewhere is a solution.
-    """
-    reduced, rk = rref(m)
-    rows = reduced.entries
-    # A reduced row's first nonzero entry is its pivot, a 1.
-    pivots = tuple(c for c in (row.index(1) for row in rows[:rk]) if c < ncols)
-    basis = _null_basis(rows, pivots, ncols)
-    columns = list(zip(*rows))[ncols:] or [()] * (m.cols - ncols)
-    return pivots, tuple(columns), NullSpaceBasis(len(basis), basis, ncols, m.field)
 
 
 def mat_vec(m: GfMatrix, v: Sequence[int]) -> tuple[int, ...]:
@@ -179,59 +226,6 @@ def check_search_size(p: int, support_cap: int) -> None:
         )
 
 
-class SupportScan:
-    """Full-support search over cosets ``offset + span(basis)`` in GF(q)^length.
-
-    Vectors are packed into ints with lam + 1 bits per coordinate, the top
-    bit a guard kept at 0, so a vector sum is one XOR, and adding 2^lam - 1
-    to every coordinate carries exactly the nonzero ones into their guards.
-    """
-
-    def __init__(self, field: FieldContext, length: int):
-        self.field = field
-        self.length = length
-        self.width = field.lam + 1
-        ones = sum(1 << self.width * i for i in range(length))
-        self.carry = ones * (field.q - 1)
-        self.guards = ones << field.lam
-
-    def unpack(self, packed: int) -> tuple[int, ...]:
-        mask = self.field.q - 1
-        return tuple(packed >> self.width * i & mask for i in range(self.length))
-
-    def multiples(self, vec: Sequence[int]) -> list[int]:
-        """c vec packed, for c = 0 .. q - 1.
-
-        Multiplying by c is linear over GF(2): 2^k vec, for k < lam, is the
-        XOR over bits b of 2^k 2^b times the 0/1 vector of vec's bit b, and
-        every other c vec is (c without its lowest bit) vec XOR (that bit) vec.
-        """
-        f = self.field
-        packed = sum(x << self.width * i for i, x in enumerate(vec))
-        ones = ((1 << self.width * len(vec)) - 1) // ((1 << self.width) - 1)
-        bits = [(packed >> b & ones, 1 << b) for b in range(f.lam)]
-        out = [0] * f.q
-        for k in range(f.lam):
-            times = f.mul_row(1 << k)
-            out[1 << k] = reduce(xor, (e * times[x] for e, x in bits), 0)
-        for c in range(3, f.q):
-            if c & (c - 1):
-                out[c] = out[c & (c - 1)] ^ out[c & -c]
-        return out
-
-    def first(self, offset: int, multiples: Sequence[Sequence[int]]) -> int | None:
-        """First full-support vector offset + sum c_i b_i, with the c_i in product order.
-
-        ``multiples[i]`` is ``self.multiples(b_i)``; c_0 varies slowest.
-        """
-        carry, guards = self.carry, self.guards
-        for terms in itertools.product(*multiples):
-            v = reduce(xor, terms, offset)
-            if (v + carry) & guards == guards:
-                return v
-        return None
-
-
 def has_full_support_vector(
     ns: NullSpaceBasis, support_cap: int = DEFAULT_SUPPORT_CAP
 ) -> tuple[bool, tuple[int, ...] | None]:
@@ -248,7 +242,7 @@ def has_full_support_vector(
         return False, None
     check_search_size(p, support_cap)
     scan = SupportScan(ns.field, ns.length)
-    multiples = [scan.multiples(vec) for vec in ns.basis_vectors]
+    multiples = [scan.multiples(scan.pack(vec)) for vec in ns.basis_vectors]
     for lead in range(p):
         hit = scan.first(multiples[lead][1], multiples[lead + 1 :])
         if hit is not None:

@@ -27,14 +27,14 @@ from .config import (
 from .gf import FieldContext
 from .gflinalg import (
     DEFAULT_SUPPORT_CAP,
-    GfMatrix,
     SupportScan,
     check_search_size,
+    eliminate,
     has_full_support_vector,
     mat_vec,
+    null_basis,
     null_space,
     rank,
-    reduce_with_transform,
 )
 from .wcmtree import WcmSet, build_tree, extract_wcms
 
@@ -107,7 +107,20 @@ def _vn_components(c: Configuration, kept_rows: Sequence[int]) -> list[list[int]
     return [sorted(g) for g in sorted(groups.values())]
 
 
-_Reduced = tuple[int, dict[int, list[int]], dict[int, list[int]], list[list[int]]]
+class _Reduced:
+    """One reduced matrix of a ``_ColumnMembership``.
+
+    Packed P x, P e_r per kept changeable row r and null(B)'s basis; the
+    multiples of P e_r and of the basis are built the first time a
+    judgement needs them.
+    """
+
+    __slots__ = ("tx", "columns", "terms", "basis", "null_multiples")
+
+    def __init__(self, tx: int, columns: dict[int, int], basis: list[int]):
+        self.tx, self.columns, self.basis = tx, columns, basis
+        self.terms: dict[int, list[int]] = {}
+        self.null_multiples: list[list[int]] | None = None
 
 
 class _ColumnMembership:
@@ -123,17 +136,19 @@ class _ColumnMembership:
     Each matrix is [B | x] up to column order, B the kept rows without
     column vn and x that column.  A full-support null vector has a nonzero
     entry at vn; scaled to 1 it is y with B y = x and y of full support.
-    When the scan first reaches a matrix, one ``reduce_with_transform``
-    turns the kept rows of [B | x | e_r for r in changeable] into
-    P [B | x | e_r].  P x nonzero below the rank means x is outside B's
+    The rows are packed once, B's columns in the first slots and x after
+    them.  When the scan first reaches a matrix, one ``eliminate`` over
+    B's columns turns the kept rows of [B | x | e_r for r in changeable]
+    into P [B | x | e_r], P the transform that takes B to its reduced
+    row-echelon form.  P x nonzero below the rank means x is outside B's
     column space and the matrix is broken; otherwise y0 is read off P x
     and the matrix is unbroken iff some y0 + n, n in null(B), has full
-    support.  A delta moves P x by delta P e_r.  This is exact: with T the
-    transform of the reduction of [B | I], P B = T B is B's reduced form,
-    so P = S T with S = [[I, *], [0, invertible]]; P x vanishes below the
-    rank exactly when T x does, and then the upper parts agree.  P x is a
-    packed int: y0 in the slots of B's columns, the rows below the rank
-    above them.
+    support.  A delta moves P x by delta P e_r.  Any transform T with T B
+    reduced gives the same verdicts: T = S P with S = [[I, *], [0,
+    invertible]], so T x vanishes below the rank exactly when P x does,
+    and then the upper parts agree.  P x and P e_r are packed ints: the
+    entries of the pivot rows in the slots of their pivot columns, so P x
+    holds y0, and the rows below the rank in the slots after B's.
     """
 
     def __init__(
@@ -145,31 +160,25 @@ class _ColumnMembership:
         support_cap: int,
         changeable: frozenset[int],
     ):
-        self.rows, self.vn, self.groups, self.support_cap = rows, vn, groups, support_cap
-        self.changeable = changeable
+        self.groups, self.support_cap, self.changeable = groups, support_cap, changeable
         self.scan = SupportScan(field, len(rows[0]) - 1)
+        # every slot a kernel row or a reduced column can use: B, x and
+        # the unit columns, or B and the rows below the rank
+        self.wide = SupportScan(field, len(rows[0]) + len(rows))
+        self.packed = [self.wide.pack(row[:vn] + row[vn + 1 :] + (row[vn],)) for row in rows]
         self.reduced: list[_Reduced | None] = [None] * len(groups)
 
     def _reduce(self, group: Sequence[int]) -> _Reduced:
-        """Packed P x; P e_r per kept changeable row r; their multiples, once used; null(B)'s."""
-        v, scan, rows = self.vn, self.scan, self.rows
-        kept = [r for r in range(len(rows)) if r not in group]
+        n, wide = self.scan.length, self.wide
+        kept = [r for r in range(len(self.packed)) if r not in group]
         units = [r for r in kept if r in self.changeable]
-        zeros = (0,) * len(units)
-        eye = {u: zeros[:i] + (1,) + zeros[i + 1 :] for i, u in enumerate(units)}
-        aug = tuple(rows[r][:v] + rows[r][v + 1 :] + (rows[r][v],) + eye.get(r, zeros) for r in kept)
-        pivots, (px, *pe), ns = reduce_with_transform(
-            GfMatrix(len(kept), scan.length + 1 + len(units), aug, scan.field), scan.length
-        )
-        size = scan.length + len(kept) - len(pivots)
-        slots = list(pivots) + list(range(scan.length, size))
-        tx = sum(value << scan.width * slot for slot, value in zip(slots, px) if value)
-        columns = {}
-        for u, column in zip(units, pe):
-            columns[u] = vec = [0] * size
-            for slot, value in zip(slots, column):
-                vec[slot] = value
-        return tx, columns, {}, [scan.multiples(vec) for vec in ns.basis_vectors]
+        slot = {u: n + 1 + i for i, u in enumerate(units)}
+        rows = [self.packed[r] | (1 << wide.width * slot[r] if r in slot else 0) for r in kept]
+        pivots = eliminate(rows, n, wide)
+        slots = pivots + list(range(n, n + len(rows) - len(pivots)))
+        columns = {u: wide.column(rows, s, slots) for u, s in slot.items()}
+        basis = null_basis(rows, pivots, n, wide)
+        return _Reduced(wide.column(rows, n, slots), columns, basis)
 
     def first_unbroken(self, deltas: Mapping[int, int]) -> int | None:
         """Position of the first unbroken matrix with ``deltas[cn]`` added at row cn."""
@@ -178,18 +187,22 @@ class _ColumnMembership:
         scan = self.scan
         shift = scan.width * scan.length
         for i, group in enumerate(self.groups):
-            if self.reduced[i] is None:
-                self.reduced[i] = self._reduce(group)
-            tx, columns, terms, null_multiples = self.reduced[i]
+            m = self.reduced[i]
+            if m is None:
+                m = self.reduced[i] = self._reduce(group)
+            tx = m.tx
             for cn, delta in deltas.items():
-                if cn in columns:
-                    if cn not in terms:
-                        terms[cn] = scan.multiples(columns[cn])
-                    tx ^= terms[cn][delta]
+                if cn in m.columns:
+                    if cn not in m.terms:
+                        m.terms[cn] = self.wide.multiples(m.columns[cn])
+                    tx ^= m.terms[cn][delta]
             solvable = not tx >> shift
-            check_search_size(len(null_multiples) + solvable, self.support_cap)
-            if solvable and scan.first(tx, null_multiples) is not None:
-                return i
+            check_search_size(len(m.basis) + solvable, self.support_cap)
+            if solvable:
+                if m.null_multiples is None:
+                    m.null_multiples = [scan.multiples(b) for b in m.basis]
+                if scan.first(tx, m.null_multiples) is not None:
+                    return i
         return None
 
 
@@ -299,7 +312,7 @@ def _scan(
     carry, guards = scan.carry, scan.guards
     forbidden = sum(1 << scan.width * cn for cn in satisfied) << c.field.lam
     # x times column vn, for x = 1 .. q - 1: VN vn's syndrome term at value x
-    terms = [scan.multiples(col)[1:] for col in zip(*c.adjacency().entries)]
+    terms = [scan.multiples(scan.pack(col))[1:] for col in zip(*c.adjacency().entries)]
     head = [reduce(xor, vals, 0) for vals in itertools.product(*terms[: a // 2])]
     tail = [reduce(xor, vals, 0) for vals in itertools.product(*terms[a // 2 :])]
     vn_masks = [(t[0] + carry) & guards for t in terms]

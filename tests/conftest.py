@@ -14,7 +14,7 @@ from wcmopt.config import (
     classify_unlabeled,
     cn_flippable_partners,
 )
-from wcmopt.gf import FieldContext, gf4
+from wcmopt.gf import FieldContext, gf4, gf8
 from wcmopt.gflinalg import (
     DEFAULT_SUPPORT_CAP,
     GfMatrix,
@@ -22,7 +22,6 @@ from wcmopt.gflinalg import (
     SearchTooLargeError,
     has_full_support_vector,
     mat_vec,
-    null_space,
     rank,
 )
 from wcmopt.removal import (
@@ -63,19 +62,81 @@ def spans_equal(a, b, field: FieldContext) -> bool:
     return all(in_span(b, v, field) for v in a) and all(in_span(a, v, field) for v in b)
 
 
+def drop_rows(m: GfMatrix, indices) -> GfMatrix:
+    """The submatrix of ``m`` without the given rows, columns in order."""
+    drop = set(indices)
+    return m.keep_rows([i for i in range(m.rows) if i not in drop])
+
+
+def reference_rref(m: GfMatrix) -> tuple[GfMatrix, int]:
+    """Slow reference for ``rref``: Gauss-Jordan on lists, one field product per entry."""
+    f = m.field
+    work = [list(row) for row in m.entries]
+    nrows, ncols = m.rows, m.cols
+    pivot_row = 0
+    for col in range(ncols):
+        if pivot_row >= nrows:
+            break
+        sel = next((r for r in range(pivot_row, nrows) if work[r][col] != 0), None)
+        if sel is None:
+            continue
+        work[pivot_row], work[sel] = work[sel], work[pivot_row]
+        inv = f.inv(work[pivot_row][col])
+        work[pivot_row] = [f.mul(inv, v) for v in work[pivot_row]]
+        prow = work[pivot_row]
+        for r in range(nrows):
+            factor = work[r][col]
+            if r != pivot_row and factor != 0:
+                work[r] = [v ^ f.mul(factor, pv) for v, pv in zip(work[r], prow)]
+        pivot_row += 1
+    return GfMatrix(nrows, ncols, tuple(tuple(row) for row in work), f), pivot_row
+
+
+def reference_null_space(m: GfMatrix) -> NullSpaceBasis:
+    """Slow reference for ``null_space``: one basis vector per free column of ``reference_rref``.
+
+    Characteristic 2: the pivot value solving a row's equation is the
+    row's free-column entry itself.
+    """
+    reduced, rk = reference_rref(m)
+    rows = reduced.entries[:rk]
+    pivot_cols = [next(c for c in range(m.cols) if row[c] != 0) for row in rows]
+    basis = []
+    for free in (c for c in range(m.cols) if c not in pivot_cols):
+        vec = [0] * m.cols
+        vec[free] = 1
+        for row, pc in zip(rows, pivot_cols):
+            vec[pc] = row[free]
+        basis.append(tuple(vec))
+    return NullSpaceBasis(len(basis), tuple(basis), m.cols, m.field)
+
+
+def random_matrices(rng, count):
+    """Random GF(4)/GF(8)/GF(16) matrices: zero-row, wide and tall, many rank-deficient."""
+    for _ in range(count):
+        field = rng.choice([gf4(), gf8(), gf16()])
+        cols = rng.randrange(1, 7)
+        rows = [[rng.choice([0, rng.randrange(field.q)]) for _ in range(cols)]
+                for _ in range(rng.randrange(0, cols + 3))]
+        if len(rows) > 1 and rng.random() < 0.5:  # one row a multiple of another
+            c = rng.randrange(1, field.q)
+            rows[-1] = [field.mul(c, x) for x in rng.choice(rows[:-1])]
+        yield GfMatrix(len(rows), cols, tuple(map(tuple, rows)), field)
+
+
 def reference_first_unbroken(rows, groups, field: FieldContext, support_cap: int) -> int | None:
     """Slow reference for ``_ColumnMembership.first_unbroken``: whole-matrix scans.
 
     Each group lists the rows one matrix drops from ``rows``; each matrix
-    gets a ``null_space`` and a ``has_full_support_vector`` in group order,
-    up to the first with a full-support null vector.  None means every
-    matrix is broken.
+    gets a ``reference_null_space`` and a ``has_full_support_vector`` in
+    group order, up to the first with a full-support null vector.  None
+    means every matrix is broken.
     """
     ncols = len(rows[0])
     for i, group in enumerate(groups):
         kept = tuple(row for r, row in enumerate(rows) if r not in group)
         found, _ = has_full_support_vector(
-            null_space(GfMatrix(len(kept), ncols, kept, field)), support_cap
+            reference_null_space(GfMatrix(len(kept), ncols, kept, field)), support_cap
         )
         if found:
             return i
@@ -405,7 +466,7 @@ def random_reweighting(cfg: Configuration, rng: random.Random) -> dict[tuple[int
 
 
 def assert_valid_witness(cfg: Configuration, removed_rows, witness) -> None:
-    sub = cfg.adjacency().drop_rows(removed_rows)
+    sub = drop_rows(cfg.adjacency(), removed_rows)
     assert all(x == 0 for x in mat_vec(sub, witness))
     assert all(x != 0 for x in witness)
 

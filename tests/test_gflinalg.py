@@ -5,11 +5,15 @@ from operator import xor
 import pytest
 
 from conftest import (
+    drop_rows,
     gf16,
     identity_matrix,
     in_span,
     naive_full_support,
+    random_matrices,
     reference_full_support,
+    reference_null_space,
+    reference_rref,
     span_size_rank,
     spans_equal,
     zero_matrix,
@@ -26,7 +30,6 @@ from wcmopt.gflinalg import (
     mat_vec,
     null_space,
     rank,
-    reduce_with_transform,
     rref,
 )
 
@@ -90,7 +93,7 @@ def test_null_space_worked_example_two_components():
     # drop the rows of (c1, c4, c9): two-dimensional null space with the
     # documented basis, up to change of basis
     cfg = fx.gast_6_0_0_9_0()
-    m = cfg.adjacency().drop_rows([0, 3, 8])
+    m = drop_rows(cfg.adjacency(), [0, 3, 8])
     ns = null_space(m)
     assert ns.dimension == 2
     assert spans_equal(ns.basis_vectors, [(A, 0, 0, 0, 1, 1), (0, 1, 1, A, 0, 0)], cfg.field)
@@ -98,7 +101,7 @@ def test_null_space_worked_example_two_components():
 
 def test_null_space_worked_example_short_matrix():
     cfg = fx.gast_6_2_2_5_2()
-    m = cfg.adjacency().drop_rows([1, 3, 7, 8])
+    m = drop_rows(cfg.adjacency(), [1, 3, 7, 8])
     ns = null_space(m)
     assert ns.dimension == 2
     for v in [(0, 1, 1, A2, 1, 0), (1, 1, 1, 0, 0, A2)]:
@@ -107,7 +110,7 @@ def test_null_space_worked_example_short_matrix():
 
 def test_full_support_witness_found():
     cfg = fx.gast_6_0_0_9_0()
-    m = cfg.adjacency().drop_rows([0, 3, 8])
+    m = drop_rows(cfg.adjacency(), [0, 3, 8])
     ns = null_space(m)
     found, witness = has_full_support_vector(ns)
     assert found
@@ -124,7 +127,7 @@ def test_full_support_empty_basis():
 
 def test_full_support_broken_after_reweight():
     cfg = fx.gast_6_0_0_9_0(w61=A2)
-    ns = null_space(cfg.adjacency().drop_rows([0, 3, 8]))
+    ns = null_space(drop_rows(cfg.adjacency(), [0, 3, 8]))
     assert ns.dimension == 1
     assert spans_equal(ns.basis_vectors, [(0, 1, 1, A, 0, 0)], cfg.field)
     assert has_full_support_vector(ns) == (False, None)
@@ -205,55 +208,22 @@ def test_support_scan_multiples_match_field_products(field):
         scan = SupportScan(field, length)
         for _ in range(20):
             vec = [rng.randrange(field.q) for _ in range(length)]
-            assert scan.multiples(vec) == [
+            assert scan.multiples(scan.pack(vec)) == [
                 sum(field.mul(c, x) << scan.width * i for i, x in enumerate(vec))
                 for c in range(field.q)
             ]
 
 
-def random_matrices(rng, count):
-    """Random GF(4)/GF(8)/GF(16) matrices: zero-row, wide and tall, many rank-deficient."""
-    for _ in range(count):
-        field = rng.choice([gf4(), gf8(), gf16()])
-        cols = rng.randrange(1, 7)
-        rows = [[rng.choice([0, rng.randrange(field.q)]) for _ in range(cols)]
-                for _ in range(rng.randrange(0, cols + 3))]
-        if len(rows) > 1 and rng.random() < 0.5:  # one row a multiple of another
-            c = rng.randrange(1, field.q)
-            rows[-1] = [field.mul(c, x) for x in rng.choice(rows[:-1])]
-        yield GfMatrix(len(rows), cols, tuple(map(tuple, rows)), field)
-
-
-def test_reduce_with_transform():
-    # [m | x | e_u for u in units]: m y = x + d e_u is solvable iff the
-    # reduced x + d e_u vanishes below the rank, and y0 read off it solves it
-    rng = random.Random(23)
-    solvable = set()
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_packed_rref_matches_reference(seed):
+    # the packed kernel and the list-based reference give the same
+    # canonical form, rank and null-space basis, entry for entry
+    rng = random.Random(seed)
     for m in random_matrices(rng, 300):
-        f = m.field
-        x = [rng.choice([0, rng.randrange(f.q)]) for _ in range(m.rows)]
-        units = sorted(rng.sample(range(m.rows), rng.randrange(m.rows + 1)))
-        aug = tuple(row + (v,) + tuple(int(r == u) for u in units) for r, (row, v) in enumerate(zip(m.entries, x)))
-        pivots, reduced, basis = reduce_with_transform(GfMatrix(m.rows, m.cols + 1 + len(units), aug, f), m.cols)
-        rk = rank(m)
-        assert len(pivots) == rk and len(reduced) == 1 + len(units)
-        assert basis == null_space(m)
-        for _ in range(4):
-            deltas = {u: rng.randrange(f.q) for u in units}
-            rhs = [v ^ deltas.get(r, 0) for r, v in enumerate(x)]
-            px = list(reduced[0])
-            for u, column in zip(units, reduced[1:]):
-                px = [v ^ f.mul(deltas[u], t) for v, t in zip(px, column)]
-            augmented = GfMatrix(m.rows, m.cols + 1, tuple(row + (v,) for row, v in zip(m.entries, rhs)), f)
-            ok = not any(px[rk:])
-            assert ok == (rank(augmented) == rk)
-            solvable.add(ok)
-            if ok:
-                y0 = [0] * m.cols
-                for i, pc in enumerate(pivots):
-                    y0[pc] = px[i]
-                assert mat_vec(m, y0) == tuple(rhs)
-    assert solvable == {True, False}
+        ref, rk = reference_rref(m)
+        assert rref(m) == (ref, rk)
+        assert rank(m) == rk
+        assert null_space(m) == reference_null_space(m)
 
 
 def test_mat_vec_examples():
@@ -261,7 +231,7 @@ def test_mat_vec_examples():
     a = cfg.adjacency()
     assert mat_vec(a, (0, 0, 0, 0, 0, 0)) == (0,) * 9
     assert mat_vec(a, (A, 1, 1, A, 1, 1)) == (0,) * 9
-    wz = fx.gast_6_2_2_5_2().adjacency().drop_rows([7, 8])
+    wz = drop_rows(fx.gast_6_2_2_5_2().adjacency(), [7, 8])
     assert mat_vec(wz, (A2, 1, 1, 1, A, A)) == (0,) * 7
     with pytest.raises(DimensionMismatchError):
         mat_vec(a, (1, 2, 3))

@@ -10,6 +10,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    drop_rows,
     gf16,
     naive_full_support,
     random_reweighting,
@@ -170,7 +171,7 @@ def test_short_wcm_state_after_removal():
         report = evaluate_weight_conditions(post, wcms)
         assert report.all_broken
         for rec, raw in zip(report.records, wcms.wcms):
-            matrix = post.adjacency().drop_rows(raw.removed_rows)
+            matrix = drop_rows(post.adjacency(), raw.removed_rows)
             if matrix.rows < matrix.cols:
                 assert rec.p > 0
                 assert rec.broken

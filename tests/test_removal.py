@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     gf16,
+    random_matrices,
     random_reweighting,
     random_weights,
     reference_first_unbroken,
@@ -22,7 +23,7 @@ from wcmopt import fixtures as fx, removal
 from wcmopt.cli import parse_code, parse_config, parse_targets
 from wcmopt.config import CodeGraph, classify_unlabeled
 from wcmopt.gf import gf4, gf8
-from wcmopt.gflinalg import DEFAULT_SUPPORT_CAP, SearchTooLargeError
+from wcmopt.gflinalg import DEFAULT_SUPPORT_CAP, GfMatrix, SearchTooLargeError, mat_vec, null_space, rank
 from wcmopt.removal import (
     InvalidValuesError,
     NoCandidateError,
@@ -557,6 +558,64 @@ class TestMembershipKernel:
                     column = _ColumnMembership(rows, vn, groups, field, cap, changeable)
                     assert membership_outcome(lambda: column.first_unbroken({})) == ref
                     assert membership_outcome(lambda: column.first_unbroken(dict.fromkeys(changeable, 1))) == ref
+
+    def test_reduce_reads_solvability_and_solution(self):
+        # [m | x] with unit columns for random rows: m y = x + sum d_u e_u is
+        # solvable iff the packed P x, moved by d_u P e_u, vanishes below the
+        # rank, and then y0 read off it solves.  An extra row, dropped by
+        # the group and sometimes changeable, lets m have no rows
+        rng = random.Random(23)
+        solvable = set()
+        for m in random_matrices(rng, 300):
+            f = m.field
+            x = [rng.choice([0, rng.randrange(f.q)]) for _ in range(m.rows)]
+            rows = [row + (v,) for row, v in zip(m.entries, x)]
+            rows.append(tuple(rng.randrange(f.q) for _ in range(m.cols + 1)))
+            units = rng.sample(range(m.rows + 1), rng.randrange(m.rows + 2))
+            column = _ColumnMembership(rows, m.cols, [(m.rows,)], f, DEFAULT_SUPPORT_CAP, frozenset(units))
+            reduced = column._reduce((m.rows,))
+            assert sorted(reduced.columns) == sorted(u for u in units if u < m.rows)
+            assert tuple(map(column.scan.unpack, reduced.basis)) == null_space(m).basis_vectors
+            rk = rank(m)
+            for _ in range(4):
+                deltas = {u: rng.randrange(f.q) for u in reduced.columns}
+                rhs = [v ^ deltas.get(r, 0) for r, v in enumerate(x)]
+                px = column.wide.unpack(reduced.tx)
+                for u, d in deltas.items():
+                    px = [v ^ f.mul(d, t) for v, t in zip(px, column.wide.unpack(reduced.columns[u]))]
+                augmented = GfMatrix(m.rows, m.cols + 1, tuple(row + (v,) for row, v in zip(m.entries, rhs)), f)
+                ok = not any(px[m.cols:])
+                assert ok == (rank(augmented) == rk)
+                solvable.add(ok)
+                if ok:
+                    assert mat_vec(m, px[:m.cols]) == tuple(rhs)
+        assert solvable == {True, False}
+
+    @pytest.mark.parametrize("field", [gf4(), gf8(), gf16()], ids=["gf4", "gf8", "gf16"])
+    def test_first_unbroken_with_deltas_matches_reference(self, field):
+        # every column as x, with random changeable rows (degree-2 or not,
+        # zero in the column or not, dropped by some matrices or not) and
+        # random multi-row deltas on them, judged in turn by one instance as
+        # the candidate loop does; the reference writes the re-weighted
+        # rows and scans every matrix from scratch
+        rng = random.Random(field.q + 8)
+        verdicts = set()
+        for name, cfg, wcms in labeled_members(field, rng, 1):
+            groups = [rec.removed_rows for rec in wcms.wcms]
+            rows = cfg.adjacency().entries
+            for vn in range(cfg.num_vns):
+                changeable = sorted(rng.sample(range(cfg.num_cns), rng.randrange(1, 5)))
+                column = _ColumnMembership(rows, vn, groups, field, DEFAULT_SUPPORT_CAP, frozenset(changeable))
+                for _ in range(6):
+                    picked = rng.sample(changeable, rng.randrange(1, len(changeable) + 1))
+                    deltas = {cn: rng.randrange(1, field.q) for cn in picked}
+                    changes = {(cn, vn): rows[cn][vn] ^ d for cn, d in deltas.items()}
+                    ref = reference_first_unbroken(
+                        rows_with_weights(rows, changes), groups, field, DEFAULT_SUPPORT_CAP
+                    )
+                    assert column.first_unbroken(deltas) == ref, (name, vn, deltas)
+                    verdicts.add(ref is None)
+        assert verdicts == {True, False}
 
     def test_delta_outside_changeable_raises(self):
         cfg = fx.gast_6_0_0_9_0()
