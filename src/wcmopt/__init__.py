@@ -6,8 +6,6 @@ from .config import (
     TopoClass,
     classify_unlabeled,
     cn_flippable_partners,
-    compute_b_o_ut,
-    compute_b_ut,
 )
 from .gf import FieldContext, gf4, gf8
 from .gflinalg import (
@@ -36,10 +34,7 @@ from .removal import (
 from .wcmtree import (
     UnlabeledTree,
     WcmSet,
-    b_max,
     build_tree,
-    count_suboptimal,
-    count_wcms_general,
     count_wcms_same_size,
     count_wcms_u_symmetric,
     extract_wcms,
@@ -60,16 +55,11 @@ __all__ = [
     "TopoClass",
     "UnlabeledTree",
     "WcmSet",
-    "b_max",
     "build_tree",
     "classify_unlabeled",
     "cn_flippable_partners",
     "compute_b_for_values",
-    "compute_b_o_ut",
-    "compute_b_ut",
     "compute_e_min",
-    "count_suboptimal",
-    "count_wcms_general",
     "count_wcms_same_size",
     "count_wcms_u_symmetric",
     "evaluate_weight_conditions",

@@ -32,12 +32,13 @@ from .removal import (
     RemovalPlan,
     Target,
     evaluate_weight_conditions,
+    is_in_Z,
     optimize_code,
     oracle_in_family,
     oracle_is_gas,
     remove_object,
 )
-from .wcmtree import build_tree, count_suboptimal, extract_wcms, z_family
+from .wcmtree import build_tree, extract_wcms, z_family
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -363,7 +364,6 @@ def cmd_analyze(args: argparse.Namespace, rep: Reporter) -> int:
     except OracleTooLargeError as exc:
         rep.block("warning", {"message": f"oracle skipped: {exc}"})
     wcms = extract_wcms(cfg, tree)
-    t_prime, reduction = count_suboptimal(tree)
     profile = tree.u_profile()
     rep.block(
         "tree",
@@ -377,8 +377,8 @@ def cmd_analyze(args: argparse.Namespace, rep: Reporter) -> int:
             "u_profile": ",".join(str(u) for u in profile) if profile else "-",
             "level_nodes": ",".join(str(n) for n in tree.level_node_counts()[1:]) or "-",
             "t": wcms.t,
-            "t_prime": t_prime,
-            "reduction": reduction,
+            "t_prime": wcms.t_prime,
+            "reduction": wcms.t_prime - wcms.t,
         },
     )
     rep.block(
@@ -445,10 +445,9 @@ def cmd_verify(args: argparse.Namespace, rep: Reporter) -> int:
     if kinds:
         wcms = extract_wcms(cfg, build_tree(cfg, kinds[0]))
         try:
-            report = evaluate_weight_conditions(cfg, wcms, args.support_cap)
-            wcm_verdict = not report.all_broken
+            wcm_verdict = is_in_Z(cfg, wcms, args.support_cap)
         except SearchTooLargeError:
-            wcm_verdict = None
+            pass
     oracle_member = verdict in ("GAST", "OST")
     data = {
         "verdict": verdict,

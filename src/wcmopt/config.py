@@ -11,7 +11,6 @@ depends on the actual weights lives in removal.
 from __future__ import annotations
 
 import copy
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -93,9 +92,6 @@ class Configuration:
             deg1_counts[cn_nbrs[cn][0][0]] += 1
         self.vn_deg1_counts = tuple(deg1_counts)
         self._adjacency: GfMatrix | None = None
-
-    def cn_degree(self, cn: int) -> int:
-        return len(self.cn_neighbors[cn])
 
     def weight_of(self, cn: int, vn: int) -> int:
         for v, w in self.cn_neighbors[cn]:
@@ -187,35 +183,14 @@ class TopoClass:
         return self.is_unlabeled_ost if mode == "ost" else self.is_unlabeled_gast
 
 
-def _degree_bound(a: int, gamma: int, d1: int, kind: str, warn: bool) -> int:
-    """floor((a*allowance - d1)/2), a negative operand clamped to 0."""
-    top = a * allowance(gamma, kind)
-    if top < d1:
-        if warn:
-            warnings.warn(
-                f"degree bound operand negative (a*allowance={top} < d1={d1}); clamping to 0",
-                stacklevel=3,
-            )
-        return 0
-    return (top - d1) // 2
+def _degree_bound(a: int, gamma: int, d1: int, kind: str) -> int:
+    """floor((a*allowance - d1)/2), a negative operand clamped to 0.
 
-
-def compute_b_ut(c: Configuration, warn: bool = True) -> int:
-    """Upper bound on simultaneously-unsatisfiable degree-2 CNs.
-
-    floor((a*floor((gamma-1)/2) - d1)/2); a negative operand is clamped to 0
-    with a diagnostic, since no valid absorbing topology produces one.
-    ``warn=False`` suppresses the diagnostic for bulk classification sweeps
-    over arbitrary subsets.
+    No valid absorbing topology has a negative operand; arbitrary subsets
+    classified in bulk do, and get 0.
     """
-    return _degree_bound(c.num_vns, c.gamma, c.d1, "gast", warn)
-
-
-def compute_b_o_ut(c: Configuration, warn: bool = True) -> int:
-    """Oscillating-set analogue of compute_b_ut; defined for even gamma only."""
-    if c.gamma % 2 != 0:
-        raise NotApplicableError("oscillating VNs require an even column weight")
-    return _degree_bound(c.num_vns, c.gamma, c.d1, "ost", warn)
+    top = a * allowance(gamma, kind)
+    return max(0, top - d1) // 2
 
 
 def shape_class(
@@ -237,8 +212,8 @@ def shape_class(
         is_unlabeled_gast=is_gas and type_two,
         is_unlabeled_os=is_os,
         is_unlabeled_ost=is_os and type_two,
-        b_ut=_degree_bound(a, gamma, d1, "gast", False),
-        b_o_ut=_degree_bound(a, gamma, d1, "ost", False) if gamma % 2 == 0 else None,
+        b_ut=_degree_bound(a, gamma, d1, "gast"),
+        b_o_ut=_degree_bound(a, gamma, d1, "ost") if gamma % 2 == 0 else None,
     )
 
 

@@ -59,9 +59,6 @@ class GfMatrix:
         kept = tuple(self.entries[i] for i in indices)
         return GfMatrix(len(kept), self.cols, kept, self.field)
 
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(v) for v in row) for row in self.entries)
-
 
 @dataclass(frozen=True)
 class NullSpaceBasis:

@@ -216,10 +216,10 @@ def evaluate_weight_conditions(
     kept CNs) is computed alongside: the null-space dimension always equals
     the sum of per-component dimensions, and for an unbroken matrix every
     component contributes at least 1.  This is the full diagnostic behind
-    ``analyze``, which prints the witnesses and bases, and ``verify``;
-    yes/no membership goes through ``is_in_Z``, which stops at the first
-    unbroken matrix.  The matrices are ``w``'s removal groups taken from
-    ``c``'s own weights.
+    ``analyze``, which prints each matrix's status, dimensions and witness;
+    yes/no membership, ``verify``'s included, goes through ``is_in_Z``,
+    which stops at the first unbroken matrix.  The matrices are ``w``'s
+    removal groups taken from ``c``'s own weights.
     """
     a = c.adjacency()
     records = []
@@ -491,10 +491,7 @@ def remove_object(
     try:
         candidates = list(select_candidate_edges(c, e_bound + EXTRA_CHANGES, start))
     except NoCandidateError:
-        return RemovalPlan(
-            object_id, kind, "unremovable", e_min, e_bound, exact, None, (), tried,
-            prot_checks, prot_rejections,
-        )
+        candidates = []
     for vn, edge_set in candidates:
         if vn not in columns:
             columns[vn] = column(vn)

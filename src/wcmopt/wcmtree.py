@@ -8,16 +8,15 @@ family: each flippable CN set, sorted, maps to the CNs that can join it.
 Leaf sets (plus the always-removed degree-1 rows) yield the weight
 consistency matrices (WCMs), the minimum matrix family the removal step
 has to operate on; all sets together are the t' submatrices of the
-suboptimal family.  Ordered paths are a view derived from the family, for
-reports and tests; the counting functions evaluate the paper's formulas
-from the set counts so formula and construction can be cross-checked.
+suboptimal family.  The same-size and u-symmetric counting functions
+evaluate the paper's closed forms from the set counts so formula and
+construction can be cross-checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
-from typing import Iterator
 
 from .config import (
     Configuration,
@@ -53,29 +52,12 @@ class UnlabeledTree:
     b_et: int
     b_st: int
 
-    def u(self, path: tuple[int, ...]) -> int:
-        return len(self.family.get(tuple(sorted(path)), ()))
-
     @property
     def u0(self) -> int:
         return len(self.family[()])
 
     def leaf_sets(self) -> list[tuple[int, ...]]:
         return [s for s, pool in self.family.items() if not pool]
-
-    def paths(self) -> Iterator[tuple[int, ...]]:
-        """All ordered paths: every ordering of every set, root first, in DFS order."""
-        stack = [()]
-        while stack:
-            path = stack.pop()
-            yield path
-            for child in reversed(self.family[tuple(sorted(path))]):
-                stack.append(path + (child,))
-
-    @property
-    def children(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        """The ordered tree: child CNs of every inner path, in DFS order."""
-        return {p: kids for p in self.paths() if (kids := self.family[tuple(sorted(p))])}
 
     def level_node_counts(self) -> list[int]:
         """Ordered nodes per level: j! orderings of each set of size j."""
@@ -175,12 +157,12 @@ class WcmRecord:
 
 @dataclass(frozen=True)
 class WcmSet:
+    """The WCM family: t records, one per leaf set, out of the tree's t' sets."""
+
     wcms: tuple[WcmRecord, ...]
     t: int
     t_prime: int
     kind: str
-    b_st: int
-    b_et: int
 
     def rebuilt(self, c: Configuration) -> "WcmSet":
         """This set: records hold no weights, so re-weighting leaves nothing to rebuild.
@@ -205,20 +187,7 @@ def extract_wcms(c: Configuration, tree: UnlabeledTree) -> WcmSet:
         t=len(records),
         t_prime=len(tree.family),
         kind=tree.mode,
-        b_st=tree.b_st,
-        b_et=tree.b_et,
     )
-
-
-def count_wcms_general(tree: UnlabeledTree) -> int:
-    """Distinct-matrix count evaluated from the tree profile.
-
-    Leaves at depth k each appear k! times (one per ordering of the same CN
-    set), so the distinct count is the leaf count per depth divided by k!,
-    summed over depths: the number of leaf sets.  A childless root is the
-    single matrix that drops only the degree-1 rows.
-    """
-    return len(tree.leaf_sets())
 
 
 def count_wcms_same_size(tree: UnlabeledTree) -> int:
@@ -250,26 +219,8 @@ def count_wcms_u_symmetric(u_profile: "list[int] | tuple[int, ...]") -> int:
     return num // denom
 
 
-def count_suboptimal(tree: UnlabeledTree) -> tuple[int, int]:
-    """Size of the full distinct-submatrix family, and the saving over WCMs.
-
-    Every tree node (the root included) is linked to one matrix; level-j node
-    counts divide by j! to deduplicate orderings, which leaves one matrix per
-    set, and the root contributes the drop-degree-1-rows-only matrix.  The
-    reduction is that total minus the WCM count.
-    """
-    t_prime = len(tree.family)
-    return t_prime, t_prime - count_wcms_general(tree)
-
-
-def b_max(c: Configuration, tree: UnlabeledTree) -> int:
-    """Largest unsatisfied-CN count over the family: d1 + b_et."""
-    return c.d1 + tree.b_et
-
-
 def z_family(c: Configuration, tree: UnlabeledTree) -> tuple[tuple[int, ...], ...]:
-    """Parameter tuples (a, b', d1, d2, d3) for d1 <= b' <= b_max."""
-    top = b_max(c, tree)
+    """Parameter tuples (a, b', d1, d2, d3) for d1 <= b' <= d1 + b_et."""
     return tuple(
-        (c.num_vns, b, c.d1, c.d2, c.d3) for b in range(c.d1, top + 1)
+        (c.num_vns, b, c.d1, c.d2, c.d3) for b in range(c.d1, c.d1 + tree.b_et + 1)
     )

@@ -37,7 +37,7 @@ from wcmopt.removal import (
     oracle_in_family,
     select_candidate_edges,
 )
-from wcmopt.wcmtree import TreeError
+from wcmopt.wcmtree import TreeError, UnlabeledTree
 
 
 def identity_matrix(n: int, field: FieldContext) -> GfMatrix:
@@ -373,6 +373,22 @@ class OrderedTree(NamedTuple):
 
     def nodes(self) -> list[tuple[int, ...]]:
         return [()] + [path + (cn,) for path, kids in self.children.items() for cn in kids]
+
+
+def ordered_view(tree: UnlabeledTree) -> OrderedTree:
+    """The ordered tree of ``build_tree``'s set family: every ordering of every set.
+
+    A path's children are its sorted set's partners; paths come in DFS order.
+    """
+    children = {}
+    stack = [()]
+    while stack:
+        path = stack.pop()
+        kids = tree.family[tuple(sorted(path))]
+        if kids:
+            children[path] = kids
+            stack.extend(path + (cn,) for cn in reversed(kids))
+    return OrderedTree(tree.mode, tree.loop_max, children, tree.b_et, tree.b_st)
 
 
 def reference_build_tree(c: Configuration, mode: str = "gast") -> OrderedTree:

@@ -8,7 +8,7 @@ import pathlib
 import random
 import time
 
-from conftest import drop_rows, in_span, random_weights, satisfied_labeling, spans_equal
+from conftest import drop_rows, in_span, ordered_view, random_weights, satisfied_labeling, spans_equal
 from wcmopt import fixtures as fx
 from wcmopt.cli import main, parse_code, parse_targets
 from wcmopt.gf import gf4, gf8
@@ -21,10 +21,7 @@ from wcmopt.removal import (
     remove_object,
 )
 from wcmopt.wcmtree import (
-    b_max,
     build_tree,
-    count_suboptimal,
-    count_wcms_general,
     count_wcms_u_symmetric,
     extract_wcms,
     z_family,
@@ -50,7 +47,7 @@ def test_criterion_1_wcm_counts():
     for builder, expected in cases:
         cfg = builder()
         tree = build_tree(cfg)
-        assert count_wcms_general(tree) == expected
+        assert len(tree.leaf_sets()) == expected
         assert extract_wcms(cfg, tree).t == expected
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -66,7 +63,9 @@ def test_criterion_2_suboptimal_counts():
         (fx.ugast_8_0_16_0, (209, 185)),
     ]
     for builder, expected in cases:
-        assert count_suboptimal(build_tree(builder())) == expected
+        cfg = builder()
+        wcms = extract_wcms(cfg, build_tree(cfg))
+        assert (wcms.t_prime, wcms.t_prime - wcms.t) == expected
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     report(2, f"alternative-family sizes (5,3) (11,6) (34,28) (209,185) exact ({elapsed:.2f}s)")
@@ -82,7 +81,7 @@ def test_criterion_3_factorial_closed_form():
         profile = tree.u_profile()
         assert profile == tuple((gamma - j) ** 2 for j in range(gamma))
         closed = count_wcms_u_symmetric(profile)
-        constructed = count_wcms_general(tree)
+        constructed = len(tree.leaf_sets())
         extracted = extract_wcms(cfg, tree).t
         assert closed == constructed == extracted == math.factorial(gamma)
     report(3, "factorial closed form agrees with tree and extraction for both widths")
@@ -91,10 +90,10 @@ def test_criterion_3_factorial_closed_form():
 def test_criterion_4_degree_bounds():
     cfg = fx.ugast_7_9_13_0()
     tree = build_tree(cfg)
-    from wcmopt.config import classify_unlabeled, compute_b_o_ut
+    from wcmopt.config import classify_unlabeled
 
     assert classify_unlabeled(cfg).b_ut == 2
-    assert b_max(cfg, tree) == 11
+    assert cfg.d1 + tree.b_et == 11
     assert z_family(cfg, tree) == (
         (7, 9, 9, 13, 0),
         (7, 10, 9, 13, 0),
@@ -103,9 +102,9 @@ def test_criterion_4_degree_bounds():
     cfg2 = fx.ugast_8_0_16_0()
     tree2 = build_tree(cfg2)
     assert classify_unlabeled(cfg2).b_ut == 4
-    assert b_max(cfg2, tree2) == 4
-    assert compute_b_o_ut(fx.ost_8_3_13_1()) == 6
-    assert compute_b_o_ut(fx.ost_6_2_11_0()) == 5
+    assert cfg2.d1 + tree2.b_et == 4
+    assert classify_unlabeled(fx.ost_8_3_13_1()).b_o_ut == 6
+    assert classify_unlabeled(fx.ost_6_2_11_0()).b_o_ut == 5
     report(4, "degree bounds 2/11 with 3-member family, 4/4, and 6, 5 exact")
 
 
@@ -272,7 +271,7 @@ def test_criterion_8_property_suites():
         tree = build_tree(cfg, mode=kind)
         wcms = extract_wcms(cfg, tree)
         group_sets = [set(rec.deg2_group) for rec in wcms.wcms]
-        for path in tree.paths():
+        for path in ordered_view(tree).nodes():
             assert any(set(path) <= g for g in group_sets)
         for g in group_sets:
             assert [h for h in group_sets if g <= h] == [g]

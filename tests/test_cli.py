@@ -1,6 +1,7 @@
 import json
 import pathlib
 import random
+import re
 
 import pytest
 
@@ -245,6 +246,15 @@ class TestCommands:
         assert main(["verify", fixture_path("gast_6_2_2_5_2.cfg")]) == EXIT_OK
         out = capsys.readouterr().out
         assert "verdict=GAST" in out and "params=(6,2,2,5,2)" in out
+
+    def test_verify_judges_membership_up_to_the_first_unbroken_matrix(self, capsys):
+        # a null space wider than the cap after the first unbroken matrix is
+        # never scanned, so the agreement line is printed, as remove judges
+        path = fixture_path("gast_6_0_0_9_0.cfg")
+        assert main(["verify", path, "--support-cap", "1"]) == EXIT_OK
+        assert capsys.readouterr().out.endswith("wcm_in_family=yes\nwcm_agrees=yes\n")
+        assert main(["remove", path, "--support-cap", "1"]) == EXIT_OK
+        assert "result=removed" in capsys.readouterr().out
 
     def test_verify_oracle_cap(self, capsys):
         assert main(["verify", fixture_path("gast_6_0_0_9_0.cfg"), "--oracle-cap", "10"]) == EXIT_ORACLE
@@ -501,3 +511,73 @@ class TestCommands:
                     assert blocks[-1]["truncated"] == ("yes" if truncated else "no")
                     hits[kind] += len(found) + len(skipped)
         assert all(hits.values()), hits
+
+
+def readme_schema() -> dict[str, set[str]]:
+    """Block name -> key set, from the README's Report-schema bullets."""
+    readme = (FIXDIR.parent / "README.md").read_text()
+    section = readme.split("## Report schema", 1)[1].split("\n## ", 1)[0]
+    schema = {}
+    for bullet in section.split("\n* ")[1:]:
+        head, body = " ".join(bullet.split()).split(" — ", 1)
+        keys = re.match(r"`([^`]*)`", body)
+        assert keys, f"README bullet {head} lists no keys"
+        keys = set(keys.group(1).split())
+        for name in re.findall(r"`([^`]+)`", head):
+            schema[name] = keys
+    return schema
+
+
+def text_keys(out: str) -> list[tuple[str, list[str]]]:
+    """(name, keys) per ``[name]`` block; lines outside a block are skipped."""
+    blocks, keys = [], None
+    for line in out.splitlines():
+        if re.fullmatch(r"\[.+\]", line):
+            keys = []
+            blocks.append((line[1:-1], keys))
+        elif not line:
+            keys = None
+        elif keys is not None:
+            keys.append(line.split("=", 1)[0])
+    return blocks
+
+
+def schema_name(block: str) -> str:
+    return re.sub(r"^wcm_\d\d$", "wcm_NN", re.sub(r"^object_.*", "object_<id>", block))
+
+
+class TestReportSchema:
+    def test_blocks_match_readme_in_both_formats(self, tmp_path, capsys):
+        schema = readme_schema()
+        removed = str(tmp_path / "removed.cfg")
+        configs = sorted(p.stem for p in FIXDIR.glob("*.cfg"))
+        runs = [
+            *(["analyze", fixture_path(f"{n}.cfg"), "--mode", "ost" if n.startswith("ost") else "gast"]
+              for n in configs),
+            ["analyze", fixture_path("gast_6_0_0_9_0.cfg"), "--oracle-cap", "1"],
+            *(["verify", fixture_path(f"{n}.cfg")] for n in configs),
+            ["remove", fixture_path("gast_6_0_0_9_0.cfg"), "--out", removed],
+            ["remove", removed],
+            ["remove", fixture_path("gast_borderline_no_deg2.cfg")],
+            ["optimize", fixture_path("toy_code.txt"), fixture_path("toy_targets.txt"),
+             "--out", str(tmp_path / "opt.txt")],
+            ["enumerate", fixture_path("toy_code.txt"), "--max-a", "6"],
+        ]
+        seen = set()
+        for argv in runs:
+            main(argv)
+            text = text_keys(capsys.readouterr().out)
+            main(argv + ["--format", "json-lines"])
+            blocks = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+            # text prints found targets as the target-list file, not as blocks
+            assert [(b["block"], sorted(b.keys() - {"block"})) for b in blocks if b["block"] != "target"] == [
+                (name, sorted(keys)) for name, keys in text
+            ], argv
+            for b in blocks:
+                name = schema_name(b.pop("block"))
+                expected = set(schema[name])
+                if name in ("plan", "object_<id>") and b["result"] != "removed":
+                    expected.discard("selected_vn")
+                assert set(b) == expected, (argv, name)
+                seen.add(name)
+        assert seen == set(schema)

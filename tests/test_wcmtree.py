@@ -5,24 +5,19 @@ from collections import Counter
 
 import pytest
 
-from conftest import drop_rows, reference_build_tree, sub_configuration
+from conftest import drop_rows, ordered_view, reference_build_tree, sub_configuration
 from wcmopt import fixtures as fx
 from wcmopt.config import (
     Configuration,
     ConfigurationError,
     classify_unlabeled,
-    compute_b_o_ut,
-    compute_b_ut,
 )
 from wcmopt.gf import gf4
 from wcmopt.wcmtree import (
     TreeError,
     USymmetryViolationError,
     WrongTreeShapeError,
-    b_max,
     build_tree,
-    count_suboptimal,
-    count_wcms_general,
     count_wcms_same_size,
     count_wcms_u_symmetric,
     extract_wcms,
@@ -38,17 +33,19 @@ def test_tree_profile_mixed_depths():
     tree = build_tree(fx.gast_6_2_2_5_2())
     assert tree.u0 == 3 and tree.b_st == 1 and tree.b_et == 2
     # children (0-based): middle chain checks c2, c3, c4 = 1, 2, 3
-    assert tree.children[()] == (1, 2, 3)
-    assert tree.children.get((1,)) == (3,)
-    assert tree.children.get((2,)) is None   # depth-1 leaf
-    assert tree.children.get((3,)) == (1,)
+    children = ordered_view(tree).children
+    assert children[()] == (1, 2, 3)
+    assert children.get((1,)) == (3,)
+    assert children.get((2,)) is None   # depth-1 leaf
+    assert children.get((3,)) == (1,)
 
 
 def test_tree_profile_same_size():
     tree = build_tree(fx.ugast_7_9_13_0())
     assert tree.u0 == 5 and tree.b_st == 2 and tree.b_et == 2
-    assert tree.children[()] == (2, 3, 8, 10, 11)
-    assert [tree.u((c,)) for c in tree.children[()]] == [1, 1, 3, 2, 3]
+    children = ordered_view(tree).children
+    assert children[()] == (2, 3, 8, 10, 11)
+    assert [len(children.get((c,), ())) for c in children[()]] == [1, 1, 3, 2, 3]
 
 
 def test_tree_profile_u_symmetric():
@@ -60,7 +57,7 @@ def test_tree_profile_u_symmetric():
 
 def test_tree_child_counts_strictly_decrease():
     for builder in (fx.gast_6_0_0_9_0, fx.ugast_7_9_13_0, fx.ugast_6_0_9_0):
-        children = build_tree(builder()).children
+        children = ordered_view(build_tree(builder())).children
         for path, kids in children.items():
             if path:
                 assert len(kids) < len(children[path[:-1]])
@@ -95,7 +92,7 @@ def test_tree_root_only_when_nothing_flippable():
     assert wcms.t == 1
     assert wcms.wcms[0].deg2_group == ()
     assert wcms.wcms[0].removed_rows == (3, 4, 5)
-    assert count_wcms_general(tree) == 1
+    assert len(tree.leaf_sets()) == 1
 
 
 def test_build_tree_rejects_wrong_mode():
@@ -117,11 +114,15 @@ def test_loop_max_is_the_degree_bound_under_the_mode_cap():
                 with pytest.raises(ConfigurationError):
                     build_tree(cfg, mode)
                 continue
-            bound = compute_b_o_ut(cfg) if mode == "ost" else compute_b_ut(cfg)
+            bound = topo.b_o_ut if mode == "ost" else topo.b_ut
             expected = bound if cap is None else min(bound, cap)
             assert build_tree(cfg, mode).loop_max == expected, (name, mode)
             built += 1
     assert built >= 20
+
+
+def ordered_build_tree(cfg, mode):
+    return ordered_view(build_tree(cfg, mode))
 
 
 def tree_outcome(build, cfg, mode):
@@ -146,7 +147,7 @@ def test_build_tree_matches_reference():
     outcomes = set()
     for name, shape in reference_shapes(4):
         for mode in ("gast", "ost", "eas", "bast"):
-            fast = tree_outcome(build_tree, shape, mode)
+            fast = tree_outcome(ordered_build_tree, shape, mode)
             assert fast == tree_outcome(reference_build_tree, shape, mode), (name, shape.vn_ids, mode)
             outcomes.add(isinstance(fast[0], str))
     assert outcomes == {True, False}
@@ -172,7 +173,7 @@ def test_partner_beyond_the_degree_bound_matches_reference(monkeypatch):
             continue
         for b_ut in range(topo.b_ut):
             bound["b_ut"] = b_ut
-            fast = tree_outcome(build_tree, cfg, "gast")
+            fast = tree_outcome(ordered_build_tree, cfg, "gast")
             assert fast == tree_outcome(reference_build_tree, cfg, "gast"), (name, b_ut)
             raised += fast[0] is TreeError
     assert raised >= 10
@@ -210,7 +211,8 @@ def test_family_is_the_suboptimal_count():
             if classify_unlabeled(cfg).supports(mode):
                 tree = build_tree(cfg, mode)
                 sorted_paths = [p for p in reference_build_tree(cfg, mode).nodes() if list(p) == sorted(p)]
-                assert len(tree.family) == count_suboptimal(tree)[0] == len(sorted_paths), (name, mode)
+                t_prime = extract_wcms(cfg, tree).t_prime
+                assert len(tree.family) == t_prime == len(sorted_paths), (name, mode)
                 built += 1
     assert built >= 9
     for builder, sets, ordered in ((fx.ugast_6_0_9_0, 34, 82), (fx.ugast_8_0_16_0, 209, 1313)):
@@ -222,7 +224,7 @@ def test_family_is_the_suboptimal_count():
 def test_permutation_closure():
     for builder in (fx.gast_6_0_0_9_0, fx.ugast_6_0_9_0, fx.ugast_7_9_13_0):
         tree = build_tree(builder())
-        paths = set(tree.paths())
+        paths = set(ordered_view(tree).nodes())
         for path in paths:
             if len(path) == 2:
                 assert (path[1], path[0]) in paths
@@ -252,10 +254,11 @@ def test_extract_groups_match_published_lists():
 
 def test_extract_includes_degree1_rows_and_sizes():
     cfg = fx.gast_6_2_2_5_2()
-    wcms = extract_wcms(cfg, build_tree(cfg))
+    tree = build_tree(cfg)
+    wcms = extract_wcms(cfg, tree)
     for rec in wcms.wcms:
         assert set(rec.removed_rows) >= cfg.deg1_cns
-        assert cfg.d1 + wcms.b_st <= len(rec.removed_rows) <= cfg.d1 + wcms.b_et
+        assert cfg.d1 + tree.b_st <= len(rec.removed_rows) <= cfg.d1 + tree.b_et
         matrix = drop_rows(cfg.adjacency(), rec.removed_rows)
         assert matrix.rows == cfg.num_cns - len(rec.removed_rows)
     assert len({rec.removed_rows for rec in wcms.wcms}) == wcms.t
@@ -273,7 +276,7 @@ def test_counts_match_construction():
     for builder, t in expected.items():
         cfg = builder()
         tree = build_tree(cfg)
-        assert count_wcms_general(tree) == t
+        assert len(tree.leaf_sets()) == t
         assert extract_wcms(cfg, tree).t == t
 
 
@@ -303,7 +306,7 @@ def test_same_size_single_level():
     family = {(): (0, 1, 2, 3), (0,): (), (1,): (), (2,): (), (3,): ()}
     tree = UnlabeledTree(mode="gast", loop_max=1, family=family, b_et=1, b_st=1)
     assert count_wcms_same_size(tree) == 4
-    assert count_wcms_general(tree) == 4
+    assert len(tree.leaf_sets()) == 4
 
 
 def test_u_symmetric_closed_form():
@@ -326,8 +329,9 @@ def test_suboptimal_counts():
         (fx.ugast_8_0_16_0, 209, 185),
     ]
     for builder, t_prime, reduction in cases:
-        tree = build_tree(builder())
-        assert count_suboptimal(tree) == (t_prime, reduction)
+        cfg = builder()
+        wcms = extract_wcms(cfg, build_tree(cfg))
+        assert (wcms.t_prime, wcms.t_prime - wcms.t) == (t_prime, reduction)
 
 
 def test_suboptimal_against_direct_nonleaf_sum():
@@ -340,7 +344,8 @@ def test_suboptimal_against_direct_nonleaf_sum():
             nonleaf = sum(1 for p in ref.children if len(p) == level)
             assert nonleaf % math.factorial(level) == 0
             direct += nonleaf // math.factorial(level)
-        assert count_suboptimal(build_tree(cfg))[1] == direct
+        wcms = extract_wcms(cfg, build_tree(cfg))
+        assert wcms.t_prime - wcms.t == direct
 
 
 def test_family_coverage_and_minimality():
@@ -351,7 +356,7 @@ def test_family_coverage_and_minimality():
         tree = build_tree(cfg)
         wcms = extract_wcms(cfg, tree)
         group_sets = [set(rec.deg2_group) for rec in wcms.wcms]
-        for path in tree.paths():
+        for path in ordered_view(tree).nodes():
             assert any(set(path) <= g for g in group_sets)
         for g in group_sets:
             containing = [h for h in group_sets if g <= h]
@@ -407,8 +412,7 @@ def test_extraction_against_subset_enumeration_oracle():
         assert sorted(map(sorted, maximal)) == sorted(
             sorted(rec.deg2_group) for rec in wcms.wcms
         )
-        t_prime, _ = count_suboptimal(tree)
-        assert t_prime == len(valid)
+        assert wcms.t_prime == len(valid)
 
 
 def test_distinct_shapes_give_distinct_trees():
@@ -416,20 +420,20 @@ def test_distinct_shapes_give_distinct_trees():
     t1 = build_tree(fx.gast_6_0_0_9_0())
     t2 = build_tree(fx.ugast_6_0_9_0())
     assert fx.gast_6_0_0_9_0().params() == fx.ugast_6_0_9_0().params()
-    assert t1.children != t2.children
-    assert count_wcms_general(t1) != count_wcms_general(t2)
+    assert ordered_view(t1).children != ordered_view(t2).children
+    assert len(t1.leaf_sets()) != len(t2.leaf_sets())
 
 
 def test_b_max_and_z_family():
     cfg = fx.ugast_7_9_13_0()
     tree = build_tree(cfg)
-    assert b_max(cfg, tree) == 11
+    assert cfg.d1 + tree.b_et == 11
     assert z_family(cfg, tree) == (
         (7, 9, 9, 13, 0), (7, 10, 9, 13, 0), (7, 11, 9, 13, 0),
     )
     cfg2 = fx.ugast_8_0_16_0()
     tree2 = build_tree(cfg2)
-    assert b_max(cfg2, tree2) == 4
+    assert cfg2.d1 + tree2.b_et == 4
     assert len(z_family(cfg2, tree2)) == 5
 
 
@@ -437,7 +441,7 @@ def test_depth_caps_for_subclasses():
     cfg = fx.gast_6_0_0_9_0()
     assert build_tree(cfg, "eas").loop_max == 0
     assert build_tree(cfg, "bast").loop_max == 3
-    assert build_tree(cfg, "gast").loop_max == compute_b_ut(cfg)
+    assert build_tree(cfg, "gast").loop_max == classify_unlabeled(cfg).b_ut
     tree = build_tree(cfg, "eas")
     wcms = extract_wcms(cfg, tree)
     assert wcms.t == 1 and drop_rows(cfg.adjacency(), wcms.wcms[0].removed_rows).rows == 9
@@ -459,6 +463,5 @@ def test_ost_tree_modes():
     assert tree.loop_max == 5
     wcms = extract_wcms(cfg, tree)
     assert wcms.kind == "ost"
-    assert count_wcms_general(tree) == wcms.t
-    t_prime, reduction = count_suboptimal(tree)
-    assert t_prime - wcms.t == reduction
+    assert len(tree.leaf_sets()) == wcms.t == 28
+    assert len(tree.family) == wcms.t_prime == 173
