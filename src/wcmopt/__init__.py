@@ -30,6 +30,7 @@ from .removal import (
     oracle_is_gas,
     remove_object,
     select_candidate_edges,
+    smallest_b,
 )
 from .wcmtree import (
     UnlabeledTree,
@@ -77,5 +78,6 @@ __all__ = [
     "remove_object",
     "rref",
     "select_candidate_edges",
+    "smallest_b",
     "z_family",
 ]

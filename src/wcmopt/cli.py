@@ -8,6 +8,8 @@ error (a file that does not parse, an option the command does not take, a
 negative count or cap, ``enumerate --kind ost`` on an odd column weight),
 3 unremovable, 4 oracle infeasible, 5 support search infeasible (a null
 space wider than ``--support-cap`` in ``remove`` or ``optimize``).
+``enumerate`` never exits 5: it warns and skips a shape hit whose family
+walk meets a null space wider than ``--support-cap``.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .removal import (
     oracle_in_family,
     oracle_is_gas,
     remove_object,
+    smallest_b,
 )
 from .wcmtree import build_tree, extract_wcms, z_family
 
@@ -551,20 +554,16 @@ def cmd_enumerate(args: argparse.Namespace, rep: Reporter) -> int:
                 continue
             cfg = graph.induce(subset)
             try:
-                fam = oracle_in_family(cfg, kind, cap=args.oracle_cap)
-            except OracleTooLargeError:
+                hit = smallest_b(cfg, build_tree(cfg, kind), args.support_cap)
+            except SearchTooLargeError:
                 rep.block(
                     "warning",
-                    {"message": f"oracle cap hit for subset {subset}; skipped"},
+                    {"message": f"support cap hit for subset {subset}; skipped"},
                 )
                 continue
-            if fam.is_member:
+            if hit is not None:
                 found.append(
-                    Target(
-                        vn_ids=subset,
-                        kind=kind,
-                        expected_params=cfg.params(fam.smallest_b),
-                    )
+                    Target(vn_ids=subset, kind=kind, expected_params=cfg.params(hit[0]))
                 )
         if truncated:
             break
@@ -668,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phases", choices=("gast", "gast+ost"), default="gast")
 
     p = command("enumerate", cmd_enumerate, "scan a code graph for embedded objects (desk scale)",
-                "--oracle-cap", "--out")
+                "--support-cap", "--out")
     p.add_argument("code")
     p.add_argument("--max-a", type=_at_least(1), required=True)
     p.add_argument("--kind", choices=("gast", "ost"), default="gast")

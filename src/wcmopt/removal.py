@@ -36,7 +36,7 @@ from .gflinalg import (
     null_space,
     rank,
 )
-from .wcmtree import WcmSet, build_tree, extract_wcms
+from .wcmtree import UnlabeledTree, WcmSet, build_tree, extract_wcms
 
 DEFAULT_ORACLE_CAP = 10_000_000
 EXTRA_CHANGES = 2  # set sizes tried beyond the topological bound
@@ -182,6 +182,15 @@ class _ColumnMembership:
 
     def first_unbroken(self, deltas: Mapping[int, int]) -> int | None:
         """Position of the first unbroken matrix with ``deltas[cn]`` added at row cn."""
+        hit = self.first_solution(deltas)
+        return None if hit is None else hit[0]
+
+    def first_solution(self, deltas: Mapping[int, int]) -> tuple[int, int] | None:
+        """(position, y) for the first unbroken matrix, as ``first_unbroken`` finds it.
+
+        y is packed over B's columns, has full support and solves B y = x,
+        so y with a 1 at vn is a full-support null vector of the matrix.
+        """
         if not self.changeable.issuperset(deltas):
             raise ValueError(f"rows {sorted(set(deltas) - self.changeable)} are not changeable")
         scan = self.scan
@@ -201,8 +210,9 @@ class _ColumnMembership:
             if solvable:
                 if m.null_multiples is None:
                     m.null_multiples = [scan.multiples(b) for b in m.basis]
-                if scan.first(tx, m.null_multiples) is not None:
-                    return i
+                y = scan.first(tx, m.null_multiples)
+                if y is not None:
+                    return i, y
         return None
 
 
@@ -271,6 +281,32 @@ def is_in_Z(
         c.adjacency().entries, c.num_vns - 1, groups, c.field, support_cap, frozenset()
     )
     return column.first_unbroken({}) is not None
+
+
+def smallest_b(
+    c: Configuration, tree: UnlabeledTree, support_cap: int = DEFAULT_SUPPORT_CAP
+) -> tuple[int, tuple[int, ...]] | None:
+    """Smallest b over ``tree``'s family and an assignment attaining it; None when out of it.
+
+    One matrix per flippable set: the adjacency rows without the degree-1
+    rows and the set's.  Sets are tried by size, in the family's
+    lexicographic order within a size, up to the first matrix with a
+    full-support null vector, which is the witness.  Its unsatisfied
+    checks are the degree-1 ones and a subset of the set; every subset of
+    a flippable set is flippable and was tried first, so they are exactly
+    the set's and b = d1 + its size is the smallest.  A support-cap
+    overrun raises only on a matrix the walk reaches.
+    """
+    sets = sorted(tree.family, key=len)
+    groups = [tuple(sorted(c.deg1_cns.union(s))) for s in sets]
+    column = _ColumnMembership(
+        c.adjacency().entries, c.num_vns - 1, groups, c.field, support_cap, frozenset()
+    )
+    hit = column.first_solution({})
+    if hit is None:
+        return None
+    i, y = hit
+    return c.d1 + len(sets[i]), column.scan.unpack(y) + (1,)
 
 
 def compute_b_for_values(

@@ -270,12 +270,15 @@ def reference_induce(graph: CodeGraph, vns) -> Configuration:
     )
 
 
-def random_code(rng: random.Random, rows: int, cols: int, gamma: int = 3) -> CodeGraph:
-    """GF(4) code graph with ``gamma`` random rows and random weights per column."""
+def random_code(
+    rng: random.Random, rows: int, cols: int, gamma: int = 3, field: FieldContext | None = None
+) -> CodeGraph:
+    """Code graph (GF(4) by default) with ``gamma`` random rows and random weights per column."""
+    field = field or gf4()
     weights = {
-        (r, c): rng.randrange(1, 4) for c in range(cols) for r in rng.sample(range(rows), gamma)
+        (r, c): rng.randrange(1, field.q) for c in range(cols) for r in rng.sample(range(rows), gamma)
     }
-    return CodeGraph(rows, cols, gamma, gf4(), weights)
+    return CodeGraph(rows, cols, gamma, field, weights)
 
 
 def reference_enumerate(

@@ -1,3 +1,4 @@
+import itertools
 import json
 import pathlib
 import random
@@ -5,7 +6,8 @@ import re
 
 import pytest
 
-from conftest import random_code, reference_enumerate
+from conftest import drop_rows, gf16, random_code, reference_enumerate, satisfied_labeling
+from wcmopt import cli, removal
 from wcmopt import fixtures as fx
 from wcmopt.cli import (
     EXIT_OK,
@@ -22,7 +24,10 @@ from wcmopt.cli import (
     serialize_config,
     serialize_targets,
 )
-from wcmopt.removal import Target
+from wcmopt.config import CodeGraph, classify_unlabeled
+from wcmopt.gflinalg import null_space
+from wcmopt.removal import DEFAULT_ORACLE_CAP, Target
+from wcmopt.wcmtree import build_tree
 
 FIXDIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -178,7 +183,7 @@ class TestCommands:
         ("verify", ["gast_6_0_0_9_0.cfg"], ["--mode", "ost"]),
         ("remove", ["gast_6_0_0_9_0.cfg"], ["--phases", "gast"]),
         ("optimize", ["toy_code.txt", "toy_targets.txt"], ["--mode", "gast"]),
-        ("enumerate", ["toy_code.txt"], ["--max-a", "1", "--support-cap", "0"]),
+        ("enumerate", ["toy_code.txt"], ["--max-a", "1", "--oracle-cap", "10"]),
     ], ids=["analyze", "verify", "remove", "optimize", "enumerate"])
     def test_stray_flag_is_an_input_error(self, command, files, flags, tmp_path, capsys):
         # a flag its command does not read is refused, not silently ignored
@@ -455,7 +460,6 @@ class TestCommands:
         for (r, c), w in list(graph.weights.items()):
             if r < 9 and c < 6:
                 weights[(22 + r, 12 + c)] = w
-        from wcmopt.config import CodeGraph
         big = CodeGraph(31, 18, 3, graph.field, weights)
         code_path = tmp_path / "two.txt"
         code_path.write_text(serialize_code(big))
@@ -490,7 +494,6 @@ class TestCommands:
                 (graph.cols + 1, {}),
                 (5, {"budget": 0}),
                 (6, {"budget": 2 ** graph.cols // 3}),
-                (4, {"oracle_cap": 26}),
             )
             for kind in kinds:
                 for max_a, limits in runs:
@@ -511,6 +514,56 @@ class TestCommands:
                     assert blocks[-1]["truncated"] == ("yes" if truncated else "no")
                     hits[kind] += len(found) + len(skipped)
         assert all(hits.values()), hits
+
+    def test_enumerate_lists_a_gf16_object_past_the_oracle_cap(self, tmp_path, capsys):
+        # 15^8 assignments exceed the default oracle cap; the family walk
+        # judges the planted object without them
+        field = gf16()
+        cfg = satisfied_labeling(fx.ugast_8_0_16_0(field), random.Random(8))
+        weights = {(cn, vn): w for cn, vn, w in cfg.edges}
+        code = CodeGraph(cfg.num_cns, cfg.num_vns, cfg.gamma, field, weights)
+        assert field.primitive_poly == 0b10011 and (field.q - 1) ** 8 > DEFAULT_ORACLE_CAP
+        code_path = tmp_path / "gf16.txt"
+        code_path.write_text(serialize_code(code))
+        out_path = tmp_path / "found.txt"
+        assert main(["enumerate", str(code_path), "--max-a", "8", "--out", str(out_path)]) == EXIT_OK
+        assert "[warning]" not in capsys.readouterr().out
+        assert Target(tuple(range(8)), "gast", (8, 0, 0, 16, 0)) in parse_targets(out_path.read_text())
+
+    def test_enumerate_support_cap_warns_and_skips(self, capsys):
+        # with cap 0 a shape hit is skipped exactly when some matrix of its
+        # family has a nonzero null space; the others are out of the family
+        path = fixture_path("toy_code.txt")
+        graph = parse_code((FIXDIR / "toy_code.txt").read_text())
+        skipped = []
+        for subset in (s for k in range(1, 7) for s in itertools.combinations(range(graph.cols), k)):
+            cfg = graph.induce(subset)
+            if not classify_unlabeled(cfg).is_unlabeled_gast:
+                continue
+            if any(
+                null_space(drop_rows(cfg.adjacency(), cfg.deg1_cns.union(s))).dimension
+                for s in build_tree(cfg).family
+            ):
+                skipped.append(subset)
+        assert tuple(range(6)) in skipped
+        assert main(["enumerate", path, "--max-a", "6", "--support-cap", "0", "--format", "json-lines"]) == EXIT_OK
+        captured = capsys.readouterr()
+        blocks = [json.loads(line) for line in captured.out.splitlines()]
+        assert [b["message"] for b in blocks if b["block"] == "warning"] == [
+            f"support cap hit for subset {s}; skipped" for s in skipped
+        ]
+        assert blocks[-1]["block"] == "enumerate" and blocks[-1]["found"] == 0
+        assert "Traceback" not in captured.err
+
+    def test_enumerate_calls_no_oracle(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerate called an exhaustive oracle")
+
+        for module in (cli, removal):
+            monkeypatch.setattr(module, "oracle_in_family", refuse)
+            monkeypatch.setattr(module, "oracle_is_gas", refuse)
+        assert main(["enumerate", fixture_path("toy_code.txt"), "--max-a", "6"]) == EXIT_OK
+        assert "kind=gast vns=1,2,3,4,5,6 params=6,0,0,9,0" in capsys.readouterr().out
 
 
 def readme_schema() -> dict[str, set[str]]:

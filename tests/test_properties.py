@@ -5,6 +5,7 @@ algebra, seeded generators drive the labeled-configuration suites so case
 counts stay explicit.
 """
 
+import itertools
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from conftest import (
     drop_rows,
     gf16,
     naive_full_support,
+    random_code,
     random_reweighting,
     random_weights,
     reference_oracle_in_family,
@@ -36,6 +38,7 @@ from wcmopt.removal import (
     oracle_in_family,
     oracle_is_gas,
     remove_object,
+    smallest_b,
 )
 from wcmopt.wcmtree import build_tree, extract_wcms
 
@@ -268,3 +271,41 @@ def test_oracle_witness_consistency():
                 assert b == res.smallest_b
             checked += 1
     assert checked >= 200
+
+
+def test_smallest_b_matches_the_family_oracle_on_random_codes():
+    # the family walk against the exhaustive oracle on every shape hit of
+    # random codes; each witness attains its b with only checks of degree
+    # <= 2 unsatisfied and every VN keeping the kind's majority
+    rng = random.Random(61)
+    hits, members = {}, {}
+    for field, max_a in ((gf4(), 6), (gf8(), 5)):
+        for gamma in (3, 4):
+            for _ in range(4):
+                graph = random_code(rng, rng.randint(6, 9), 8, gamma, field)
+                for kind in ("gast", "ost") if gamma % 2 == 0 else ("gast",):
+                    for subset in (
+                        s for k in range(1, max_a + 1) for s in itertools.combinations(range(8), k)
+                    ):
+                        cfg = graph.induce(subset)
+                        if not classify_unlabeled(cfg).supports(kind):
+                            continue
+                        fam = oracle_in_family(cfg, kind)
+                        hit = smallest_b(cfg, build_tree(cfg, kind))
+                        assert (hit is not None) == fam.is_member, (subset, kind)
+                        key = (field.q, gamma, kind)
+                        hits[key] = hits.get(key, 0) + 1
+                        if hit is None:
+                            continue
+                        members[key] = members.get(key, 0) + 1
+                        b, witness = hit
+                        assert b == fam.smallest_b
+                        assert all(witness)
+                        syndrome = mat_vec(cfg.adjacency(), witness)
+                        unsat = {cn for cn, x in enumerate(syndrome) if x}
+                        assert len(unsat) == b
+                        assert all(len(cfg.cn_neighbors[cn]) <= 2 for cn in unsat)
+                        for vn in range(cfg.num_vns):
+                            u = sum(1 for cn, _ in cfg.vn_neighbors[vn] if cn in unsat)
+                            assert 2 * u < gamma if kind == "gast" else 2 * u <= gamma
+    assert len(members) == 6 and min(hits.values()) >= 150 and min(members.values()) >= 10, (hits, members)

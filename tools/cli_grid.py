@@ -13,7 +13,7 @@ Each command gets only the options it takes.  The grid: every
 verify, in each ``--format`` with four cap settings; optimize on both
 toy codes in both phases, formats and cap settings; enumerate on both toy
 codes for both kinds and formats, with and without ``--out``, and with
-budgets and an oracle cap that make its output depend on scan order.
+budgets and a support cap that make its output depend on scan order.
 Commands run as ``python -m wcmopt`` subprocesses on the checkout's
 ``src``, from a scratch directory where ``fixtures`` links to the
 checkout's fixtures, so paths in the output are the same for every
@@ -36,9 +36,10 @@ from pathlib import Path
 MODES = ("gast", "ost", "eas", "bast")
 FORMATS = ("text", "json-lines")
 CAPS = ((), ("--oracle-cap", "10"), ("--oracle-cap", "728"), ("--support-cap", "0"))
-# Budgets that stop toy_code.txt's scan inside sizes 3 and 5, and an oracle
-# cap that skips every shape hit of size >= 3 with a warning each.
-ENUMERATE_LIMITS = (("--budget", "100"), ("--budget", "1500"), ("--oracle-cap", "10"))
+# Budgets that stop toy_code.txt's scan inside sizes 3 and 5, and a support
+# cap that skips, with a warning each, every shape hit whose family has a
+# matrix with a nonzero null space.
+ENUMERATE_LIMITS = (("--budget", "100"), ("--budget", "1500"), ("--support-cap", "0"))
 CODES = (
     ("fixtures/toy_code.txt", "fixtures/toy_targets.txt"),
     ("fixtures/toy_code_overlap.txt", "fixtures/toy_targets_overlap.txt"),
