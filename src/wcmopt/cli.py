@@ -27,7 +27,7 @@ from .config import (
     classify_unlabeled,
 )
 from .gf import FieldContext, FieldError, format_element
-from .gflinalg import DEFAULT_SUPPORT_CAP, SearchTooLargeError
+from .gflinalg import DEFAULT_SUPPORT_CAP, SearchTooLargeError, SupportScan
 from .removal import (
     DEFAULT_ORACLE_CAP,
     OracleTooLargeError,
@@ -39,9 +39,9 @@ from .removal import (
     oracle_in_family,
     oracle_is_gas,
     remove_object,
-    smallest_b,
+    smallest_b_on_rows,
 )
-from .wcmtree import build_tree, extract_wcms, z_family
+from .wcmtree import build_tree, extract_wcms, grow_tree, z_family
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -545,16 +545,20 @@ def cmd_enumerate(args: argparse.Namespace, rep: Reporter) -> int:
     examined = 0
     truncated = False
     for size in range(1, min(args.max_a, graph.cols) + 1):
-        for subset, topo in graph.shapes(size):
+        # smallest_b_on_rows's layouts, built once per size: B spans size - 1
+        # columns and wide spans B, x and up to size * gamma checks
+        scan, wide = SupportScan(graph.field, size - 1), SupportScan(graph.field, size * (graph.gamma + 1))
+        for subset, topo, read in graph.shapes(size):
             examined += 1
             if examined > args.budget:
                 truncated = True
                 break
             if not topo.supports(kind):
                 continue
-            cfg = graph.induce(subset)
+            shape = read()
+            tree = grow_tree(shape.pairs, shape.vn_deg1_counts, topo, graph.gamma, kind)
             try:
-                hit = smallest_b(cfg, build_tree(cfg, kind), args.support_cap)
+                hit = smallest_b_on_rows(shape.rows, shape.deg1_rows, tree, scan, wide, args.support_cap)
             except SearchTooLargeError:
                 rep.block(
                     "warning",
@@ -563,7 +567,7 @@ def cmd_enumerate(args: argparse.Namespace, rep: Reporter) -> int:
                 continue
             if hit is not None:
                 found.append(
-                    Target(vn_ids=subset, kind=kind, expected_params=cfg.params(hit[0]))
+                    Target(vn_ids=subset, kind=kind, expected_params=shape.params(hit[0]))
                 )
         if truncated:
             break

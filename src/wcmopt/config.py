@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .gf import FieldContext
 from .gflinalg import GfMatrix
@@ -316,15 +317,24 @@ class CodeGraph:
             vn_ids=tuple(vset), cn_ids=cn_ids,
         )
 
-    def shapes(self, size: int) -> Iterator[tuple[tuple[int, ...], TopoClass]]:
+    def shapes(
+        self, size: int
+    ) -> Iterator[tuple[tuple[int, ...], TopoClass, Callable[[], "ShapeHit"]]]:
         """Every VN subset of ``size`` in lexicographic order, with its unlabeled class.
 
-        The walk adds and removes one column at a time and keeps each
-        check's in-subset degree and the number of checks at each degree,
-        so a subset's class comes from the running counts without building
-        a Configuration; it equals ``classify_unlabeled(self.induce(subset))``.
+        Yields (subset, class, hit).  The walk adds and removes one column
+        at a time and keeps each check's in-subset degree, the number of
+        checks at each degree and each check's packed row over the chosen
+        columns: adding the i-th column ORs its weight into slot i of its
+        checks' rows, removing it ANDs the slot away.  A subset's class
+        comes from the running counts without building a Configuration and
+        equals ``classify_unlabeled(self.induce(subset))``; ``hit()``
+        returns the rest of what ``induce`` would give, read from the
+        running state, so it holds only until the walk moves on.
         """
-        col_rows, deg = self._col_rows, [0] * self.rows
+        col_rows, width = self._col_rows, self.field.lam + 1
+        deg, packed = [0] * self.rows, [0] * self.rows
+        terms = [tuple((r, self.weights[r, v]) for r in rs) for v, rs in enumerate(col_rows)]
         at = [self.rows] + [0] * (self.cols + 2)  # checks per in-subset degree
         classes: dict[tuple, TopoClass] = {}
         chosen: list[int] = []
@@ -335,22 +345,27 @@ class CodeGraph:
                 key = at[1], at[2], self.rows - at[0] - at[1] - at[2], deg1
                 if key not in classes:  # few distinct shapes: classify each once
                     classes[key] = shape_class(self.gamma, *key)
-                yield tuple(chosen), classes[key]
+                subset = tuple(chosen)
+                yield subset, classes[key], partial(_shape_hit, col_rows, deg, packed, subset, key)
             elif v <= last + len(chosen):
-                for r in col_rows[v]:
+                shift = width * len(chosen)
+                for r, w in terms[v]:
                     at[deg[r]] -= 1
                     deg[r] += 1
                     at[deg[r]] += 1
+                    packed[r] |= w << shift
                 chosen.append(v)
                 v += 1
                 continue
             if not chosen:
                 return
             v = chosen.pop()
+            keep = (1 << width * len(chosen)) - 1
             for r in col_rows[v]:
                 at[deg[r]] -= 1
                 deg[r] -= 1
                 at[deg[r]] += 1
+                packed[r] &= keep
             v += 1
 
     def apply_changes(self, changes: Mapping[tuple[int, int], int]) -> "CodeGraph":
@@ -379,3 +394,52 @@ class CodeGraph:
             and self.field == other.field
             and self.weights == other.weights
         )
+
+
+class ShapeHit(NamedTuple):
+    """What the subset walk holds of one subset, numbered as ``induce`` numbers it.
+
+    Checks are in ascending order and columns in subset order.  ``rows``
+    are the checks' adjacency rows packed as ``SupportScan`` vectors: lam +
+    1 bits per slot, slot i the i-th column.  ``deg1_rows`` lists the
+    degree-1 checks, ``pairs`` maps each degree-2 check to its two columns,
+    ascending, and ``vn_deg1_counts`` holds each column's number of
+    degree-1 checks.
+    """
+
+    rows: tuple[int, ...]
+    deg1_rows: tuple[int, ...]
+    pairs: dict[int, tuple[int, int]]
+    vn_deg1_counts: tuple[int, ...]
+    d1: int
+    d2: int
+    d3: int
+
+    def params(self, b: int) -> tuple[int, ...]:
+        """(a, b, d1, d2, d3), as ``Configuration.params(b)``."""
+        return (len(self.vn_deg1_counts), b, self.d1, self.d2, self.d3)
+
+
+def _shape_hit(
+    col_rows: Sequence[Sequence[int]],
+    deg: Sequence[int],
+    packed: Sequence[int],
+    subset: tuple[int, ...],
+    key: tuple,
+) -> ShapeHit:
+    """``CodeGraph.shapes``'s data for ``subset``: its checks' degrees and packed rows."""
+    d1, d2, d3, deg1 = key
+    slots: dict[int, list[int]] = {}
+    for i, u in enumerate(subset):
+        for r in col_rows[u]:
+            slots.setdefault(r, []).append(i)
+    checks = sorted(slots)
+    return ShapeHit(
+        rows=tuple([packed[r] for r in checks]),
+        deg1_rows=tuple([p for p, r in enumerate(checks) if deg[r] == 1]),
+        pairs={p: tuple(slots[r]) for p, r in enumerate(checks) if deg[r] == 2},
+        vn_deg1_counts=deg1,
+        d1=d1,
+        d2=d2,
+        d3=d3,
+    )

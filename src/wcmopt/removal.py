@@ -123,12 +123,25 @@ class _Reduced:
         self.null_multiples: list[list[int]] | None = None
 
 
+def _pack_rows(
+    rows: Sequence[tuple[int, ...]], vn: int, field: FieldContext
+) -> tuple[list[int], SupportScan, SupportScan]:
+    """Row tuples in ``_ColumnMembership``'s layouts, column ``vn`` as x: (packed, scan, wide)."""
+    # every slot a kernel row or a reduced column can use: B, x and
+    # the unit columns, or B and the rows below the rank
+    wide = SupportScan(field, len(rows[0]) + len(rows))
+    packed = [wide.pack(row[:vn] + row[vn + 1 :] + (row[vn],)) for row in rows]
+    return packed, SupportScan(field, len(rows[0]) - 1), wide
+
+
 class _ColumnMembership:
     """The one membership test: the first matrix with unbroken conditions.
 
-    ``rows`` is an adjacency matrix as row tuples and each group lists the
-    rows one matrix drops from it.  ``first_unbroken(deltas)`` judges the
-    rows with ``deltas[cn]`` added to column vn at row cn, for rows in
+    ``packed`` holds an adjacency matrix's rows as ``wide`` vectors, B's
+    columns in the first ``scan.length`` slots and x in the next one (see
+    ``_pack_rows``); ``wide`` spans B, x and one slot per row.  Each group
+    lists the rows one matrix drops.  ``first_unbroken(deltas)`` judges
+    the rows with ``deltas[cn]`` added to column vn at row cn, for rows in
     ``changeable``.  Matrices are tried in group order up to the first
     unbroken one, so a support-cap overrun raises only on a matrix the scan
     reaches.  None means every matrix is broken.
@@ -153,19 +166,15 @@ class _ColumnMembership:
 
     def __init__(
         self,
-        rows: Sequence[tuple[int, ...]],
-        vn: int,
+        packed: Sequence[int],
+        scan: SupportScan,
+        wide: SupportScan,
         groups: Sequence[Sequence[int]],
-        field: FieldContext,
         support_cap: int,
         changeable: frozenset[int],
     ):
+        self.packed, self.scan, self.wide = packed, scan, wide
         self.groups, self.support_cap, self.changeable = groups, support_cap, changeable
-        self.scan = SupportScan(field, len(rows[0]) - 1)
-        # every slot a kernel row or a reduced column can use: B, x and
-        # the unit columns, or B and the rows below the rank
-        self.wide = SupportScan(field, len(rows[0]) + len(rows))
-        self.packed = [self.wide.pack(row[:vn] + row[vn + 1 :] + (row[vn],)) for row in rows]
         self.reduced: list[_Reduced | None] = [None] * len(groups)
 
     def _reduce(self, group: Sequence[int]) -> _Reduced:
@@ -277,36 +286,49 @@ def is_in_Z(
     adjacency rows as they stand.
     """
     groups = [rec.removed_rows for rec in w.wcms]
-    column = _ColumnMembership(
-        c.adjacency().entries, c.num_vns - 1, groups, c.field, support_cap, frozenset()
-    )
+    packed = _pack_rows(c.adjacency().entries, c.num_vns - 1, c.field)
+    column = _ColumnMembership(*packed, groups, support_cap, frozenset())
     return column.first_unbroken({}) is not None
+
+
+def smallest_b_on_rows(
+    rows: Sequence[int],
+    deg1_rows: Sequence[int],
+    tree: UnlabeledTree,
+    scan: SupportScan,
+    wide: SupportScan,
+    support_cap: int = DEFAULT_SUPPORT_CAP,
+) -> tuple[int, tuple[int, ...]] | None:
+    """Smallest b over ``tree``'s family and an assignment attaining it; None when out of it.
+
+    ``rows`` are an object's adjacency rows packed in ``_ColumnMembership``'s
+    layouts, with x its last column, and ``deg1_rows`` its degree-1 rows;
+    ``scan`` spans the other columns.  A caller that judges many objects of
+    one size builds ``scan`` and ``wide`` once.  One matrix per flippable
+    set: the rows without the degree-1 rows and the set's.  Sets are tried
+    by size, in the family's lexicographic order within a size, up to the
+    first matrix with a full-support null vector, which is the witness.
+    Its unsatisfied checks are the degree-1 ones and a subset of the set;
+    every subset of a flippable set is flippable and was tried first, so
+    they are exactly the set's and b = d1 + its size is the smallest.  A
+    support-cap overrun raises only on a matrix the walk reaches.
+    """
+    sets = sorted(tree.family, key=len)
+    groups = [tuple(sorted((*deg1_rows, *s))) for s in sets]
+    column = _ColumnMembership(rows, scan, wide, groups, support_cap, frozenset())
+    hit = column.first_solution({})
+    if hit is None:
+        return None
+    i, y = hit
+    return len(deg1_rows) + len(sets[i]), scan.unpack(y) + (1,)
 
 
 def smallest_b(
     c: Configuration, tree: UnlabeledTree, support_cap: int = DEFAULT_SUPPORT_CAP
 ) -> tuple[int, tuple[int, ...]] | None:
-    """Smallest b over ``tree``'s family and an assignment attaining it; None when out of it.
-
-    One matrix per flippable set: the adjacency rows without the degree-1
-    rows and the set's.  Sets are tried by size, in the family's
-    lexicographic order within a size, up to the first matrix with a
-    full-support null vector, which is the witness.  Its unsatisfied
-    checks are the degree-1 ones and a subset of the set; every subset of
-    a flippable set is flippable and was tried first, so they are exactly
-    the set's and b = d1 + its size is the smallest.  A support-cap
-    overrun raises only on a matrix the walk reaches.
-    """
-    sets = sorted(tree.family, key=len)
-    groups = [tuple(sorted(c.deg1_cns.union(s))) for s in sets]
-    column = _ColumnMembership(
-        c.adjacency().entries, c.num_vns - 1, groups, c.field, support_cap, frozenset()
-    )
-    hit = column.first_solution({})
-    if hit is None:
-        return None
-    i, y = hit
-    return c.d1 + len(sets[i]), column.scan.unpack(y) + (1,)
+    """``smallest_b_on_rows`` on a configuration's adjacency rows."""
+    rows, scan, wide = _pack_rows(c.adjacency().entries, c.num_vns - 1, c.field)
+    return smallest_b_on_rows(rows, sorted(c.deg1_cns), tree, scan, wide, support_cap)
 
 
 def compute_b_for_values(
@@ -511,7 +533,7 @@ def remove_object(
 
     def column(vn: int) -> _ColumnMembership:
         changeable = frozenset(cn for cn, _ in c.vn_neighbors[vn] if cn in c.deg2_cns)
-        return _ColumnMembership(rows, vn, groups, c.field, support_cap, changeable)
+        return _ColumnMembership(*_pack_rows(rows, vn, c.field), groups, support_cap, changeable)
 
     # The entry check runs on the first VN the candidates re-weight, so the
     # candidate loop reuses the matrices it reduced.

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
+from typing import Mapping, Sequence
 
 from .config import (
     Configuration,
     ConfigurationError,
+    TopoClass,
     allowance,
     classify_unlabeled,
 )
@@ -78,37 +80,49 @@ class UnlabeledTree:
 
 
 def build_tree(c: Configuration, mode: str = "gast") -> UnlabeledTree:
-    """Construct the unlabeled tree for a configuration.
+    """``grow_tree`` on a configuration's degree-2 checks, degree-1 counts and class."""
+    pairs = {cn: tuple(v for v, _ in c.cn_neighbors[cn]) for cn in sorted(c.deg2_cns)}
+    return grow_tree(pairs, c.vn_deg1_counts, classify_unlabeled(c), c.gamma, mode)
 
-    ``mode`` is 'gast' or 'ost', whose depth is the degree bound b_ut or
-    b_o_ut, or a GAST subclass with a narrower family: 'eas' caps the depth
-    at 0 (b = d1, no degree-2 CN ever unsatisfied) and 'bast' at
-    floor(a*g/2) - d1 (at most floor(a*g/2) unsatisfied CNs in total).  The
-    tree's ``mode`` is the family, 'gast' or 'ost'.  Each set is visited
-    once, in lexicographic order; b_et is the largest set size, b_st the
-    smallest leaf set size.
+
+def grow_tree(
+    pairs: Mapping[int, tuple[int, int]],
+    vn_deg1_counts: Sequence[int],
+    topo: TopoClass,
+    gamma: int,
+    mode: str = "gast",
+) -> UnlabeledTree:
+    """Construct the unlabeled tree of an object from what its set walk reads.
+
+    ``pairs`` maps each degree-2 CN, ascending, to its two VNs;
+    ``vn_deg1_counts`` holds each VN's number of degree-1 CNs and ``topo``
+    is the object's unlabeled class.  ``mode`` is 'gast' or 'ost', whose
+    depth is the degree bound b_ut or b_o_ut, or a GAST subclass with a
+    narrower family: 'eas' caps the depth at 0 (b = d1, no degree-2 CN
+    ever unsatisfied) and 'bast' at floor(a*g/2) - d1 (at most
+    floor(a*g/2) unsatisfied CNs in total).  The tree's ``mode`` is the
+    family, 'gast' or 'ost'.  Each set is visited once, in lexicographic
+    order; b_et is the largest set size, b_st the smallest leaf set size.
     """
     if mode not in ("gast", "ost", "eas", "bast"):
         raise ValueError(f"unknown mode {mode!r}")
     kind = "ost" if mode == "ost" else "gast"
-    topo = classify_unlabeled(c)
     if not topo.supports(mode):
         raise ConfigurationError(f"configuration is not an unlabeled {kind}")
     loop_max = topo.b_o_ut if kind == "ost" else topo.b_ut
-    top = allowance(c.gamma, kind)
+    top = allowance(gamma, kind)
     capped = mode in ("eas", "bast")
     if mode == "eas":
         loop_max = 0
     elif mode == "bast":
-        loop_max = min(loop_max, max(0, c.num_vns * top // 2 - c.d1))
+        loop_max = min(loop_max, max(0, len(vn_deg1_counts) * top // 2 - sum(vn_deg1_counts)))
 
     # Depth-first with an explicit stack, keeping each VN's unsatisfied count
     # for the current set: a CN's two VNs gain one on entering it and lose it
     # on leaving.  Counts only grow as a set grows, so a set's partner pool is
     # filtered from its parent's; a sorted set grows only by partners above
     # its last CN, so each set is entered once.
-    pairs = {cn: tuple(v for v, _ in c.cn_neighbors[cn]) for cn in sorted(c.deg2_cns)}
-    unsat = list(c.vn_deg1_counts)
+    unsat = list(vn_deg1_counts)
     path: list[int] = []
     family: dict[tuple[int, ...], tuple[int, ...]] = {}
     # (cn, its parent's pool) enters cn, the root as cn -1; (cn, None) leaves cn

@@ -3,11 +3,12 @@ import json
 import pathlib
 import random
 import re
+import sys
 
 import pytest
 
 from conftest import drop_rows, gf16, random_code, reference_enumerate, satisfied_labeling
-from wcmopt import cli, removal
+from wcmopt import cli, config, removal, wcmtree
 from wcmopt import fixtures as fx
 from wcmopt.cli import (
     EXIT_OK,
@@ -24,7 +25,7 @@ from wcmopt.cli import (
     serialize_config,
     serialize_targets,
 )
-from wcmopt.config import CodeGraph, classify_unlabeled
+from wcmopt.config import CodeGraph, Configuration, classify_unlabeled
 from wcmopt.gflinalg import null_space
 from wcmopt.removal import DEFAULT_ORACLE_CAP, Target
 from wcmopt.wcmtree import build_tree
@@ -562,6 +563,21 @@ class TestCommands:
         for module in (cli, removal):
             monkeypatch.setattr(module, "oracle_in_family", refuse)
             monkeypatch.setattr(module, "oracle_is_gas", refuse)
+        assert main(["enumerate", fixture_path("toy_code.txt"), "--max-a", "6"]) == EXIT_OK
+        assert "kind=gast vns=1,2,3,4,5,6 params=6,0,0,9,0" in capsys.readouterr().out
+
+    def test_enumerate_builds_no_configuration(self, monkeypatch, capsys):
+        # each shape hit is judged on the subset walk's own rows
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerate built or classified a configuration")
+
+        monkeypatch.setattr(CodeGraph, "induce", refuse)
+        monkeypatch.setattr(Configuration, "__init__", refuse)
+        bound = [m for name, m in sys.modules.items() if name.split(".")[0] == "wcmopt"]
+        for module in bound:
+            if hasattr(module, "classify_unlabeled"):
+                monkeypatch.setattr(module, "classify_unlabeled", refuse)
+        assert {removal, wcmtree, config, cli} <= set(bound)
         assert main(["enumerate", fixture_path("toy_code.txt"), "--max-a", "6"]) == EXIT_OK
         assert "kind=gast vns=1,2,3,4,5,6 params=6,0,0,9,0" in capsys.readouterr().out
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import random_code, random_weights, reference_induce
+from conftest import gf16, random_code, random_weights, reference_induce
 from wcmopt import fixtures as fx
 from wcmopt.config import (
     CodeGraph,
@@ -15,7 +15,10 @@ from wcmopt.config import (
     cn_flippable_partners,
     keeps_majority,
 )
-from wcmopt.gf import FieldError, gf4
+from wcmopt.gf import FieldError, gf4, gf8
+from wcmopt.gflinalg import SearchTooLargeError, SupportScan
+from wcmopt.removal import compute_b_for_values, oracle_in_family, smallest_b, smallest_b_on_rows
+from wcmopt.wcmtree import build_tree, grow_tree
 
 A, A2 = 2, 3
 
@@ -299,8 +302,61 @@ def test_walk_classes_match_induced_configurations():
         for _ in range(6):
             graph = random_code(rng, rng.randint(gamma, 9), rng.randint(1, 8), gamma)
             for size in range(graph.cols + 2):
-                walked = list(graph.shapes(size))
+                walked = [(subset, topo) for subset, topo, _ in graph.shapes(size)]
                 subsets = list(itertools.combinations(range(graph.cols), size))
                 assert [s for s, _ in walked] == subsets
                 for subset, topo in walked:
                     assert topo == classify_unlabeled(graph.induce(subset)), subset
+
+
+def test_walk_hits_match_induced_configurations():
+    # every subset of small random codes, sizes 0 .. cols + 1: what the walk
+    # hands over is what induce gives, and the family test on it is
+    # smallest_b on the induced configuration, support-cap overruns included;
+    # where the exhaustive family oracle is cheap it checks b and the
+    # witness apart from the membership kernel
+    def outcome(judge, cap):
+        try:
+            return judge(cap)
+        except SearchTooLargeError:
+            return "support cap"
+
+    rng = random.Random(11)
+    for field in (gf4(), gf8(), gf16()):
+        for gamma in (2, 3, 4):
+            kinds = ("gast", "ost") if gamma % 2 == 0 else ("gast",)
+            for _ in range(5):
+                graph = random_code(rng, rng.randint(gamma, 9), rng.randint(1, 8), gamma, field)
+                for size in range(graph.cols + 2):
+                    scan, wide = SupportScan(field, size - 1), SupportScan(field, size * (gamma + 1))
+                    for subset, topo, read in graph.shapes(size):
+                        shape, cfg = read(), graph.induce(subset)
+                        packing = SupportScan(field, len(subset))
+                        assert shape.rows == tuple(map(packing.pack, cfg.adjacency().entries)), subset
+                        assert shape.deg1_rows == tuple(sorted(cfg.deg1_cns))
+                        assert list(shape.pairs.items()) == [
+                            (cn, tuple(v for v, _ in cfg.cn_neighbors[cn])) for cn in sorted(cfg.deg2_cns)
+                        ]
+                        assert shape.vn_deg1_counts == cfg.vn_deg1_counts
+                        assert (shape.d1, shape.d2, shape.d3) == (cfg.d1, cfg.d2, cfg.d3)
+                        assert shape.params(7) == cfg.params(7)
+                        for kind in kinds:
+                            if not topo.supports(kind):
+                                continue
+                            tree = grow_tree(shape.pairs, shape.vn_deg1_counts, topo, gamma, kind)
+                            assert tree == build_tree(cfg, kind)
+                            for cap in (0, 12):
+                                walked = outcome(
+                                    lambda cap: smallest_b_on_rows(shape.rows, shape.deg1_rows, tree, scan, wide, cap),
+                                    cap,
+                                )
+                                assert walked == outcome(lambda cap: smallest_b(cfg, build_tree(cfg, kind), cap), cap), subset
+                            if walked == "support cap" or (field.q - 1) ** size > 4096:
+                                continue
+                            oracle = oracle_in_family(cfg, kind)
+                            assert (walked is not None) == oracle.is_member, subset
+                            if walked is not None:
+                                b, witness = walked
+                                count, _, unsat = compute_b_for_values(cfg, witness)
+                                assert b == count == oracle.smallest_b, subset
+                                assert tuple(sorted(set(unsat) - cfg.deg1_cns)) in tree.family, subset

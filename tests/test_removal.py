@@ -21,7 +21,7 @@ from conftest import (
 )
 from wcmopt import fixtures as fx, removal
 from wcmopt.cli import parse_code, parse_config, parse_targets
-from wcmopt.config import CodeGraph, classify_unlabeled
+from wcmopt.config import CodeGraph, Configuration, classify_unlabeled
 from wcmopt.gf import gf4, gf8
 from wcmopt.gflinalg import DEFAULT_SUPPORT_CAP, GfMatrix, SearchTooLargeError, mat_vec, null_space, rank
 from wcmopt.removal import (
@@ -38,7 +38,9 @@ from wcmopt.removal import (
     oracle_is_gas,
     remove_object,
     select_candidate_edges,
+    smallest_b,
     _ColumnMembership,
+    _pack_rows,
 )
 from wcmopt.wcmtree import build_tree, extract_wcms
 
@@ -177,6 +179,59 @@ class TestMembership:
             wcms = extract_wcms(cfg, tree)
             fam = oracle_in_family(cfg, kind)
             assert fam.is_member == is_in_Z(cfg, wcms)
+
+    @pytest.mark.parametrize("path", sorted(FIXDIR.glob("*.cfg")), ids=lambda p: p.stem)
+    def test_gas_and_family_smallest_b_agree_on_the_shipped_shapes(self, path):
+        # the README's GAS-vs-GAST note: compute_e_min reads b_vn_max off the
+        # GAS oracle's witness, the paper off the object's own GAST-family
+        # assignment; on every satisfied GF(4) labeling of a shipped shape
+        # both smallest b (and the b_vn_max they give) are the same
+        shape = parse_config(path.read_text(), str(path))
+        assert shape.field.q == 4
+        topo = classify_unlabeled(shape)
+        rng = random.Random(path.stem)
+        pairs = [(gas, fam) for gas, fam in (("gas", "gast"), ("os", "ost")) if topo.supports(fam)]
+        assert pairs
+        for _ in range(4):
+            cfg = satisfied_labeling(shape, rng)
+            for gas_kind, family_kind in pairs:
+                gas = oracle_is_gas(cfg, gas_kind)
+                family = oracle_in_family(cfg, family_kind)
+                assert gas.is_member and family.is_member
+                assert gas.smallest_b == family.smallest_b == cfg.d1
+                per_vn = []
+                for witness in (gas.witness, family.witness):
+                    unsat = set(compute_b_for_values(cfg, witness)[2])
+                    per_vn.append(max(sum(cn in unsat for cn, _ in nbrs) for nbrs in cfg.vn_neighbors))
+                assert per_vn[0] == per_vn[1]
+        # any labeling: the GAS assignments include the family's, so the GAS
+        # smallest b is never the larger one
+        if topo.supports("gast"):
+            for _ in range(4):
+                cfg = random_weights(shape, rng)
+                family = oracle_in_family(cfg, "gast")
+                if family.is_member:
+                    assert oracle_is_gas(cfg, "gas").smallest_b <= family.smallest_b
+
+    def test_gas_and_family_smallest_b_differ_off_the_shipped_shapes(self):
+        # two GF(4) shape hits of random gamma=3 codes where the GAS oracle
+        # leaves a degree-3 check unsatisfied: a triangle with a shared
+        # check that is a GAS but outside the GAST family, and a (5,_,1,4,2)
+        # object whose GAS b is below the family's
+        triangle = Configuration(3, gf4(), 3, 4, [
+            (0, 0, 2), (0, 1, 2), (0, 2, 2), (1, 0, 1), (1, 1, 3),
+            (2, 1, 3), (2, 2, 1), (3, 0, 1), (3, 2, 1),
+        ])
+        assert classify_unlabeled(triangle).is_unlabeled_gast
+        assert oracle_is_gas(triangle).smallest_b == 1
+        assert not oracle_in_family(triangle, "gast").is_member
+        five = Configuration(3, gf4(), 5, 7, [
+            (0, 0, 1), (0, 1, 2), (1, 0, 3), (2, 1, 1), (2, 2, 1), (2, 4, 2), (3, 0, 3),
+            (3, 3, 3), (4, 1, 2), (4, 4, 2), (5, 2, 3), (5, 3, 1), (6, 2, 2), (6, 3, 3), (6, 4, 1),
+        ])
+        assert five.params() == (5, 1, 4, 2)
+        assert (oracle_is_gas(five).smallest_b, oracle_in_family(five, "gast").smallest_b) == (2, 3)
+        assert smallest_b(five, build_tree(five))[0] == 3
 
 
 class TestEdgeSelection:
@@ -495,7 +550,7 @@ class TestMembershipKernel:
                 rows = rows_with_weights(cfg.adjacency().entries, changes)
                 first = reference_first_unbroken(rows, groups, field, DEFAULT_SUPPORT_CAP)
                 one_shot = _ColumnMembership(
-                    rows, cfg.num_vns - 1, groups, field, DEFAULT_SUPPORT_CAP, frozenset()
+                    *_pack_rows(rows, cfg.num_vns - 1, field), groups, DEFAULT_SUPPORT_CAP, frozenset()
                 )
                 assert one_shot.first_unbroken({}) == first
                 assert (first is None) == report.all_broken
@@ -528,7 +583,7 @@ class TestMembershipKernel:
                     for vn in range(case.num_vns):
                         deg2 = frozenset(cn for cn, _ in case.vn_neighbors[vn] if cn in case.deg2_cns)
                         for changeable in (frozenset(), deg2):
-                            column = _ColumnMembership(rows, vn, case_groups, field, cap, changeable)
+                            column = _ColumnMembership(*_pack_rows(rows, vn, field), case_groups, cap, changeable)
                             fast = membership_outcome(lambda: column.first_unbroken({}))
                             assert fast == ref, (name, vn, cap)
                             verdicts.add(type(fast))
@@ -555,7 +610,7 @@ class TestMembershipKernel:
             assert ref == (0 if cap == cfg.num_vns else f"null-space dimension 3 exceeds support search cap {cap}")
             for vn in range(cfg.num_vns):
                 for changeable in (frozenset(), frozenset(range(cfg.num_cns))):
-                    column = _ColumnMembership(rows, vn, groups, field, cap, changeable)
+                    column = _ColumnMembership(*_pack_rows(rows, vn, field), groups, cap, changeable)
                     assert membership_outcome(lambda: column.first_unbroken({})) == ref
                     assert membership_outcome(lambda: column.first_unbroken(dict.fromkeys(changeable, 1))) == ref
 
@@ -572,7 +627,7 @@ class TestMembershipKernel:
             rows = [row + (v,) for row, v in zip(m.entries, x)]
             rows.append(tuple(rng.randrange(f.q) for _ in range(m.cols + 1)))
             units = rng.sample(range(m.rows + 1), rng.randrange(m.rows + 2))
-            column = _ColumnMembership(rows, m.cols, [(m.rows,)], f, DEFAULT_SUPPORT_CAP, frozenset(units))
+            column = _ColumnMembership(*_pack_rows(rows, m.cols, f), [(m.rows,)], DEFAULT_SUPPORT_CAP, frozenset(units))
             reduced = column._reduce((m.rows,))
             assert sorted(reduced.columns) == sorted(u for u in units if u < m.rows)
             assert tuple(map(column.scan.unpack, reduced.basis)) == null_space(m).basis_vectors
@@ -605,7 +660,7 @@ class TestMembershipKernel:
             rows = cfg.adjacency().entries
             for vn in range(cfg.num_vns):
                 changeable = sorted(rng.sample(range(cfg.num_cns), rng.randrange(1, 5)))
-                column = _ColumnMembership(rows, vn, groups, field, DEFAULT_SUPPORT_CAP, frozenset(changeable))
+                column = _ColumnMembership(*_pack_rows(rows, vn, field), groups, DEFAULT_SUPPORT_CAP, frozenset(changeable))
                 for _ in range(6):
                     picked = rng.sample(changeable, rng.randrange(1, len(changeable) + 1))
                     deltas = {cn: rng.randrange(1, field.q) for cn in picked}
@@ -623,7 +678,7 @@ class TestMembershipKernel:
         deg2 = sorted(cn for cn, _ in cfg.vn_neighbors[0] if cn in cfg.deg2_cns)
         far = next(cn for cn, row in enumerate(cfg.adjacency().entries) if row[0] == 0)
         column = _ColumnMembership(
-            cfg.adjacency().entries, 0, groups, cfg.field, DEFAULT_SUPPORT_CAP, frozenset(deg2[:1])
+            *_pack_rows(cfg.adjacency().entries, 0, cfg.field), groups, DEFAULT_SUPPORT_CAP, frozenset(deg2[:1])
         )
         assert column.first_unbroken({deg2[0]: 1}) == reference_first_unbroken(
             rows_with_weights(cfg.adjacency().entries, {(deg2[0], 0): cfg.weight_of(deg2[0], 0) ^ 1}),
@@ -716,7 +771,7 @@ class TestColumnUpdate:
                 columns = {}
                 for vn, edge_set in candidates[:30]:
                     deg2 = frozenset(cn for cn, _ in cfg.vn_neighbors[vn] if cn in cfg.deg2_cns)
-                    column = columns.setdefault(vn, _ColumnMembership(rows, vn, groups, field, cap, deg2))
+                    column = columns.setdefault(vn, _ColumnMembership(*_pack_rows(rows, vn, field), groups, cap, deg2))
                     for _ in range(2):
                         changes = {e: rng.choice([w for w in range(1, field.q) if w != cfg.weight_of(*e)])
                                    for e in edge_set}

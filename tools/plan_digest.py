@@ -1,4 +1,4 @@
-"""Digest the removal plans of the benchmark's labeled pools and its optimize runs.
+"""Digest the removal plans of the benchmark's labeled pools and its optimize and enumerate runs.
 
 Prints one line per pool with its plan count and the sha256 of the
 ``repr`` of every ``remove_object`` plan in pool order, then the same over
@@ -8,9 +8,11 @@ them; each object goes through ``build_tree`` and ``extract_wcms`` with the
 defaults, as in the benchmark.  Then one line per ``optimize_code`` seed
 (1 and 41): the sha256 of ``wcmopt optimize code targets --out`` on the
 benchmark's overlap-tile code, over its standard output, with the scratch
-directory masked, and the bytes of the ``--out`` file.  Running the script
-on two checkouts and diffing the listings shows whether any plan or
-optimize output changed:
+directory masked, and the bytes of the ``--out`` file.  Last one line per
+``enumerate_scan`` seed (1 and 41): the sha256 of the standard output of
+``wcmopt enumerate code --max-a 6`` on the benchmark's planted scan code.
+Running the script on two checkouts and diffing the listings shows whether
+any plan, optimize or enumerate output changed:
 
     python3 tools/plan_digest.py > change.txt
     python3 tools/plan_digest.py --root ../parent > parent.txt
@@ -31,6 +33,7 @@ from pathlib import Path
 
 POOLS = (("remove_gf8", 1, 24), ("remove_gf8", 2, 24), ("remove_gf8", 3, 24), ("remove_gf16", 1, 200))
 OPTIMIZE_SEEDS = (1, 41)
+ENUMERATE_SEEDS = (1, 41)
 
 
 def main() -> int:
@@ -65,6 +68,15 @@ def main() -> int:
             h = hashlib.sha256(stdout.getvalue().replace(work, "<work>").encode())
             h.update(Path(paths[2]).read_bytes())
         print(f"optimize_code seed={seed} exit={rc} sha256={h.hexdigest()}")
+    for seed in ENUMERATE_SEEDS:
+        with tempfile.TemporaryDirectory() as work:
+            path = f"{work}/code.txt"
+            Path(path).write_text(inputs.planted_scan_code(seed).text, encoding="utf-8")
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                rc = cli.main(["enumerate", path, "--max-a", "6"])
+            h = hashlib.sha256(stdout.getvalue().replace(work, "<work>").encode())
+        print(f"enumerate_scan seed={seed} exit={rc} sha256={h.hexdigest()}")
     return 0
 
 
