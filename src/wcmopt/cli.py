@@ -173,21 +173,23 @@ def parse_code(text: str, path: str = "<code>", poly_flag: int | None = None) ->
     """Parse the sparse triplet format for a full parity-check matrix."""
     lineno, h, field, body = _prelude(text, path, poly_flag, ("rows", "cols", "q", "gamma"))
     weights: dict[tuple[int, int], int] = {}
+    rows, cols, q = h["rows"], h["cols"], field.q
     for ln, line in body:
         parts = line.split()
         if len(parts) != 3:
             raise ParseError(path, ln, f"expected 'row col weight', got {line!r}")
         try:
-            r, c, wv = (int(p) for p in parts)
+            r, c, wv = map(int, parts)
         except ValueError:
             raise ParseError(path, ln, f"non-integer triplet {line!r}") from None
-        if not (1 <= r <= h["rows"] and 1 <= c <= h["cols"]):
+        if not (1 <= r <= rows and 1 <= c <= cols):
             raise ParseError(path, ln, f"entry ({r},{c}) out of range")
-        if not (1 <= wv < field.q):
-            raise ParseError(path, ln, f"weight {wv} outside 1..{field.q - 1}")
-        if (r - 1, c - 1) in weights:
+        if not 1 <= wv < q:
+            raise ParseError(path, ln, f"weight {wv} outside 1..{q - 1}")
+        key = r - 1, c - 1
+        if key in weights:
             raise ParseError(path, ln, f"duplicate entry ({r},{c})")
-        weights[(r - 1, c - 1)] = wv
+        weights[key] = wv
     try:
         return CodeGraph(h["rows"], h["cols"], h["gamma"], field, weights)
     except ConfigurationError as exc:

@@ -258,7 +258,8 @@ class CodeGraph:
     """Full-code Tanner graph: a parity-check matrix H over GF(q).
 
     Rows are CNs, columns are VNs; every column carries exactly gamma
-    nonzero entries.  Immutable; apply_changes returns a new graph.
+    nonzero entries.  apply_changes returns a new graph; only
+    ``optimize_code`` writes weights in place, into its own copy.
     """
 
     def __init__(

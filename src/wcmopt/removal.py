@@ -517,6 +517,7 @@ def remove_object(
     support_cap: int = DEFAULT_SUPPORT_CAP,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
     object_id: str = "",
+    columns: dict[int, _ColumnMembership] | None = None,
 ) -> RemovalPlan:
     """Search degree-2 edge re-weightings that break every matrix at once.
 
@@ -525,11 +526,14 @@ def remove_object(
     first assignment that breaks all matrices and keeps every protected
     object out of its family wins.  Set sizes escalate to the topological
     bound and then ``EXTRA_CHANGES`` beyond it before the object is declared
-    unremovable.
+    unremovable.  ``columns``, an empty dict when given, receives the
+    search's kernels by VN, each on ``c``'s rows with that VN's degree-2
+    checks changeable; the selected VN's has every matrix reduced.
     """
     kind = w.kind
     rows = c.adjacency().entries
     groups = [rec.removed_rows for rec in w.wcms]
+    columns = {} if columns is None else columns
 
     def column(vn: int) -> _ColumnMembership:
         changeable = frozenset(cn for cn, _ in c.vn_neighbors[vn] if cn in c.deg2_cns)
@@ -538,7 +542,7 @@ def remove_object(
     # The entry check runs on the first VN the candidates re-weight, so the
     # candidate loop reuses the matrices it reduced.
     first_vn = c.vn_deg1_counts.index(max(c.vn_deg1_counts))
-    columns = {first_vn: column(first_vn)}
+    columns[first_vn] = column(first_vn)
     if columns[first_vn].first_unbroken({}) is None:
         return RemovalPlan(object_id, kind, "not_in_z", 0, _e_bound(c, kind), True, None, ())
     e_min, e_bound, exact = compute_e_min(c, kind, oracle_cap)
@@ -607,18 +611,79 @@ class Target:
         return ",".join(str(v + 1) for v in self.vn_ids)
 
 
-@dataclass
 class _ProtectedEntry:
-    """A removed object: its matrix family, judged on the object re-induced from a graph.
+    """A removed object, judged under later re-weightings on per-VN column kernels.
 
-    Re-weighting keeps the structure, so ``graph.induce(vn_ids)`` numbers
-    the rows as ``wcms`` does on every later graph.
+    ``edges`` maps each graph edge of the object to its (cn, vn) as
+    ``graph.induce(vn_ids)`` numbers it; re-weighting keeps the structure,
+    so that numbering and ``wcms`` hold on every later graph.
+    ``kernels[vn]`` is a ``_ColumnMembership`` with column vn as x and the
+    row deltas the object's column vn has taken since the kernel's rows
+    were packed; its other columns are as packed.  A plan re-weights one
+    VN, so a change touches one column of the object.
     """
 
-    object_id: str
-    vn_ids: tuple[int, ...]
-    wcms: WcmSet
-    edge_keys: frozenset[tuple[int, int]]
+    def __init__(
+        self,
+        object_id: str,
+        cfg: Configuration,
+        wcms: WcmSet,
+        kernels: Mapping[int, _ColumnMembership],
+        support_cap: int,
+    ):
+        assert cfg.cn_ids is not None and cfg.vn_ids is not None
+        self.object_id, self.vn_ids, self.wcms = object_id, cfg.vn_ids, wcms
+        self.shape = cfg.num_cns, cfg.num_vns
+        self.edges = {(cfg.cn_ids[cn], cfg.vn_ids[vn]): (cn, vn) for cn, vn, _ in cfg.edges}
+        self.kernels = {vn: (kernel, {}) for vn, kernel in kernels.items()}
+        self.support_cap = support_cap
+
+    def moved(
+        self, graph: CodeGraph, changes: Mapping[tuple[int, int], int]
+    ) -> tuple[int, dict[int, int]]:
+        """The object's column ``changes`` re-weight in ``graph`` and its row deltas (none: -1, {})."""
+        vn, deltas = -1, {}
+        for edge, wt in changes.items():
+            if edge in self.edges:
+                cn, vn = self.edges[edge]
+                deltas[cn] = graph.weights[edge] ^ wt
+        return vn, deltas
+
+    def in_family(self, graph: CodeGraph, vn: int, deltas: Mapping[int, int]) -> bool:
+        """``is_in_Z`` on the object with ``deltas`` added to ``graph``'s column vn, not re-induced.
+
+        Every choice of x gives each matrix the same verdict and the same
+        null-space dimension, dim null(B) + [x in B's column space], so the
+        kernel at column vn answers as ``is_in_Z`` does, support-cap
+        overruns included.  A kernel is packed from ``graph`` when none is
+        held at vn or the held one cannot change every row of ``deltas``;
+        its changeable rows are all of the object's rows at vn.
+        """
+        held = self.kernels.get(vn)
+        if held is None or not held[0].changeable.issuperset(deltas):
+            num_cns, num_vns = self.shape
+            rows = [[0] * num_vns for _ in range(num_cns)]
+            for edge, (cn, v) in self.edges.items():
+                rows[cn][v] = graph.weights[edge]
+            packed = _pack_rows([tuple(row) for row in rows], vn, graph.field)
+            groups = [rec.removed_rows for rec in self.wcms.wcms]
+            changeable = frozenset(cn for cn, v in self.edges.values() if v == vn)
+            held = self.kernels[vn] = _ColumnMembership(*packed, groups, self.support_cap, changeable), {}
+        kernel, total = held[0], dict(held[1])
+        for cn, delta in deltas.items():
+            total[cn] = total.get(cn, 0) ^ delta
+        return kernel.first_unbroken(total) is not None
+
+    def fold(self, vn: int, deltas: Mapping[int, int]) -> None:
+        """Record accepted ``deltas`` at column vn, which a kernel at vn can change.
+
+        That kernel takes the deltas; every other kernel has column vn in B
+        as packed, so it is dropped.
+        """
+        kernel, held = self.kernels[vn]
+        for cn, delta in deltas.items():
+            held[cn] = held.get(cn, 0) ^ delta
+        self.kernels = {vn: (kernel, held)}
 
 
 @dataclass
@@ -650,19 +715,15 @@ def _graph_protected_ok(
     registry: list[_ProtectedEntry],
     changes_graph: Mapping[tuple[int, int], int],
     report: OptimizationReport,
-    support_cap: int,
 ) -> bool:
     """Re-verify protected objects that share at least one changed edge."""
-    touched = set(changes_graph)
-    affected = [e for e in registry if e.edge_keys & touched]
-    if not affected:
-        return True
-    tentative = graph.apply_changes(changes_graph)
-    for entry in affected:
-        report.protected_checks += 1
-        if is_in_Z(tentative.induce(entry.vn_ids), entry.wcms, support_cap):
-            report.protected_rejections += 1
-            return False
+    for entry in registry:
+        vn, deltas = entry.moved(graph, changes_graph)
+        if deltas:
+            report.protected_checks += 1
+            if entry.in_family(graph, vn, deltas):
+                report.protected_rejections += 1
+                return False
     return True
 
 
@@ -681,7 +742,11 @@ def optimize_code(
     whose family check spans both shapes so no oscillating object is ever
     converted into the strict kind.  Edge changes are written back between
     objects, and every candidate change set touching an earlier removal's
-    edges re-verifies that removal before being accepted.
+    edges re-verifies that removal before being accepted, on the kernels
+    kept in its ``_ProtectedEntry``.  The run re-weights one copy of
+    ``graph`` in place and returns it; ``graph`` is left as it was.  Every
+    removal is re-verified at the end on ``is_in_Z`` over the re-induced
+    object.
     """
     if phases not in ("gast", "gast+ost"):
         raise ValueError(f"unknown phases {phases!r}")
@@ -695,7 +760,7 @@ def optimize_code(
             warnings.warn("oscillating phase skipped: column weight is odd")
     elif any(t.kind == "ost" for t in targets):
         warnings.warn("oscillating targets present but phases='gast'; they are ignored")
-    current = graph
+    current = graph.apply_changes({})
     for phase_kind in phase_kinds:
         batch = sorted(
             (t for t in targets if t.kind == phase_kind),
@@ -716,10 +781,9 @@ def optimize_code(
                 }
 
             def protected_ok(changes: Mapping[tuple[int, int], int]) -> bool:
-                return _graph_protected_ok(
-                    current, registry, to_graph(changes), report, support_cap
-                )
+                return _graph_protected_ok(current, registry, to_graph(changes), report)
 
+            columns: dict[int, _ColumnMembership] = {}
             plan = remove_object(
                 cfg,
                 wcms,
@@ -727,6 +791,7 @@ def optimize_code(
                 support_cap=support_cap,
                 oracle_cap=oracle_cap,
                 object_id=target.object_id,
+                columns=columns,
             )
             plan = replace(
                 plan,
@@ -740,15 +805,19 @@ def optimize_code(
             if plan.result == "unremovable":
                 report.unremovable.append(target.object_id)
                 continue
+            entry = _ProtectedEntry(target.object_id, cfg, wcms, columns, support_cap)
             if plan.changes:
                 graph_changes = {
                     (cn, vn): new for cn, vn, _, new in plan.changes
                 }
-                current = current.apply_changes(graph_changes)
+                for held in (*registry, entry):
+                    vn, deltas = held.moved(current, graph_changes)
+                    if deltas:
+                        held.fold(vn, deltas)
+                current.weights.update(graph_changes)
                 report.changes.extend(plan.changes)
             report.processed.append(plan)
-            edge_keys = frozenset((cn_ids[cn], vn_ids[vn]) for cn, vn, _ in cfg.edges)
-            registry.append(_ProtectedEntry(target.object_id, vn_ids, wcms, edge_keys))
+            registry.append(entry)
     for entry in registry:
         if not is_in_Z(current.induce(entry.vn_ids), entry.wcms, support_cap):
             report.reverified.append(entry.object_id)

@@ -89,6 +89,26 @@ class TestFormats:
         with pytest.raises(ParseError):
             parse_targets("kind=gast\n")
 
+    @pytest.mark.parametrize("body, line, message", [
+        ("1 1", 4, "expected 'row col weight', got '1 1'"),
+        ("1 1 1 1", 4, "expected 'row col weight', got '1 1 1 1'"),
+        ("1 x 1", 4, "non-integer triplet '1 x 1'"),
+        ("1 1 2.0", 4, "non-integer triplet '1 1 2.0'"),
+        ("3 1 1", 4, "entry (3,1) out of range"),
+        ("1 0 1", 4, "entry (1,0) out of range"),
+        ("1 3 1", 4, "entry (1,3) out of range"),
+        ("1 1 4", 4, "weight 4 outside 1..3"),
+        ("1 1 0", 4, "weight 0 outside 1..3"),
+        ("2 2 1\n\n2 2 3", 6, "duplicate entry (2,2)"),
+        ("1 1 1\n2 2 1", 2, "column 1 has 1 entries, column weight is 2"),
+    ], ids=["short", "long", "non-integer", "non-integer-weight", "row-range", "col-zero",
+            "col-range", "weight-range", "weight-zero", "duplicate", "column-weight"])
+    def test_code_parse_errors_pin_message_and_line(self, body, line, message):
+        text = f"# code\nrows=2 cols=2 q=4 gamma=2\n1 2 1\n{body}\n"
+        with pytest.raises(ParseError) as caught:
+            parse_code(text, "c.txt")
+        assert (caught.value.line, str(caught.value)) == (line, f"c.txt:{line}: {message}")
+
     @pytest.mark.parametrize("comment", ["# gf q=4 poly=zz", "# gf q=4 poly="], ids=["bad", "empty"])
     @pytest.mark.parametrize("command, text", [
         ("analyze", "q=4 gamma=1 a=1 ell=1\n1\n"),

@@ -7,12 +7,14 @@ import pytest
 
 from conftest import (
     gf16,
+    random_code,
     random_matrices,
     random_reweighting,
     random_weights,
     reference_first_unbroken,
     reference_oracle_in_family,
     reference_oracle_is_gas,
+    reference_optimize_code,
     reference_remove_object,
     rows_with_weights,
     satisfied_labeling,
@@ -449,6 +451,130 @@ class TestTwoPhase:
         ]
         for target, kind in zip(targets, ("gast", "ost")):
             assert not oracle_in_family(new_graph.induce(target.vn_ids), kind).is_member
+
+
+def shape_hit_targets(graph, sizes=range(2, 6), kind="gast"):
+    """Every subset of the given sizes whose shape is in ``kind``'s family and that ``smallest_b`` finds."""
+    found = []
+    for size in sizes:
+        for subset, topo, _ in graph.shapes(size):
+            if topo.supports(kind):
+                cfg = graph.induce(subset)
+                if smallest_b(cfg, build_tree(cfg, kind)) is not None:
+                    found.append(Target(subset, kind))
+    return found
+
+
+def protected_codes(count=12):
+    """Seeded random codes over GF(4) and GF(8), column weights 3 and 4, with their shape-hit targets."""
+    for seed in range(count):
+        rng = random.Random(f"protected:{seed}")
+        gamma = 3 + seed % 2
+        field = gf4() if seed % 4 < 2 else gf8()
+        graph = random_code(rng, 8 + 3 * (gamma - 3), 10, gamma, field)
+        yield graph, shape_hit_targets(graph)
+
+
+class TestProtectedKernels:
+    def test_kernel_route_matches_reinduced_route(self, monkeypatch):
+        # every protected check on a kept kernel gives the verdict of is_in_Z
+        # on the re-induced object; the sweep must reach each kernel rule
+        events = dict.fromkeys(("fold", "rebuild_after_other_vn", "changeable_miss"), 0)
+        checked, dropped = set(), {}
+        entry_cls = removal._ProtectedEntry
+        in_family, fold = entry_cls.in_family, entry_cls.fold
+
+        def counted_in_family(self, graph, vn, deltas):
+            checked.add(id(self))
+            held = self.kernels.get(vn)
+            if held is None and vn in dropped.get(id(self), ()):
+                events["rebuild_after_other_vn"] += 1
+            if held is not None and not held[0].changeable.issuperset(deltas):
+                events["changeable_miss"] += 1
+            return in_family(self, graph, vn, deltas)
+
+        def counted_fold(self, vn, deltas):
+            if id(self) in checked:  # an earlier removal, not the plan's own object
+                events["fold"] += 1
+            dropped.setdefault(id(self), set()).update(set(self.kernels) - {vn})
+            fold(self, vn, deltas)
+
+        monkeypatch.setattr(entry_cls, "in_family", counted_in_family)
+        monkeypatch.setattr(entry_cls, "fold", counted_fold)
+        rejections = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # searches beyond the topological bound
+            for graph, targets in protected_codes():
+                before = CodeGraph(graph.rows, graph.cols, graph.gamma, graph.field, graph.weights)
+                got_graph, got = optimize_code(graph, targets)
+                want_graph, want = reference_optimize_code(graph, targets)
+                assert graph == before
+                assert repr(got.plan_log) == repr(want.plan_log)
+                assert (got.protected_checks, got.protected_rejections) == (
+                    want.protected_checks, want.protected_rejections
+                )
+                assert got.reverified == want.reverified
+                assert got.unremovable == want.unremovable and got.skipped == want.skipped
+                assert got_graph.weights == want_graph.weights
+                rejections += got.protected_rejections
+        assert rejections > 0
+        assert all(events.values()), events
+
+    def test_support_cap_overruns_match_reinduced_route(self, monkeypatch):
+        # a kernel at another column reaches the same matrices with the same
+        # null-space dimensions, so a tight cap overruns where is_in_Z does
+        overruns = []
+        in_family = removal._ProtectedEntry.in_family
+
+        def watched(self, *args):
+            try:
+                return in_family(self, *args)
+            except SearchTooLargeError as exc:
+                overruns.append(str(exc))
+                raise
+
+        monkeypatch.setattr(removal._ProtectedEntry, "in_family", watched)
+
+        def outcome(optimize, graph, targets):
+            try:
+                new_graph, report = optimize(graph, targets, support_cap=1)
+            except SearchTooLargeError as exc:
+                return str(exc)
+            return repr(report.plan_log), report.reverified, new_graph.weights
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for graph, targets in protected_codes():
+                assert outcome(optimize_code, graph, targets) == outcome(
+                    reference_optimize_code, graph, targets
+                )
+        assert overruns
+
+    def test_one_weight_state_and_one_induce_per_object(self, monkeypatch):
+        # the run copies the graph once and induces each target once and each
+        # removal once more for the final re-verification, however many
+        # protected checks it makes
+        calls = {"induce": 0, "apply_changes": 0}
+        for name in calls:
+            method = getattr(CodeGraph, name)
+
+            def counted(self, *args, _name=name, _method=method):
+                calls[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(CodeGraph, name, counted)
+        checks = objects = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for graph, targets in protected_codes(4):
+                for name in calls:
+                    calls[name] = 0
+                _, report = optimize_code(graph, targets)
+                assert calls["apply_changes"] <= 1
+                assert calls["induce"] == len(targets) + len(report.processed)
+                checks += report.protected_checks
+                objects += len(targets)
+        assert checks > objects
 
 
 class TestLargerFields:
