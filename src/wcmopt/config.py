@@ -36,7 +36,7 @@ class Configuration:
 
     CN and VN indices are 0-based here; the file parser and report emitters
     translate to the 1-based c1../v1.. convention.  Edge-weight changes
-    produce new Configuration values so an optimizer can backtrack cheaply.
+    produce new Configuration values.
     """
 
     def __init__(

@@ -225,6 +225,52 @@ class _ColumnMembership:
         return None
 
 
+def _add_deltas(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
+    """Row deltas ``a`` plus ``b``, row by row."""
+    return {cn: a.get(cn, 0) ^ b.get(cn, 0) for cn in a.keys() | b.keys()}
+
+
+class _ObjectColumns:
+    """An object's column kernels, on its adjacency rows as re-weighted so far.
+
+    The rows start as ``c``'s and the matrices are ``w``'s removal groups.
+    ``kernels[vn]`` is a ``_ColumnMembership`` with column vn as x and every
+    row at vn changeable, and the row deltas column vn has taken since the
+    kernel's rows were packed; its other columns are as packed.
+    ``first_unbroken(vn, deltas)`` judges the rows with ``deltas`` added to
+    column vn, packing the kernel at vn from ``rows`` on first use.  Every
+    choice of x gives each matrix the same verdict and the same null-space
+    dimension, dim null(B) + [x in B's column space], so any column answers
+    as ``is_in_Z`` does, support-cap overruns included.
+    """
+
+    def __init__(self, c: Configuration, w: WcmSet, support_cap: int):
+        self.rows = list(c.adjacency().entries)
+        self.field, self.support_cap = c.field, support_cap
+        self.groups = [rec.removed_rows for rec in w.wcms]
+        self.kernels: dict[int, tuple[_ColumnMembership, dict[int, int]]] = {}
+
+    def first_unbroken(self, vn: int, deltas: Mapping[int, int]) -> int | None:
+        """Position of the first unbroken matrix with ``deltas[cn]`` added at (cn, vn)."""
+        if vn not in self.kernels:
+            packed = _pack_rows(self.rows, vn, self.field)
+            changeable = frozenset(cn for cn, row in enumerate(self.rows) if row[vn])
+            self.kernels[vn] = _ColumnMembership(*packed, self.groups, self.support_cap, changeable), {}
+        kernel, held = self.kernels[vn]
+        return kernel.first_unbroken(_add_deltas(held, deltas) if held else deltas)
+
+    def fold(self, vn: int, deltas: Mapping[int, int]) -> None:
+        """Add accepted ``deltas`` to column vn: to the rows and to the kernel at vn.
+
+        Every other kernel has column vn in B as packed, so it is dropped.
+        """
+        for cn, delta in deltas.items():
+            row = self.rows[cn]
+            self.rows[cn] = row[:vn] + (row[vn] ^ delta,) + row[vn + 1 :]
+        kernel, held = self.kernels.get(vn, (None, {}))
+        self.kernels = {} if kernel is None else {vn: (kernel, _add_deltas(held, deltas))}
+
+
 def evaluate_weight_conditions(
     c: Configuration, w: WcmSet, support_cap: int = DEFAULT_SUPPORT_CAP
 ) -> WeightConditionReport:
@@ -517,7 +563,7 @@ def remove_object(
     support_cap: int = DEFAULT_SUPPORT_CAP,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
     object_id: str = "",
-    columns: dict[int, _ColumnMembership] | None = None,
+    columns: _ObjectColumns | None = None,
 ) -> RemovalPlan:
     """Search degree-2 edge re-weightings that break every matrix at once.
 
@@ -526,24 +572,17 @@ def remove_object(
     first assignment that breaks all matrices and keeps every protected
     object out of its family wins.  Set sizes escalate to the topological
     bound and then ``EXTRA_CHANGES`` beyond it before the object is declared
-    unremovable.  ``columns``, an empty dict when given, receives the
-    search's kernels by VN, each on ``c``'s rows with that VN's degree-2
-    checks changeable; the selected VN's has every matrix reduced.
+    unremovable.  The entry check and every candidate are judged on
+    ``columns``, the object's column kernels; when given it must be built
+    on ``c``, ``w`` and ``support_cap``, and it keeps the kernels the
+    search packs, the selected VN's with every matrix reduced.
     """
     kind = w.kind
-    rows = c.adjacency().entries
-    groups = [rec.removed_rows for rec in w.wcms]
-    columns = {} if columns is None else columns
-
-    def column(vn: int) -> _ColumnMembership:
-        changeable = frozenset(cn for cn, _ in c.vn_neighbors[vn] if cn in c.deg2_cns)
-        return _ColumnMembership(*_pack_rows(rows, vn, c.field), groups, support_cap, changeable)
-
+    columns = _ObjectColumns(c, w, support_cap) if columns is None else columns
     # The entry check runs on the first VN the candidates re-weight, so the
     # candidate loop reuses the matrices it reduced.
     first_vn = c.vn_deg1_counts.index(max(c.vn_deg1_counts))
-    columns[first_vn] = column(first_vn)
-    if columns[first_vn].first_unbroken({}) is None:
+    if columns.first_unbroken(first_vn, {}) is None:
         return RemovalPlan(object_id, kind, "not_in_z", 0, _e_bound(c, kind), True, None, ())
     e_min, e_bound, exact = compute_e_min(c, kind, oracle_cap)
     tried = 0
@@ -555,8 +594,6 @@ def remove_object(
     except NoCandidateError:
         candidates = []
     for vn, edge_set in candidates:
-        if vn not in columns:
-            columns[vn] = column(vn)
         old = {edge: c.weight_of(*edge) for edge in edge_set}
         options = [
             [wt for wt in range(1, c.field.q) if wt != old[edge]]
@@ -566,7 +603,7 @@ def remove_object(
             tried += 1
             changes = dict(zip(edge_set, combo))
             deltas = {cn: old[cn, v] ^ wt for (cn, v), wt in changes.items()}
-            if columns[vn].first_unbroken(deltas) is not None:
+            if columns.first_unbroken(vn, deltas) is not None:
                 continue
             if protected_ok is not None:
                 prot_checks += 1
@@ -612,78 +649,29 @@ class Target:
 
 
 class _ProtectedEntry:
-    """A removed object, judged under later re-weightings on per-VN column kernels.
+    """A removed object and its column kernels, judged under later re-weightings.
 
     ``edges`` maps each graph edge of the object to its (cn, vn) as
     ``graph.induce(vn_ids)`` numbers it; re-weighting keeps the structure,
-    so that numbering and ``wcms`` hold on every later graph.
-    ``kernels[vn]`` is a ``_ColumnMembership`` with column vn as x and the
-    row deltas the object's column vn has taken since the kernel's rows
-    were packed; its other columns are as packed.  A plan re-weights one
-    VN, so a change touches one column of the object.
+    so that numbering and ``wcms`` hold on every later graph.  ``columns``
+    has every accepted plan folded in, so its rows are the object's
+    current weights.  A plan re-weights one VN, so a change touches one
+    column of the object.
     """
 
-    def __init__(
-        self,
-        object_id: str,
-        cfg: Configuration,
-        wcms: WcmSet,
-        kernels: Mapping[int, _ColumnMembership],
-        support_cap: int,
-    ):
+    def __init__(self, object_id: str, cfg: Configuration, wcms: WcmSet, columns: _ObjectColumns):
         assert cfg.cn_ids is not None and cfg.vn_ids is not None
-        self.object_id, self.vn_ids, self.wcms = object_id, cfg.vn_ids, wcms
-        self.shape = cfg.num_cns, cfg.num_vns
+        self.object_id, self.vn_ids, self.wcms, self.columns = object_id, cfg.vn_ids, wcms, columns
         self.edges = {(cfg.cn_ids[cn], cfg.vn_ids[vn]): (cn, vn) for cn, vn, _ in cfg.edges}
-        self.kernels = {vn: (kernel, {}) for vn, kernel in kernels.items()}
-        self.support_cap = support_cap
 
-    def moved(
-        self, graph: CodeGraph, changes: Mapping[tuple[int, int], int]
-    ) -> tuple[int, dict[int, int]]:
-        """The object's column ``changes`` re-weight in ``graph`` and its row deltas (none: -1, {})."""
+    def moved(self, changes: Mapping[tuple[int, int], int]) -> tuple[int, dict[int, int]]:
+        """The object's column graph ``changes`` re-weight and its row deltas (none: -1, {})."""
         vn, deltas = -1, {}
         for edge, wt in changes.items():
             if edge in self.edges:
                 cn, vn = self.edges[edge]
-                deltas[cn] = graph.weights[edge] ^ wt
+                deltas[cn] = self.columns.rows[cn][vn] ^ wt
         return vn, deltas
-
-    def in_family(self, graph: CodeGraph, vn: int, deltas: Mapping[int, int]) -> bool:
-        """``is_in_Z`` on the object with ``deltas`` added to ``graph``'s column vn, not re-induced.
-
-        Every choice of x gives each matrix the same verdict and the same
-        null-space dimension, dim null(B) + [x in B's column space], so the
-        kernel at column vn answers as ``is_in_Z`` does, support-cap
-        overruns included.  A kernel is packed from ``graph`` when none is
-        held at vn or the held one cannot change every row of ``deltas``;
-        its changeable rows are all of the object's rows at vn.
-        """
-        held = self.kernels.get(vn)
-        if held is None or not held[0].changeable.issuperset(deltas):
-            num_cns, num_vns = self.shape
-            rows = [[0] * num_vns for _ in range(num_cns)]
-            for edge, (cn, v) in self.edges.items():
-                rows[cn][v] = graph.weights[edge]
-            packed = _pack_rows([tuple(row) for row in rows], vn, graph.field)
-            groups = [rec.removed_rows for rec in self.wcms.wcms]
-            changeable = frozenset(cn for cn, v in self.edges.values() if v == vn)
-            held = self.kernels[vn] = _ColumnMembership(*packed, groups, self.support_cap, changeable), {}
-        kernel, total = held[0], dict(held[1])
-        for cn, delta in deltas.items():
-            total[cn] = total.get(cn, 0) ^ delta
-        return kernel.first_unbroken(total) is not None
-
-    def fold(self, vn: int, deltas: Mapping[int, int]) -> None:
-        """Record accepted ``deltas`` at column vn, which a kernel at vn can change.
-
-        That kernel takes the deltas; every other kernel has column vn in B
-        as packed, so it is dropped.
-        """
-        kernel, held = self.kernels[vn]
-        for cn, delta in deltas.items():
-            held[cn] = held.get(cn, 0) ^ delta
-        self.kernels = {vn: (kernel, held)}
 
 
 @dataclass
@@ -710,23 +698,6 @@ class OptimizationReport:
         return len(self.changes)
 
 
-def _graph_protected_ok(
-    graph: CodeGraph,
-    registry: list[_ProtectedEntry],
-    changes_graph: Mapping[tuple[int, int], int],
-    report: OptimizationReport,
-) -> bool:
-    """Re-verify protected objects that share at least one changed edge."""
-    for entry in registry:
-        vn, deltas = entry.moved(graph, changes_graph)
-        if deltas:
-            report.protected_checks += 1
-            if entry.in_family(graph, vn, deltas):
-                report.protected_rejections += 1
-                return False
-    return True
-
-
 def optimize_code(
     graph: CodeGraph,
     targets: Sequence[Target],
@@ -742,8 +713,8 @@ def optimize_code(
     whose family check spans both shapes so no oscillating object is ever
     converted into the strict kind.  Edge changes are written back between
     objects, and every candidate change set touching an earlier removal's
-    edges re-verifies that removal before being accepted, on the kernels
-    kept in its ``_ProtectedEntry``.  The run re-weights one copy of
+    edges re-verifies that removal before being accepted, on the column
+    kernels its removal left, with no re-induced object.  The run re-weights one copy of
     ``graph`` in place and returns it; ``graph`` is left as it was.  Every
     removal is re-verified at the end on ``is_in_Z`` over the re-induced
     object.
@@ -775,15 +746,19 @@ def optimize_code(
             assert cfg.cn_ids is not None and cfg.vn_ids is not None
             cn_ids, vn_ids = cfg.cn_ids, cfg.vn_ids
 
-            def to_graph(changes: Mapping[tuple[int, int], int]) -> dict[tuple[int, int], int]:
-                return {
-                    (cn_ids[cn], vn_ids[vn]): wt for (cn, vn), wt in changes.items()
-                }
-
             def protected_ok(changes: Mapping[tuple[int, int], int]) -> bool:
-                return _graph_protected_ok(current, registry, to_graph(changes), report)
+                """Re-verify the removals that share at least one changed edge."""
+                graph_changes = {(cn_ids[cn], vn_ids[vn]): wt for (cn, vn), wt in changes.items()}
+                for entry in registry:
+                    vn, deltas = entry.moved(graph_changes)
+                    if deltas:
+                        report.protected_checks += 1
+                        if entry.columns.first_unbroken(vn, deltas) is not None:
+                            report.protected_rejections += 1
+                            return False
+                return True
 
-            columns: dict[int, _ColumnMembership] = {}
+            columns = _ObjectColumns(cfg, wcms, support_cap)
             plan = remove_object(
                 cfg,
                 wcms,
@@ -805,15 +780,15 @@ def optimize_code(
             if plan.result == "unremovable":
                 report.unremovable.append(target.object_id)
                 continue
-            entry = _ProtectedEntry(target.object_id, cfg, wcms, columns, support_cap)
+            entry = _ProtectedEntry(target.object_id, cfg, wcms, columns)
             if plan.changes:
                 graph_changes = {
                     (cn, vn): new for cn, vn, _, new in plan.changes
                 }
                 for held in (*registry, entry):
-                    vn, deltas = held.moved(current, graph_changes)
+                    vn, deltas = held.moved(graph_changes)
                     if deltas:
-                        held.fold(vn, deltas)
+                        held.columns.fold(vn, deltas)
                 current.weights.update(graph_changes)
                 report.changes.extend(plan.changes)
             report.processed.append(plan)

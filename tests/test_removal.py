@@ -475,32 +475,57 @@ def protected_codes(count=12):
         yield graph, shape_hit_targets(graph)
 
 
+def watch_protected_checks(monkeypatch, wrap):
+    """Hand ``remove_object`` ``wrap(protected_ok, columns)`` in place of the hook ``optimize_code`` passes."""
+    remove = removal.remove_object
+
+    def watched(c, w, protected_ok=None, **kwargs):
+        return remove(c, w, wrap(protected_ok, kwargs["columns"]), **kwargs)
+
+    monkeypatch.setattr(removal, "remove_object", watched)
+
+
+def flagged(protected_ok, inside):
+    """``protected_ok`` with ``inside[0]`` true while it runs."""
+
+    def check(changes):
+        inside[0] = True
+        try:
+            return protected_ok(changes)
+        finally:
+            inside[0] = False
+
+    return check
+
+
 class TestProtectedKernels:
     def test_kernel_route_matches_reinduced_route(self, monkeypatch):
         # every protected check on a kept kernel gives the verdict of is_in_Z
-        # on the re-induced object; the sweep must reach each kernel rule
-        events = dict.fromkeys(("fold", "rebuild_after_other_vn", "changeable_miss"), 0)
-        checked, dropped = set(), {}
-        entry_cls = removal._ProtectedEntry
-        in_family, fold = entry_cls.in_family, entry_cls.fold
+        # on the re-induced object; the sweep must fold plans into earlier
+        # removals and pack a kernel again after a fold at another column
+        events = dict.fromkeys(("fold", "rebuild_after_other_vn"), 0)
+        own, inside, dropped = [None], [False], {}
+        cls = removal._ObjectColumns
+        first_unbroken, fold = cls.first_unbroken, cls.fold
 
-        def counted_in_family(self, graph, vn, deltas):
-            checked.add(id(self))
-            held = self.kernels.get(vn)
-            if held is None and vn in dropped.get(id(self), ()):
+        def wrap(protected_ok, columns):
+            own[0] = columns
+            return flagged(protected_ok, inside)
+
+        def counted_first_unbroken(self, vn, deltas):
+            if inside[0] and vn not in self.kernels and vn in dropped.get(self, ()):
                 events["rebuild_after_other_vn"] += 1
-            if held is not None and not held[0].changeable.issuperset(deltas):
-                events["changeable_miss"] += 1
-            return in_family(self, graph, vn, deltas)
+            return first_unbroken(self, vn, deltas)
 
         def counted_fold(self, vn, deltas):
-            if id(self) in checked:  # an earlier removal, not the plan's own object
+            if self is not own[0]:  # an earlier removal, not the plan's own object
                 events["fold"] += 1
-            dropped.setdefault(id(self), set()).update(set(self.kernels) - {vn})
+            dropped.setdefault(self, set()).update(set(self.kernels) - {vn})
             fold(self, vn, deltas)
 
-        monkeypatch.setattr(entry_cls, "in_family", counted_in_family)
-        monkeypatch.setattr(entry_cls, "fold", counted_fold)
+        watch_protected_checks(monkeypatch, wrap)
+        monkeypatch.setattr(cls, "first_unbroken", counted_first_unbroken)
+        monkeypatch.setattr(cls, "fold", counted_fold)
         rejections = 0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # searches beyond the topological bound
@@ -524,16 +549,18 @@ class TestProtectedKernels:
         # a kernel at another column reaches the same matrices with the same
         # null-space dimensions, so a tight cap overruns where is_in_Z does
         overruns = []
-        in_family = removal._ProtectedEntry.in_family
 
-        def watched(self, *args):
-            try:
-                return in_family(self, *args)
-            except SearchTooLargeError as exc:
-                overruns.append(str(exc))
-                raise
+        def wrap(protected_ok, columns):
+            def watched(changes):
+                try:
+                    return protected_ok(changes)
+                except SearchTooLargeError as exc:
+                    overruns.append(str(exc))
+                    raise
 
-        monkeypatch.setattr(removal._ProtectedEntry, "in_family", watched)
+            return watched
+
+        watch_protected_checks(monkeypatch, wrap)
 
         def outcome(optimize, graph, targets):
             try:
@@ -549,6 +576,58 @@ class TestProtectedKernels:
                     reference_optimize_code, graph, targets
                 )
         assert overruns
+
+    def test_protected_checks_reuse_the_removals_kernels(self, monkeypatch):
+        # on the shipped overlap code every protected check lands on the
+        # kernel its removal's accepted candidate left, with every matrix
+        # reduced: no check packs a kernel or reduces a matrix
+        graph = parse_code((FIXDIR / "toy_code_overlap.txt").read_text())
+        targets = parse_targets((FIXDIR / "toy_targets_overlap.txt").read_text())
+        inside, work = [False], {"_reduce": 0, "__init__": 0}
+        for name in work:
+            method = getattr(_ColumnMembership, name)
+
+            def counted(self, *args, _name=name, _method=method):
+                work[_name] += inside[0]
+                return _method(self, *args)
+
+            monkeypatch.setattr(_ColumnMembership, name, counted)
+        watch_protected_checks(monkeypatch, lambda protected_ok, columns: flagged(protected_ok, inside))
+        _, report = optimize_code(graph, targets)
+        assert report.protected_checks >= 1
+        assert work == {"_reduce": 0, "__init__": 0}
+
+    @pytest.mark.parametrize("field", [gf4(), gf8()], ids=["gf4", "gf8"])
+    def test_column_cache_matches_reference_under_folds(self, field):
+        # random judgements and folds at random columns: each judgement is
+        # the reference's on the rows with every fold so far and the
+        # judgement's own deltas written in, support-cap overruns included
+        rng = random.Random(f"columns:{field.q}")
+        outcomes = set()
+        for name, cfg, wcms in labeled_members(field, rng, 1):
+            groups = [rec.removed_rows for rec in wcms.wcms]
+            for cap in (0, 1, 12):
+                rows = [list(row) for row in cfg.adjacency().entries]
+                columns = removal._ObjectColumns(cfg, wcms, cap)
+                for _ in range(12):
+                    vn = rng.randrange(cfg.num_vns)
+                    at = [cn for cn, row in enumerate(rows) if row[vn]]
+                    deltas = {
+                        cn: rows[cn][vn] ^ rng.choice([w for w in range(1, field.q) if w != rows[cn][vn]])
+                        for cn in rng.sample(at, rng.randint(0, len(at)))
+                    }
+                    if rng.random() < 0.8:
+                        moved = [tuple(row[:vn] + [row[vn] ^ deltas.get(cn, 0)] + row[vn + 1:])
+                                 for cn, row in enumerate(rows)]
+                        want = membership_outcome(lambda: reference_first_unbroken(moved, groups, field, cap))
+                        got = membership_outcome(lambda: columns.first_unbroken(vn, deltas))
+                        assert got == want, (name, cap, vn)
+                        outcomes.add(type(got))
+                    if rng.random() < 0.5:
+                        columns.fold(vn, deltas)
+                        for cn, delta in deltas.items():
+                            rows[cn][vn] ^= delta
+        assert outcomes == {int, type(None), str}
 
     def test_one_weight_state_and_one_induce_per_object(self, monkeypatch):
         # the run copies the graph once and induces each target once and each

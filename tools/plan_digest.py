@@ -1,18 +1,21 @@
 """Digest the removal plans of the benchmark's labeled pools and its optimize and enumerate runs.
 
-Prints one line per pool with its plan count and the sha256 of the
-``repr`` of every ``remove_object`` plan in pool order, then the same over
-all pools.  The pools are the ``remove_gf8`` members of seeds 1-3 and the
+Prints one line per pool with its plan count, the sha256 of the ``repr``
+of every ``remove_object`` plan in pool order and the matrix reductions
+the pool's removals made, then the plan count and sha256 over all pools.  The pools are the ``remove_gf8`` members of seeds 1-3 and the
 ``remove_gf16`` members of seed 1, as ``perfbench/inputs.py`` generates
 them; each object goes through ``build_tree`` and ``extract_wcms`` with the
 defaults, as in the benchmark.  Then one line per ``optimize_code`` seed
 (1 and 41): the sha256 of ``wcmopt optimize code targets --out`` on the
 benchmark's overlap-tile code, over its standard output, with the scratch
-directory masked, and the bytes of the ``--out`` file.  Last one line per
+directory masked, and the bytes of the ``--out`` file, with the run's
+matrix reductions and protected checks.  Last one line per
 ``enumerate_scan`` seed (1 and 41): the sha256 of the standard output of
 ``wcmopt enumerate code --max-a 6`` on the benchmark's planted scan code.
-Running the script on two checkouts and diffing the listings shows whether
-any plan, optimize or enumerate output changed:
+A matrix reduction is one ``_ColumnMembership._reduce`` call; the
+counters are deterministic, so running the script on two checkouts and
+diffing the listings shows whether any plan, optimize or enumerate output
+changed, and whether the removals and optimize runs did the same work:
 
     python3 tools/plan_digest.py > change.txt
     python3 tools/plan_digest.py --root ../parent > parent.txt
@@ -45,16 +48,30 @@ def main() -> int:
     import inputs
     from wcmopt import cli, removal, wcmtree
 
+    counts = {"reductions": 0, "protected_checks": 0}
+    reduce, optimize = removal._ColumnMembership._reduce, cli.optimize_code
+
+    def counted_reduce(self, group):
+        counts["reductions"] += 1
+        return reduce(self, group)
+
+    def counted_optimize(*args, **kwargs):
+        new_graph, report = optimize(*args, **kwargs)
+        counts["protected_checks"] += report.protected_checks
+        return new_graph, report
+
+    removal._ColumnMembership._reduce, cli.optimize_code = counted_reduce, counted_optimize
     total, count = hashlib.sha256(), 0
     for workload, seed, size in POOLS:
         h = hashlib.sha256()
+        counts.update(reductions=0)
         for _, cfg in inputs.members(workload, seed, size, inputs.field_for(workload)):
             wcms = wcmtree.extract_wcms(cfg, wcmtree.build_tree(cfg))
             plan = repr(removal.remove_object(cfg, wcms)).encode() + b"\n"
             h.update(plan)
             total.update(plan)
         count += size
-        print(f"{workload} seed={seed} plans={size} sha256={h.hexdigest()}")
+        print(f"{workload} seed={seed} plans={size} reductions={counts['reductions']} sha256={h.hexdigest()}")
     print(f"all plans={count} sha256={total.hexdigest()}")
     for seed in OPTIMIZE_SEEDS:
         code = inputs.overlap_tile_code(seed)
@@ -63,11 +80,13 @@ def main() -> int:
             Path(paths[0]).write_text(code.text, encoding="utf-8")
             Path(paths[1]).write_text(inputs.targets_text(code.objects), encoding="utf-8")
             stdout = io.StringIO()
+            counts.update(reductions=0, protected_checks=0)
             with contextlib.redirect_stdout(stdout):
                 rc = cli.main(["optimize", *paths[:2], "--out", paths[2]])
             h = hashlib.sha256(stdout.getvalue().replace(work, "<work>").encode())
             h.update(Path(paths[2]).read_bytes())
-        print(f"optimize_code seed={seed} exit={rc} sha256={h.hexdigest()}")
+        print(f"optimize_code seed={seed} exit={rc} reductions={counts['reductions']} "
+              f"protected_checks={counts['protected_checks']} sha256={h.hexdigest()}")
     for seed in ENUMERATE_SEEDS:
         with tempfile.TemporaryDirectory() as work:
             path = f"{work}/code.txt"
