@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 import warnings
+from math import comb
 from typing import Iterable, Sequence, TextIO
 
 from .config import (
@@ -543,36 +544,41 @@ def cmd_enumerate(args: argparse.Namespace, rep: Reporter) -> int:
             {"message": f"--kind ost needs an even column weight; the code has gamma={graph.gamma}"},
         )
         return EXIT_INPUT
-    found: list[Target] = []
-    examined = 0
-    truncated = False
-    for size in range(1, min(args.max_a, graph.cols) + 1):
-        # smallest_b_on_rows's layouts, built once per size: B spans size - 1
-        # columns and wide spans B, x and up to size * gamma checks
-        scan, wide = SupportScan(graph.field, size - 1), SupportScan(graph.field, size * (graph.gamma + 1))
-        for subset, topo, read in graph.shapes(size):
-            examined += 1
-            if examined > args.budget:
-                truncated = True
-                break
-            if not topo.supports(kind):
-                continue
-            shape = read()
-            tree = grow_tree(shape.pairs, shape.vn_deg1_counts, topo, graph.gamma, kind)
-            try:
-                hit = smallest_b_on_rows(shape.rows, shape.deg1_rows, tree, scan, wide, args.support_cap)
-            except SearchTooLargeError:
-                rep.block(
-                    "warning",
-                    {"message": f"support cap hit for subset {subset}; skipped"},
-                )
-                continue
-            if hit is not None:
-                found.append(
-                    Target(vn_ids=subset, kind=kind, expected_params=shape.params(hit[0]))
-                )
-        if truncated:
+    # The budget takes the first subsets in size-then-lexicographic order:
+    # every subset of the sizes it covers whole, then the first ``limit`` of
+    # the next size, which the walk stops at.
+    counts = [comb(graph.cols, size) for size in range(1, min(args.max_a, graph.cols) + 1)]
+    total, top, limit, left = sum(counts), len(counts), None, args.budget
+    for size, count in enumerate(counts, start=1):
+        if left < count:
+            top, limit = size, left
             break
+        left -= count
+    # smallest_b_on_rows's layouts per size: B spans size - 1 columns and
+    # wide spans B, x and up to size * gamma checks
+    scans = [
+        (SupportScan(graph.field, size - 1), SupportScan(graph.field, size * (graph.gamma + 1)))
+        for size in range(1, top + 1)
+    ]
+    found: list[Target] = []
+    skipped: list[tuple[int, ...]] = []
+    for subset, topo, read in graph.shapes(top, limit):
+        if not topo.supports(kind):
+            continue
+        shape = read()
+        scan, wide = scans[len(subset) - 1]
+        tree = grow_tree(shape.pairs, shape.vn_deg1_counts, topo, graph.gamma, kind)
+        try:
+            hit = smallest_b_on_rows(shape.rows, shape.deg1_rows, tree, scan, wide, args.support_cap)
+        except SearchTooLargeError:
+            skipped.append(subset)
+            continue
+        if hit is not None:
+            found.append(Target(vn_ids=subset, kind=kind, expected_params=shape.params(hit[0])))
+    # The walk interleaves sizes; a stable sort by size restores scan order.
+    for subset in sorted(skipped, key=len):
+        rep.block("warning", {"message": f"support cap hit for subset {subset}; skipped"})
+    found.sort(key=lambda t: len(t.vn_ids))
     if args.out:
         _write(args.out, serialize_targets(found))
     elif rep.fmt == "json-lines":
@@ -585,9 +591,9 @@ def cmd_enumerate(args: argparse.Namespace, rep: Reporter) -> int:
         {
             "kind": kind,
             "max_a": args.max_a,
-            "subsets_examined": examined if not truncated else args.budget,
+            "subsets_examined": min(total, args.budget),
             "found": len(found),
-            "truncated": _yn(truncated),
+            "truncated": _yn(total > args.budget),
         },
     )
     return EXIT_OK

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .gf import FieldContext
@@ -194,19 +193,16 @@ def _degree_bound(a: int, gamma: int, d1: int, kind: str) -> int:
     return max(0, top - d1) // 2
 
 
-def shape_class(
-    gamma: int, d1: int, d2: int, d3: int, vn_deg1_counts: Sequence[int]
-) -> TopoClass:
-    """Classify an unlabeled shape from its check-degree counts alone.
+def shape_class(gamma: int, a: int, d1: int, d2: int, d3: int, worst: int) -> TopoClass:
+    """Classify an unlabeled shape of ``a`` VNs from its check-degree counts alone.
 
-    Degree-1 CNs are the unsatisfied ones: GAS keeps the strict majority of
-    ``keeps_majority`` at every VN, OS the weak one with an equality.  The
-    -T variants additionally require d2 > d3.  ``vn_deg1_counts`` holds
-    each VN's number of degree-1 CNs, so its length is a.
+    Degree-1 CNs are the unsatisfied ones and ``worst`` is the most of them
+    at one VN, which is all ``keeps_majority`` reads: GAS keeps the strict
+    majority at every VN, OS the weak one with an equality.  The -T
+    variants additionally require d2 > d3.
     """
-    a = len(vn_deg1_counts)
-    is_gas = keeps_majority(gamma, vn_deg1_counts, "gas")
-    is_os = keeps_majority(gamma, vn_deg1_counts, "os")
+    is_gas = keeps_majority(gamma, (worst,), "gas")
+    is_os = keeps_majority(gamma, (worst,), "os")
     type_two = d2 > d3
     return TopoClass(
         is_unlabeled_gas=is_gas,
@@ -220,7 +216,9 @@ def shape_class(
 
 def classify_unlabeled(c: Configuration) -> TopoClass:
     """``shape_class`` of the configuration's counts; never depends on edge weights."""
-    return shape_class(c.gamma, c.d1, c.d2, c.d3, c.vn_deg1_counts)
+    return shape_class(
+        c.gamma, c.num_vns, c.d1, c.d2, c.d3, max(c.vn_deg1_counts, default=0)
+    )
 
 
 def cn_flippable_partners(
@@ -276,13 +274,22 @@ class CodeGraph:
         self.field = field
         self.weights = dict(weights)
         col_rows: list[list[int]] = [[] for _ in range(cols)]
-        for (r, c), w in self.weights.items():
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise MalformedConfigurationError(f"entry ({r},{c}) out of range")
-            if w == 0:
-                raise MalformedConfigurationError(f"entry ({r},{c}) is zero")
-            field.validate(w)
-            col_rows[c].append(r)
+        # One set test clears every weight, and the range test rides on the
+        # column index; with a bad weight the per-entry checks name the first
+        # bad entry.
+        if set(self.weights.values()) <= set(range(1, field.q)):
+            for r, c in self.weights:
+                if not (0 <= r < rows and 0 <= c < cols):
+                    raise MalformedConfigurationError(f"entry ({r},{c}) out of range")
+                col_rows[c].append(r)
+        else:
+            for (r, c), w in self.weights.items():
+                if not (0 <= r < rows and 0 <= c < cols):
+                    raise MalformedConfigurationError(f"entry ({r},{c}) out of range")
+                if w == 0:
+                    raise MalformedConfigurationError(f"entry ({r},{c}) is zero")
+                field.validate(w)
+                col_rows[c].append(r)
         for c, rs in enumerate(col_rows):
             if len(rs) != gamma:
                 raise MalformedConfigurationError(
@@ -319,54 +326,106 @@ class CodeGraph:
         )
 
     def shapes(
-        self, size: int
+        self, max_size: int, limit: int | None = None
     ) -> Iterator[tuple[tuple[int, ...], TopoClass, Callable[[], "ShapeHit"]]]:
-        """Every VN subset of ``size`` in lexicographic order, with its unlabeled class.
+        """Every VN subset of 1 .. ``max_size`` columns in lexicographic order, with its unlabeled class.
 
-        Yields (subset, class, hit).  The walk adds and removes one column
-        at a time and keeps each check's in-subset degree, the number of
-        checks at each degree and each check's packed row over the chosen
-        columns: adding the i-th column ORs its weight into slot i of its
-        checks' rows, removing it ANDs the slot away.  A subset's class
-        comes from the running counts without building a Configuration and
-        equals ``classify_unlabeled(self.induce(subset))``; ``hit()``
-        returns the rest of what ``induce`` would give, read from the
+        Yields (subset, class, hit), a subset before its extensions, so each
+        size on its own comes in lexicographic order.  With ``limit`` only
+        the first ``limit`` subsets of ``max_size`` columns are walked; the
+        smaller sizes are walked whole.  One depth-first walk adds and
+        removes one column per subset.  It keeps each check's in-subset
+        degree, the number of checks at each degree, each check's packed row
+        over the chosen columns (adding the i-th column ORs its weight into
+        slot i of its checks' rows, removing it ANDs the slot away) and the
+        XOR of the chosen columns on each check, which names a degree-1
+        check's only column.  From that it keeps each chosen column's
+        number of degree-1 checks and a histogram of those numbers, so a
+        subset's class is ``shape_class`` of the running counts and their
+        worst, memoised, and equals ``classify_unlabeled(self.induce(subset))``.
+        ``hit`` is one reader for the whole walk: ``hit()`` returns the rest
+        of what ``induce`` would give for the current subset, read from the
         running state, so it holds only until the walk moves on.
         """
-        col_rows, width = self._col_rows, self.field.lam + 1
-        deg, packed = [0] * self.rows, [0] * self.rows
+        col_rows, width, rows, gamma = self._col_rows, self.field.lam + 1, self.rows, self.gamma
+        deg, packed, xor = [0] * rows, [0] * rows, [0] * rows
         terms = [tuple((r, self.weights[r, v]) for r in rs) for v, rs in enumerate(col_rows)]
-        at = [self.rows] + [0] * (self.cols + 2)  # checks per in-subset degree
+        at = [rows] + [0] * (max_size + 2)  # checks per in-subset degree
+        deg1 = [0] * self.cols  # each chosen column's degree-1 checks
+        hist = [0] * (gamma + 1)  # chosen columns per degree-1 count
         classes: dict[tuple, TopoClass] = {}
         chosen: list[int] = []
-        v, last = 0, self.cols - size
+
+        def hit() -> ShapeHit:
+            slots: dict[int, list[int]] = {}
+            for i, u in enumerate(chosen):
+                for r in col_rows[u]:
+                    slots.setdefault(r, []).append(i)
+            checks = sorted(slots)
+            return ShapeHit(
+                rows=tuple([packed[r] for r in checks]),
+                deg1_rows=tuple([p for p, r in enumerate(checks) if deg[r] == 1]),
+                pairs={p: tuple(slots[r]) for p, r in enumerate(checks) if deg[r] == 2},
+                vn_deg1_counts=tuple([deg1[u] for u in chosen]),
+                d1=at[1],
+                d2=at[2],
+                d3=rows - at[0] - at[1] - at[2],
+            )
+
+        top = max_size if limit != 0 else max_size - 1
+        v, cols = 0, self.cols
         while True:
-            if len(chosen) == size:
-                deg1 = tuple([[deg[r] for r in col_rows[u]].count(1) for u in chosen])
-                key = at[1], at[2], self.rows - at[0] - at[1] - at[2], deg1
-                if key not in classes:  # few distinct shapes: classify each once
-                    classes[key] = shape_class(self.gamma, *key)
-                subset = tuple(chosen)
-                yield subset, classes[key], partial(_shape_hit, col_rows, deg, packed, subset, key)
-            elif v <= last + len(chosen):
-                shift = width * len(chosen)
+            a = len(chosen)
+            if a < top and v < cols:
+                shift, own = width * a, 0
                 for r, w in terms[v]:
-                    at[deg[r]] -= 1
-                    deg[r] += 1
-                    at[deg[r]] += 1
+                    d = deg[r]
+                    at[d] -= 1
+                    at[d + 1] += 1
+                    deg[r] = d + 1
                     packed[r] |= w << shift
+                    if d == 0:
+                        own += 1
+                    elif d == 1:  # the check's only column loses a degree-1 check
+                        u = xor[r]
+                        hist[deg1[u]] -= 1
+                        deg1[u] -= 1
+                        hist[deg1[u]] += 1
+                    xor[r] ^= v
+                deg1[v] = own
+                hist[own] += 1
                 chosen.append(v)
                 v += 1
+                worst = gamma
+                while not hist[worst]:
+                    worst -= 1
+                key = a + 1, at[1], at[2], rows - at[0] - at[1] - at[2], worst
+                topo = classes.get(key)
+                if topo is None:  # few distinct shapes: classify each once
+                    topo = classes[key] = shape_class(gamma, *key)
+                yield tuple(chosen), topo, hit
+                if a + 1 == max_size and limit is not None:
+                    limit -= 1
+                    if not limit:
+                        top -= 1
                 continue
             if not chosen:
                 return
             v = chosen.pop()
-            keep = (1 << width * len(chosen)) - 1
+            keep = (1 << width * (a - 1)) - 1
+            hist[deg1[v]] -= 1
             for r in col_rows[v]:
-                at[deg[r]] -= 1
-                deg[r] -= 1
-                at[deg[r]] += 1
+                d = deg[r]
+                at[d] -= 1
+                at[d - 1] += 1
+                deg[r] = d - 1
                 packed[r] &= keep
+                xor[r] ^= v
+                if d == 2:  # the check's other column gains a degree-1 check
+                    u = xor[r]
+                    hist[deg1[u]] -= 1
+                    deg1[u] += 1
+                    hist[deg1[u]] += 1
             v += 1
 
     def apply_changes(self, changes: Mapping[tuple[int, int], int]) -> "CodeGraph":
@@ -420,27 +479,3 @@ class ShapeHit(NamedTuple):
         """(a, b, d1, d2, d3), as ``Configuration.params(b)``."""
         return (len(self.vn_deg1_counts), b, self.d1, self.d2, self.d3)
 
-
-def _shape_hit(
-    col_rows: Sequence[Sequence[int]],
-    deg: Sequence[int],
-    packed: Sequence[int],
-    subset: tuple[int, ...],
-    key: tuple,
-) -> ShapeHit:
-    """``CodeGraph.shapes``'s data for ``subset``: its checks' degrees and packed rows."""
-    d1, d2, d3, deg1 = key
-    slots: dict[int, list[int]] = {}
-    for i, u in enumerate(subset):
-        for r in col_rows[u]:
-            slots.setdefault(r, []).append(i)
-    checks = sorted(slots)
-    return ShapeHit(
-        rows=tuple([packed[r] for r in checks]),
-        deg1_rows=tuple([p for p, r in enumerate(checks) if deg[r] == 1]),
-        pairs={p: tuple(slots[r]) for p, r in enumerate(checks) if deg[r] == 2},
-        vn_deg1_counts=deg1,
-        d1=d1,
-        d2=d2,
-        d3=d3,
-    )

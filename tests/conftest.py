@@ -38,9 +38,9 @@ from wcmopt.removal import (
     _e_bound,
     compute_e_min,
     is_in_Z,
-    oracle_in_family,
     remove_object,
     select_candidate_edges,
+    smallest_b,
 )
 from wcmopt.wcmtree import TreeError, UnlabeledTree, build_tree, extract_wcms
 
@@ -288,12 +288,15 @@ def random_code(
 
 def reference_enumerate(
     graph: CodeGraph, max_a: int, kind: str = "gast", budget: int = 200_000,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
+    support_cap: int = DEFAULT_SUPPORT_CAP,
 ) -> tuple[list[Target], int, bool, list[tuple[int, ...]]]:
-    """Slow reference for ``enumerate``: every subset through ``induce`` and ``classify_unlabeled``.
+    """Slow reference for ``enumerate``: size by size, every subset through ``induce``.
 
-    Returns the targets found, the subsets examined, whether the budget cut
-    the scan, and the shape hits the oracle cap skipped, in scan order.
+    Each subset is classified with ``classify_unlabeled`` and each shape hit
+    judged with ``smallest_b`` on the induced configuration.  Returns the
+    targets found, the subsets examined, whether the budget cut the scan,
+    and the shape hits whose family walk overran ``support_cap``, in scan
+    order.
     """
     found: list[Target] = []
     skipped: list[tuple[int, ...]] = []
@@ -309,12 +312,12 @@ def reference_enumerate(
             if not classify_unlabeled(cfg).supports(kind):
                 continue
             try:
-                fam = oracle_in_family(cfg, kind, cap=oracle_cap)
-            except OracleTooLargeError:
+                hit = smallest_b(cfg, build_tree(cfg, kind), support_cap)
+            except SearchTooLargeError:
                 skipped.append(subset)
                 continue
-            if fam.is_member:
-                found.append(Target(subset, kind, cfg.params(fam.smallest_b)))
+            if hit is not None:
+                found.append(Target(subset, kind, cfg.params(hit[0])))
         if truncated:
             break
     return found, budget if truncated else examined, truncated, skipped

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import pathlib
 import random
 import re
@@ -501,21 +502,28 @@ class TestCommands:
 
     @pytest.mark.parametrize("gamma", [3, 4])
     def test_enumerate_matches_reference_loop(self, tmp_path, capsys, gamma):
-        # targets and their order, warnings, subsets examined and truncation
-        # agree with combinations -> induce -> classify -> oracle
+        # targets and their order, support-cap warnings and their order,
+        # subsets examined and truncation agree with combinations -> induce
+        # -> classify -> smallest_b, size by size; the budgets stop the scan
+        # at each size boundary and inside a size, with and without skips
         rng = random.Random(40 + gamma)
         kinds = ("gast", "ost") if gamma % 2 == 0 else ("gast",)
         hits = dict.fromkeys(kinds, 0)
+        warned = truncated_warned = 0
         for trial in range(3):
             graph = random_code(rng, rng.randint(6, 9), 8, gamma)
+            n = graph.cols
+            total = sum(math.comb(n, k) for k in range(1, 6))
+            inside = n + math.comb(n, 2) + math.comb(n, 3) // 2
             code_path = tmp_path / f"code{trial}.txt"
             code_path.write_text(serialize_code(graph))
             out_path = tmp_path / "found.txt"
-            runs = (
-                (graph.cols + 1, {}),
-                (5, {"budget": 0}),
-                (6, {"budget": 2 ** graph.cols // 3}),
-            )
+            # cap 1 skips a few size-5 hits; cap 0 skips every hit, at every
+            # size from 2 up, so the walk interleaves warnings of different sizes
+            runs = [(n + 1, {}), (6, {"budget": 2 ** n // 3})]
+            runs += [(n + 1, {"support_cap": cap}) for cap in (0, 1)]
+            for budget in (0, n, n + 1, inside, total - 1, total):
+                runs += [(5, {"budget": budget}), (5, {"budget": budget, "support_cap": 0})]
             for kind in kinds:
                 for max_a, limits in runs:
                     found, examined, truncated, skipped = reference_enumerate(
@@ -529,12 +537,14 @@ class TestCommands:
                     blocks = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
                     assert out_path.read_text() == serialize_targets(found)
                     assert [b["message"] for b in blocks[:-1]] == [
-                        f"oracle cap hit for subset {s}; skipped" for s in skipped
+                        f"support cap hit for subset {s}; skipped" for s in skipped
                     ]
                     assert blocks[-1]["subsets_examined"] == examined
                     assert blocks[-1]["truncated"] == ("yes" if truncated else "no")
                     hits[kind] += len(found) + len(skipped)
-        assert all(hits.values()), hits
+                    warned += len(skipped)
+                    truncated_warned += truncated and len(skipped) > 0
+        assert all(hits.values()) and warned and truncated_warned, (hits, warned, truncated_warned)
 
     def test_enumerate_lists_a_gf16_object_past_the_oracle_cap(self, tmp_path, capsys):
         # 15^8 assignments exceed the default oracle cap; the family walk

@@ -272,6 +272,22 @@ def test_codegraph_validation_and_changes():
     assert second.weights == {**before, e1: A2, e2: A}
 
 
+@pytest.mark.parametrize("entries, error, message", [
+    ({(0, 0): 1, (2, 1): 1}, MalformedConfigurationError, "entry (2,1) out of range"),
+    ({(0, 0): 1, (0, -1): 1}, MalformedConfigurationError, "entry (0,-1) out of range"),
+    ({(0, 0): 1, (1, 1): 0}, MalformedConfigurationError, "entry (1,1) is zero"),
+    ({(0, 0): 1, (1, 1): 4}, FieldError, "value 4 outside GF(4)"),
+    ({(0, 2): 1, (1, 1): 0}, MalformedConfigurationError, "entry (0,2) out of range"),
+    ({(1, 1): 0, (0, 2): 1}, MalformedConfigurationError, "entry (1,1) is zero"),
+    ({(0, 0): 1, (1, 0): 1}, MalformedConfigurationError, "column 1 has 2 entries, column weight is 1"),
+])
+def test_codegraph_names_the_first_bad_entry(entries, error, message):
+    # the first bad entry in mapping order, whichever check it fails
+    with pytest.raises(error) as info:
+        CodeGraph(2, 2, 1, gf4(), entries)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("bad", [99, -1])
 def test_codegraph_induce_rejects_vn_ids_outside_the_code(bad):
     graph, target = fx.toy_code_single_instance()
@@ -296,25 +312,48 @@ def test_codegraph_induce_matches_reference_scan():
 
 
 def test_walk_classes_match_induced_configurations():
-    # every subset of small random codes, sizes 0 .. cols + 1
+    # one walk over every subset of small random codes, up to cols + 1
+    # columns: each size comes in combinations' order, each subset once, the
+    # empty subset never, and every class is the induced configuration's;
+    # with gamma = 5 (allowance 2) the worst degree-1 count runs through 0..3
     rng = random.Random(7)
-    for gamma in (2, 3, 4):
+    for gamma in (2, 3, 4, 5):
+        worsts = set()
         for _ in range(6):
             graph = random_code(rng, rng.randint(gamma, 9), rng.randint(1, 8), gamma)
+            walked = [(subset, topo) for subset, topo, _ in graph.shapes(graph.cols + 1)]
             for size in range(graph.cols + 2):
-                walked = [(subset, topo) for subset, topo, _ in graph.shapes(size)]
-                subsets = list(itertools.combinations(range(graph.cols), size))
-                assert [s for s, _ in walked] == subsets
-                for subset, topo in walked:
-                    assert topo == classify_unlabeled(graph.induce(subset)), subset
+                subsets = list(itertools.combinations(range(graph.cols), size)) if size else []
+                assert [s for s, _ in walked if len(s) == size] == subsets
+            assert len(walked) == 2 ** graph.cols - 1
+            for subset, topo in walked:
+                cfg = graph.induce(subset)
+                assert topo == classify_unlabeled(cfg), subset
+                worsts.add(max(cfg.vn_deg1_counts))
+        assert worsts >= set(range(min(gamma, 4))), (gamma, worsts)
+
+
+def test_walk_limit_cuts_only_the_largest_size():
+    # shapes(max_size, limit) walks the first ``limit`` subsets of max_size
+    # columns and every smaller subset, in the unlimited walk's order
+    rng = random.Random(8)
+    for gamma in (2, 3):
+        graph = random_code(rng, 7, 7, gamma)
+        for max_size in (1, 3, 7):
+            full = [subset for subset, _, _ in graph.shapes(max_size)]
+            largest = [s for s in full if len(s) == max_size]
+            for limit in (0, 1, len(largest) // 2, len(largest)):
+                keep = set(largest[:limit])
+                want = [s for s in full if len(s) < max_size or s in keep]
+                assert [subset for subset, _, _ in graph.shapes(max_size, limit)] == want
 
 
 def test_walk_hits_match_induced_configurations():
-    # every subset of small random codes, sizes 0 .. cols + 1: what the walk
-    # hands over is what induce gives, and the family test on it is
-    # smallest_b on the induced configuration, support-cap overruns included;
-    # where the exhaustive family oracle is cheap it checks b and the
-    # witness apart from the membership kernel
+    # every subset of small random codes, in one walk up to cols + 1
+    # columns: what the walk hands over is what induce gives, and the family
+    # test on it is smallest_b on the induced configuration, support-cap
+    # overruns included; where the exhaustive family oracle is cheap it
+    # checks b and the witness apart from the membership kernel
     def outcome(judge, cap):
         try:
             return judge(cap)
@@ -323,40 +362,44 @@ def test_walk_hits_match_induced_configurations():
 
     rng = random.Random(11)
     for field in (gf4(), gf8(), gf16()):
-        for gamma in (2, 3, 4):
+        for gamma in (2, 3, 4, 5):
             kinds = ("gast", "ost") if gamma % 2 == 0 else ("gast",)
             for _ in range(5):
                 graph = random_code(rng, rng.randint(gamma, 9), rng.randint(1, 8), gamma, field)
-                for size in range(graph.cols + 2):
-                    scan, wide = SupportScan(field, size - 1), SupportScan(field, size * (gamma + 1))
-                    for subset, topo, read in graph.shapes(size):
-                        shape, cfg = read(), graph.induce(subset)
-                        packing = SupportScan(field, len(subset))
-                        assert shape.rows == tuple(map(packing.pack, cfg.adjacency().entries)), subset
-                        assert shape.deg1_rows == tuple(sorted(cfg.deg1_cns))
-                        assert list(shape.pairs.items()) == [
-                            (cn, tuple(v for v, _ in cfg.cn_neighbors[cn])) for cn in sorted(cfg.deg2_cns)
-                        ]
-                        assert shape.vn_deg1_counts == cfg.vn_deg1_counts
-                        assert (shape.d1, shape.d2, shape.d3) == (cfg.d1, cfg.d2, cfg.d3)
-                        assert shape.params(7) == cfg.params(7)
-                        for kind in kinds:
-                            if not topo.supports(kind):
-                                continue
-                            tree = grow_tree(shape.pairs, shape.vn_deg1_counts, topo, gamma, kind)
-                            assert tree == build_tree(cfg, kind)
-                            for cap in (0, 12):
-                                walked = outcome(
-                                    lambda cap: smallest_b_on_rows(shape.rows, shape.deg1_rows, tree, scan, wide, cap),
-                                    cap,
-                                )
-                                assert walked == outcome(lambda cap: smallest_b(cfg, build_tree(cfg, kind), cap), cap), subset
-                            if walked == "support cap" or (field.q - 1) ** size > 4096:
-                                continue
-                            oracle = oracle_in_family(cfg, kind)
-                            assert (walked is not None) == oracle.is_member, subset
-                            if walked is not None:
-                                b, witness = walked
-                                count, _, unsat = compute_b_for_values(cfg, witness)
-                                assert b == count == oracle.smallest_b, subset
-                                assert tuple(sorted(set(unsat) - cfg.deg1_cns)) in tree.family, subset
+                scans = {
+                    size: (SupportScan(field, size - 1), SupportScan(field, size * (gamma + 1)))
+                    for size in range(1, graph.cols + 1)
+                }
+                for subset, topo, read in graph.shapes(graph.cols + 1):
+                    size = len(subset)
+                    scan, wide = scans[size]
+                    shape, cfg = read(), graph.induce(subset)
+                    packing = SupportScan(field, size)
+                    assert shape.rows == tuple(map(packing.pack, cfg.adjacency().entries)), subset
+                    assert shape.deg1_rows == tuple(sorted(cfg.deg1_cns))
+                    assert list(shape.pairs.items()) == [
+                        (cn, tuple(v for v, _ in cfg.cn_neighbors[cn])) for cn in sorted(cfg.deg2_cns)
+                    ]
+                    assert shape.vn_deg1_counts == cfg.vn_deg1_counts
+                    assert (shape.d1, shape.d2, shape.d3) == (cfg.d1, cfg.d2, cfg.d3)
+                    assert shape.params(7) == cfg.params(7)
+                    for kind in kinds:
+                        if not topo.supports(kind):
+                            continue
+                        tree = grow_tree(shape.pairs, shape.vn_deg1_counts, topo, gamma, kind)
+                        assert tree == build_tree(cfg, kind)
+                        for cap in (0, 12):
+                            walked = outcome(
+                                lambda cap: smallest_b_on_rows(shape.rows, shape.deg1_rows, tree, scan, wide, cap),
+                                cap,
+                            )
+                            assert walked == outcome(lambda cap: smallest_b(cfg, build_tree(cfg, kind), cap), cap), subset
+                        if walked == "support cap" or (field.q - 1) ** size > 4096:
+                            continue
+                        oracle = oracle_in_family(cfg, kind)
+                        assert (walked is not None) == oracle.is_member, subset
+                        if walked is not None:
+                            b, witness = walked
+                            count, _, unsat = compute_b_for_values(cfg, witness)
+                            assert b == count == oracle.smallest_b, subset
+                            assert tuple(sorted(set(unsat) - cfg.deg1_cns)) in tree.family, subset

@@ -456,13 +456,12 @@ class TestTwoPhase:
 def shape_hit_targets(graph, sizes=range(2, 6), kind="gast"):
     """Every subset of the given sizes whose shape is in ``kind``'s family and that ``smallest_b`` finds."""
     found = []
-    for size in sizes:
-        for subset, topo, _ in graph.shapes(size):
-            if topo.supports(kind):
-                cfg = graph.induce(subset)
-                if smallest_b(cfg, build_tree(cfg, kind)) is not None:
-                    found.append(Target(subset, kind))
-    return found
+    for subset, topo, _ in graph.shapes(max(sizes)):
+        if len(subset) in sizes and topo.supports(kind):
+            cfg = graph.induce(subset)
+            if smallest_b(cfg, build_tree(cfg, kind)) is not None:
+                found.append(Target(subset, kind))
+    return sorted(found, key=lambda t: len(t.vn_ids))  # size by size, as enumerate lists them
 
 
 def protected_codes(count=12):

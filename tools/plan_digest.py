@@ -9,9 +9,14 @@ defaults, as in the benchmark.  Then one line per ``optimize_code`` seed
 (1 and 41): the sha256 of ``wcmopt optimize code targets --out`` on the
 benchmark's overlap-tile code, over its standard output, with the scratch
 directory masked, and the bytes of the ``--out`` file, with the run's
-matrix reductions and protected checks.  Last one line per
+matrix reductions and protected checks.  Last two lines per
 ``enumerate_scan`` seed (1 and 41): the sha256 of the standard output of
-``wcmopt enumerate code --max-a 6`` on the benchmark's planted scan code.
+``wcmopt enumerate code --max-a 6`` on the benchmark's planted scan code,
+with the run's shape hits (subsets whose class is in the family, each of
+which grows a tree) and matrix reductions; then the same for a run whose
+``--budget`` stops inside size 5 and whose ``--support-cap 0`` skips, with a
+warning each, the shape hits whose family has a matrix with a nonzero null
+space (about 50 per seed), so truncation and warning order are covered too.
 A matrix reduction is one ``_ColumnMembership._reduce`` call; the
 counters are deterministic, so running the script on two checkouts and
 diffing the listings shows whether any plan, optimize or enumerate output
@@ -32,6 +37,7 @@ import hashlib
 import io
 import sys
 import tempfile
+from math import comb
 from pathlib import Path
 
 POOLS = (("remove_gf8", 1, 24), ("remove_gf8", 2, 24), ("remove_gf8", 3, 24), ("remove_gf16", 1, 200))
@@ -48,8 +54,8 @@ def main() -> int:
     import inputs
     from wcmopt import cli, removal, wcmtree
 
-    counts = {"reductions": 0, "protected_checks": 0}
-    reduce, optimize = removal._ColumnMembership._reduce, cli.optimize_code
+    counts = {"reductions": 0, "protected_checks": 0, "shape_hits": 0}
+    reduce, optimize, grow = removal._ColumnMembership._reduce, cli.optimize_code, cli.grow_tree
 
     def counted_reduce(self, group):
         counts["reductions"] += 1
@@ -60,7 +66,12 @@ def main() -> int:
         counts["protected_checks"] += report.protected_checks
         return new_graph, report
 
+    def counted_grow(*args, **kwargs):
+        counts["shape_hits"] += 1
+        return grow(*args, **kwargs)
+
     removal._ColumnMembership._reduce, cli.optimize_code = counted_reduce, counted_optimize
+    cli.grow_tree = counted_grow
     total, count = hashlib.sha256(), 0
     for workload, seed, size in POOLS:
         h = hashlib.sha256()
@@ -88,14 +99,20 @@ def main() -> int:
         print(f"optimize_code seed={seed} exit={rc} reductions={counts['reductions']} "
               f"protected_checks={counts['protected_checks']} sha256={h.hexdigest()}")
     for seed in ENUMERATE_SEEDS:
-        with tempfile.TemporaryDirectory() as work:
-            path = f"{work}/code.txt"
-            Path(path).write_text(inputs.planted_scan_code(seed).text, encoding="utf-8")
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
-                rc = cli.main(["enumerate", path, "--max-a", "6"])
-            h = hashlib.sha256(stdout.getvalue().replace(work, "<work>").encode())
-        print(f"enumerate_scan seed={seed} exit={rc} sha256={h.hexdigest()}")
+        code = inputs.planted_scan_code(seed)
+        inside = sum(comb(code.cols, k) for k in range(1, 5)) + comb(code.cols, 5) // 2
+        cut = ("", []), (f" budget={inside} support_cap=0", ["--budget", str(inside), "--support-cap", "0"])
+        for label, limits in cut:
+            with tempfile.TemporaryDirectory() as work:
+                path = f"{work}/code.txt"
+                Path(path).write_text(code.text, encoding="utf-8")
+                stdout = io.StringIO()
+                counts.update(reductions=0, shape_hits=0)
+                with contextlib.redirect_stdout(stdout):
+                    rc = cli.main(["enumerate", path, "--max-a", "6", *limits])
+                h = hashlib.sha256(stdout.getvalue().replace(work, "<work>").encode())
+            print(f"enumerate_scan seed={seed}{label} exit={rc} shape_hits={counts['shape_hits']} "
+                  f"reductions={counts['reductions']} sha256={h.hexdigest()}")
     return 0
 
 
