@@ -274,22 +274,15 @@ class CodeGraph:
         self.field = field
         self.weights = dict(weights)
         col_rows: list[list[int]] = [[] for _ in range(cols)]
-        # One set test clears every weight, and the range test rides on the
-        # column index; with a bad weight the per-entry checks name the first
-        # bad entry.
-        if set(self.weights.values()) <= set(range(1, field.q)):
-            for r, c in self.weights:
-                if not (0 <= r < rows and 0 <= c < cols):
-                    raise MalformedConfigurationError(f"entry ({r},{c}) out of range")
-                col_rows[c].append(r)
-        else:
-            for (r, c), w in self.weights.items():
-                if not (0 <= r < rows and 0 <= c < cols):
-                    raise MalformedConfigurationError(f"entry ({r},{c}) out of range")
+        ok = frozenset(range(1, field.q))
+        for (r, c), w in self.weights.items():
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise MalformedConfigurationError(f"entry ({r},{c}) out of range")
+            if w not in ok:  # one set test clears a weight; else name the fault
                 if w == 0:
                     raise MalformedConfigurationError(f"entry ({r},{c}) is zero")
                 field.validate(w)
-                col_rows[c].append(r)
+            col_rows[c].append(r)
         for c, rs in enumerate(col_rows):
             if len(rs) != gamma:
                 raise MalformedConfigurationError(

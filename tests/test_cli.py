@@ -28,7 +28,7 @@ from wcmopt.cli import (
 )
 from wcmopt.config import CodeGraph, Configuration, classify_unlabeled
 from wcmopt.gflinalg import null_space
-from wcmopt.removal import DEFAULT_ORACLE_CAP, Target
+from wcmopt.removal import DEFAULT_ORACLE_CAP, Target, oracle_in_family
 from wcmopt.wcmtree import build_tree
 
 FIXDIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -505,7 +505,8 @@ class TestCommands:
         # targets and their order, support-cap warnings and their order,
         # subsets examined and truncation agree with combinations -> induce
         # -> classify -> smallest_b, size by size; the budgets stop the scan
-        # at each size boundary and inside a size, with and without skips
+        # at each size boundary and inside a size, with and without skips.
+        # The full scan's targets also agree with the exhaustive oracle.
         rng = random.Random(40 + gamma)
         kinds = ("gast", "ost") if gamma % 2 == 0 else ("gast",)
         hits = dict.fromkeys(kinds, 0)
@@ -541,6 +542,16 @@ class TestCommands:
                     ]
                     assert blocks[-1]["subsets_examined"] == examined
                     assert blocks[-1]["truncated"] == ("yes" if truncated else "no")
+                    if not limits:  # no skips: the exhaustive oracle lists the same targets
+                        assert found == [
+                            Target(s, kind, cfg.params(fam.smallest_b))
+                            for k in range(1, n + 1)
+                            for s in itertools.combinations(range(n), k)
+                            for cfg in [graph.induce(s)]
+                            if classify_unlabeled(cfg).supports(kind)
+                            for fam in [oracle_in_family(cfg, kind)]
+                            if fam.is_member
+                        ]
                     hits[kind] += len(found) + len(skipped)
                     warned += len(skipped)
                     truncated_warned += truncated and len(skipped) > 0
