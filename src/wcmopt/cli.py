@@ -16,10 +16,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import marshal
+import os
+import signal
 import sys
+import threading
 import warnings
 from math import comb
-from typing import Iterable, Sequence, TextIO
+from typing import Callable, Iterable, NoReturn, Sequence, TextIO
 
 from .config import (
     CodeGraph,
@@ -537,7 +541,7 @@ def cmd_optimize(args: argparse.Namespace, rep: Reporter) -> int:
 
 def cmd_enumerate(args: argparse.Namespace, rep: Reporter) -> int:
     graph = parse_code(_read(args.code), args.code, args.field_poly)
-    kind = args.kind
+    kind, n = args.kind, graph.cols
     if kind == "ost" and graph.gamma % 2:
         rep.block(
             "error",
@@ -547,38 +551,61 @@ def cmd_enumerate(args: argparse.Namespace, rep: Reporter) -> int:
     # The budget takes the first subsets in size-then-lexicographic order:
     # every subset of the sizes it covers whole, then the first ``limit`` of
     # the next size, which the walk stops at.
-    counts = [comb(graph.cols, size) for size in range(1, min(args.max_a, graph.cols) + 1)]
+    counts = [comb(n, size) for size in range(1, min(args.max_a, n) + 1)]
     total, top, limit, left = sum(counts), len(counts), None, args.budget
     for size, count in enumerate(counts, start=1):
         if left < count:
             top, limit = size, left
             break
         left -= count
+    # The walk splits by each subset's smallest column, its root: root f
+    # holds comb(n - 1 - f, size - 1) subsets of each size, so the cut at
+    # size ``top`` takes the first ``limit`` of them root by root.
+    shares: list[int | None] = [None] * n
+    loads = []  # subsets walked from each root
+    for f in range(n):
+        last = comb(n - 1 - f, top - 1)
+        if limit is not None:
+            last = shares[f] = min(limit, last)
+            limit -= last
+        loads.append(sum(comb(n - 1 - f, k) for k in range(top - 1)) + last)
     # smallest_b_on_rows's layouts per size: B spans size - 1 columns and
     # wide spans B, x and up to size * gamma checks
     scans = [
         (SupportScan(graph.field, size - 1), SupportScan(graph.field, size * (graph.gamma + 1)))
         for size in range(1, top + 1)
     ]
+
+    def judge(roots: list[int]) -> list[tuple[tuple[int, ...], tuple[int, ...] | None]]:
+        """(subset, params) per family member of the roots' walks; params
+        None marks a shape hit skipped at the support cap."""
+        records = []
+        for root in roots:
+            for subset, topo, read in graph.shapes(top, shares[root], first=root):
+                if not topo.supports(kind):
+                    continue
+                shape = read()
+                scan, wide = scans[len(subset) - 1]
+                tree = grow_tree(shape.pairs, shape.vn_deg1_counts, topo, graph.gamma, kind)
+                try:
+                    hit = smallest_b_on_rows(shape.rows, shape.deg1_rows, tree, scan, wide, args.support_cap)
+                except SearchTooLargeError:
+                    records.append((subset, None))
+                    continue
+                if hit is not None:
+                    records.append((subset, shape.params(hit[0])))
+        return records
+
+    # Scan order is size by size, lexicographic within a size.
+    records = sorted(
+        _in_workers(judge, _deal(loads, _workers())), key=lambda record: (len(record[0]), record[0])
+    )
     found: list[Target] = []
-    skipped: list[tuple[int, ...]] = []
-    for subset, topo, read in graph.shapes(top, limit):
-        if not topo.supports(kind):
-            continue
-        shape = read()
-        scan, wide = scans[len(subset) - 1]
-        tree = grow_tree(shape.pairs, shape.vn_deg1_counts, topo, graph.gamma, kind)
-        try:
-            hit = smallest_b_on_rows(shape.rows, shape.deg1_rows, tree, scan, wide, args.support_cap)
-        except SearchTooLargeError:
-            skipped.append(subset)
-            continue
-        if hit is not None:
-            found.append(Target(vn_ids=subset, kind=kind, expected_params=shape.params(hit[0])))
-    # The walk interleaves sizes; a stable sort by size restores scan order.
-    for subset in sorted(skipped, key=len):
-        rep.block("warning", {"message": f"support cap hit for subset {subset}; skipped"})
-    found.sort(key=lambda t: len(t.vn_ids))
+    for subset, params in records:
+        if params is None:
+            rep.block("warning", {"message": f"support cap hit for subset {subset}; skipped"})
+        else:
+            found.append(Target(vn_ids=subset, kind=kind, expected_params=params))
     if args.out:
         _write(args.out, serialize_targets(found))
     elif rep.fmt == "json-lines":
@@ -597,6 +624,108 @@ def cmd_enumerate(args: argparse.Namespace, rep: Reporter) -> int:
         },
     )
     return EXIT_OK
+
+
+# ------------------------------------------------------------------- workers
+
+
+def _workers() -> int:
+    """Processes ``enumerate`` may judge on: one per CPU this process may run on.
+
+    One where there is no ``os.fork`` or the process runs other threads: a
+    forked child holds only the thread that forked it, and a lock another
+    thread held stays locked there.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _deal(loads: Sequence[int], workers: int) -> list[list[int]]:
+    """The indices with a nonzero load dealt out to at most ``workers`` shares.
+
+    Largest load first, each to the least-loaded share (the first on a
+    tie), so the largest lands in the first share; each share ascending.
+    At least one share, empty when no load is nonzero.
+    """
+    shares: list[list[int]] = [[] for _ in range(workers)]
+    held = [0] * workers
+    for i in sorted((i for i, load in enumerate(loads) if load), key=lambda i: -loads[i]):
+        w = held.index(min(held))
+        shares[w].append(i)
+        held[w] += loads[i]
+    return [sorted(share) for share in shares if share] or [[]]
+
+
+def _in_workers(work: Callable[[list[int]], list], shares: list[list[int]]) -> list:
+    """``work`` of every share, joined in share order.
+
+    The first share is worked in this process, each other one in a forked
+    child, which sends ``marshal.dumps`` of its list (exit status 0) or of
+    its error's message (status 1) through a pipe and leaves through
+    ``os._exit``: it runs no caller's ``finally``, no atexit hook and no
+    flush of a copied stdout buffer.  A child's non-zero exit is raised
+    here as a ``RuntimeError`` with its message.  Every child is reaped
+    before this returns or raises; on an error here the children still
+    running are killed first.
+    """
+    children: dict[int, int] = {}  # pid -> read end of its pipe, until reaped
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _child(work, share, w, [r, *children.values()])
+            os.close(w)
+            children[pid] = r
+        out = work(shares[0])
+        for pid, r in list(children.items()):
+            with os.fdopen(r, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            os.close(r)
+            if code:
+                try:
+                    message = marshal.loads(data)
+                except (EOFError, ValueError, TypeError):
+                    message = f"exited with status {code}"
+                raise RuntimeError(f"enumerate worker {pid} failed: {message}")
+            out.extend(marshal.loads(data))
+        return out
+    finally:
+        for pid, r in children.items():
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.close(r)
+            os.waitpid(pid, 0)
+
+
+def _child(work: Callable[[list[int]], list], share: list[int], w: int, others: list[int]) -> NoReturn:
+    """A forked child's whole life: work its share, send the outcome, exit."""
+    status = 1
+    try:
+        for fd in others:
+            os.close(fd)
+        try:
+            payload, done = marshal.dumps(work(share)), 0
+        except Exception as exc:  # sent to the parent, which raises it
+            payload, done = marshal.dumps(f"{type(exc).__name__}: {exc}"), 1
+        with os.fdopen(w, "wb") as pipe:
+            pipe.write(payload)
+        status = done
+    finally:
+        os._exit(status)
 
 
 # ----------------------------------------------------------------------- main

@@ -319,23 +319,26 @@ class CodeGraph:
         )
 
     def shapes(
-        self, max_size: int, limit: int | None = None
+        self, max_size: int, limit: int | None = None, first: int | None = None
     ) -> Iterator[tuple[tuple[int, ...], TopoClass, Callable[[], "ShapeHit"]]]:
         """Every VN subset of 1 .. ``max_size`` columns in lexicographic order, with its unlabeled class.
 
         Yields (subset, class, hit), a subset before its extensions, so each
-        size on its own comes in lexicographic order.  With ``limit`` only
-        the first ``limit`` subsets of ``max_size`` columns are walked; the
-        smaller sizes are walked whole.  One depth-first walk adds and
-        removes one column per subset.  It keeps each check's in-subset
-        degree, the number of checks at each degree, each check's packed row
-        over the chosen columns (adding the i-th column ORs its weight into
-        slot i of its checks' rows, removing it ANDs the slot away) and the
-        XOR of the chosen columns on each check, which names a degree-1
-        check's only column.  From that it keeps each chosen column's
-        number of degree-1 checks and a histogram of those numbers, so a
-        subset's class is ``shape_class`` of the running counts and their
-        worst, memoised, and equals ``classify_unlabeled(self.induce(subset))``.
+        size on its own comes in lexicographic order.  With ``first`` only
+        the subsets whose smallest column is ``first`` are walked, in the
+        same order; the walks of every ``first`` in turn are the whole walk.
+        With ``limit`` only the first ``limit`` subsets of ``max_size``
+        columns are walked; the smaller sizes are walked whole.  One
+        depth-first walk adds and removes one column per subset.  It keeps
+        each check's in-subset degree, the number of checks at each degree,
+        each check's packed row over the chosen columns (adding the i-th
+        column ORs its weight into slot i of its checks' rows, removing it
+        ANDs the slot away) and the XOR of the chosen columns on each
+        check, which names a degree-1 check's only column.  From that it
+        keeps each chosen column's number of degree-1 checks and a
+        histogram of those numbers, so a subset's class is ``shape_class``
+        of the running counts and their worst, memoised, and equals
+        ``classify_unlabeled(self.induce(subset))``.
         ``hit`` is one reader for the whole walk: ``hit()`` returns the rest
         of what ``induce`` would give for the current subset, read from the
         running state, so it holds only until the walk moves on.
@@ -366,10 +369,11 @@ class CodeGraph:
             )
 
         top = max_size if limit != 0 else max_size - 1
-        v, cols = 0, self.cols
+        cols = self.cols
+        v, roots = (0, cols) if first is None else (first, first + 1)
         while True:
             a = len(chosen)
-            if a < top and v < cols:
+            if a < top and v < (cols if a else roots):
                 shift, own = width * a, 0
                 for r, w in terms[v]:
                     d = deg[r]

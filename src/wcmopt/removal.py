@@ -714,15 +714,22 @@ def optimize_code(
     converted into the strict kind.  Edge changes are written back between
     objects, and every candidate change set touching an earlier removal's
     edges re-verifies that removal before being accepted, on the column
-    kernels its removal left, with no re-induced object.  The run re-weights one copy of
-    ``graph`` in place and returns it; ``graph`` is left as it was.  Every
-    removal is re-verified at the end on ``is_in_Z`` over the re-induced
-    object.
+    kernels its removal left, with no re-induced object; an index by graph
+    edge finds those removals without a walk over all of them.  The run
+    re-weights one copy of ``graph`` in place and returns it; ``graph`` is
+    left as it was.  Every removal is re-verified at the end on ``is_in_Z``
+    over the re-induced object.
     """
     if phases not in ("gast", "gast+ost"):
         raise ValueError(f"unknown phases {phases!r}")
     report = OptimizationReport()
     registry: list[_ProtectedEntry] = []
+    holders: dict[tuple[int, int], list[int]] = {}  # graph edge -> registry indices holding it
+
+    def sharing(graph_changes: Mapping[tuple[int, int], int]) -> list[_ProtectedEntry]:
+        """The registered removals that hold a changed edge, in registry order."""
+        return [registry[i] for i in sorted({i for edge in graph_changes for i in holders.get(edge, ())})]
+
     phase_kinds = ["gast"]
     if phases == "gast+ost":
         if graph.gamma % 2 == 0:
@@ -749,13 +756,11 @@ def optimize_code(
             def protected_ok(changes: Mapping[tuple[int, int], int]) -> bool:
                 """Re-verify the removals that share at least one changed edge."""
                 graph_changes = {(cn_ids[cn], vn_ids[vn]): wt for (cn, vn), wt in changes.items()}
-                for entry in registry:
-                    vn, deltas = entry.moved(graph_changes)
-                    if deltas:
-                        report.protected_checks += 1
-                        if entry.columns.first_unbroken(vn, deltas) is not None:
-                            report.protected_rejections += 1
-                            return False
+                for entry in sharing(graph_changes):
+                    report.protected_checks += 1
+                    if entry.columns.first_unbroken(*entry.moved(graph_changes)) is not None:
+                        report.protected_rejections += 1
+                        return False
                 return True
 
             columns = _ObjectColumns(cfg, wcms, support_cap)
@@ -785,13 +790,13 @@ def optimize_code(
                 graph_changes = {
                     (cn, vn): new for cn, vn, _, new in plan.changes
                 }
-                for held in (*registry, entry):
-                    vn, deltas = held.moved(graph_changes)
-                    if deltas:
-                        held.columns.fold(vn, deltas)
+                for held in (*sharing(graph_changes), entry):
+                    held.columns.fold(*held.moved(graph_changes))
                 current.weights.update(graph_changes)
                 report.changes.extend(plan.changes)
             report.processed.append(plan)
+            for edge in entry.edges:
+                holders.setdefault(edge, []).append(len(registry))
             registry.append(entry)
     for entry in registry:
         if not is_in_Z(current.induce(entry.vn_ids), entry.wcms, support_cap):

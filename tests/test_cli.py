@@ -1,10 +1,13 @@
 import itertools
 import json
 import math
+import os
 import pathlib
 import random
 import re
+import signal
 import sys
+import time
 
 import pytest
 
@@ -501,11 +504,12 @@ class TestCommands:
         assert "[enumerate]" not in out
 
     @pytest.mark.parametrize("gamma", [3, 4])
-    def test_enumerate_matches_reference_loop(self, tmp_path, capsys, gamma):
+    def test_enumerate_matches_reference_loop(self, tmp_path, capsys, monkeypatch, gamma):
         # targets and their order, support-cap warnings and their order,
         # subsets examined and truncation agree with combinations -> induce
         # -> classify -> smallest_b, size by size; the budgets stop the scan
-        # at each size boundary and inside a size, with and without skips.
+        # at each size boundary and inside a size, with and without skips,
+        # judged in one process and split over two.
         # The full scan's targets also agree with the exhaustive oracle.
         rng = random.Random(40 + gamma)
         kinds = ("gast", "ost") if gamma % 2 == 0 else ("gast",)
@@ -531,17 +535,19 @@ class TestCommands:
                         graph, max_a, kind, **limits
                     )
                     flags = [f"--{k.replace('_', '-')}={v}" for k, v in limits.items()]
-                    assert main([
-                        "enumerate", str(code_path), "--max-a", str(max_a), "--kind", kind,
-                        "--format", "json-lines", "--out", str(out_path), *flags,
-                    ]) == EXIT_OK
-                    blocks = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-                    assert out_path.read_text() == serialize_targets(found)
-                    assert [b["message"] for b in blocks[:-1]] == [
-                        f"support cap hit for subset {s}; skipped" for s in skipped
-                    ]
-                    assert blocks[-1]["subsets_examined"] == examined
-                    assert blocks[-1]["truncated"] == ("yes" if truncated else "no")
+                    for workers in (1, 2):
+                        pin_workers(monkeypatch, workers)
+                        assert main([
+                            "enumerate", str(code_path), "--max-a", str(max_a), "--kind", kind,
+                            "--format", "json-lines", "--out", str(out_path), *flags,
+                        ]) == EXIT_OK
+                        blocks = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+                        assert out_path.read_text() == serialize_targets(found)
+                        assert [b["message"] for b in blocks[:-1]] == [
+                            f"support cap hit for subset {s}; skipped" for s in skipped
+                        ]
+                        assert blocks[-1]["subsets_examined"] == examined
+                        assert blocks[-1]["truncated"] == ("yes" if truncated else "no")
                     if not limits:  # no skips: the exhaustive oracle lists the same targets
                         assert found == [
                             Target(s, kind, cfg.params(fam.smallest_b))
@@ -572,7 +578,7 @@ class TestCommands:
         assert "[warning]" not in capsys.readouterr().out
         assert Target(tuple(range(8)), "gast", (8, 0, 0, 16, 0)) in parse_targets(out_path.read_text())
 
-    def test_enumerate_support_cap_warns_and_skips(self, capsys):
+    def test_enumerate_support_cap_warns_and_skips(self, capsys, monkeypatch):
         # with cap 0 a shape hit is skipped exactly when some matrix of its
         # family has a nonzero null space; the others are out of the family
         path = fixture_path("toy_code.txt")
@@ -588,14 +594,17 @@ class TestCommands:
             ):
                 skipped.append(subset)
         assert tuple(range(6)) in skipped
-        assert main(["enumerate", path, "--max-a", "6", "--support-cap", "0", "--format", "json-lines"]) == EXIT_OK
-        captured = capsys.readouterr()
-        blocks = [json.loads(line) for line in captured.out.splitlines()]
-        assert [b["message"] for b in blocks if b["block"] == "warning"] == [
-            f"support cap hit for subset {s}; skipped" for s in skipped
-        ]
-        assert blocks[-1]["block"] == "enumerate" and blocks[-1]["found"] == 0
-        assert "Traceback" not in captured.err
+        for workers in (1, 2):
+            pin_workers(monkeypatch, workers)
+            argv = ["enumerate", path, "--max-a", "6", "--support-cap", "0", "--format", "json-lines"]
+            assert main(argv) == EXIT_OK
+            captured = capsys.readouterr()
+            blocks = [json.loads(line) for line in captured.out.splitlines()]
+            assert [b["message"] for b in blocks if b["block"] == "warning"] == [
+                f"support cap hit for subset {s}; skipped" for s in skipped
+            ]
+            assert blocks[-1]["block"] == "enumerate" and blocks[-1]["found"] == 0
+            assert "Traceback" not in captured.err
 
     def test_enumerate_calls_no_oracle(self, monkeypatch, capsys):
         def refuse(*args, **kwargs):
@@ -604,8 +613,11 @@ class TestCommands:
         for module in (cli, removal):
             monkeypatch.setattr(module, "oracle_in_family", refuse)
             monkeypatch.setattr(module, "oracle_is_gas", refuse)
-        assert main(["enumerate", fixture_path("toy_code.txt"), "--max-a", "6"]) == EXIT_OK
-        assert "kind=gast vns=1,2,3,4,5,6 params=6,0,0,9,0" in capsys.readouterr().out
+        # a refusal in a forked worker reaches this process as an error too
+        for workers in (1, 2):
+            pin_workers(monkeypatch, workers)
+            assert main(["enumerate", fixture_path("toy_code.txt"), "--max-a", "6"]) == EXIT_OK
+            assert "kind=gast vns=1,2,3,4,5,6 params=6,0,0,9,0" in capsys.readouterr().out
 
     def test_enumerate_builds_no_configuration(self, monkeypatch, capsys):
         # each shape hit is judged on the subset walk's own rows
@@ -619,8 +631,87 @@ class TestCommands:
             if hasattr(module, "classify_unlabeled"):
                 monkeypatch.setattr(module, "classify_unlabeled", refuse)
         assert {removal, wcmtree, config, cli} <= set(bound)
-        assert main(["enumerate", fixture_path("toy_code.txt"), "--max-a", "6"]) == EXIT_OK
-        assert "kind=gast vns=1,2,3,4,5,6 params=6,0,0,9,0" in capsys.readouterr().out
+        for workers in (1, 2):
+            pin_workers(monkeypatch, workers)
+            assert main(["enumerate", fixture_path("toy_code.txt"), "--max-a", "6"]) == EXIT_OK
+            assert "kind=gast vns=1,2,3,4,5,6 params=6,0,0,9,0" in capsys.readouterr().out
+
+    def test_enumerate_output_is_the_same_on_three_workers(self, tmp_path, monkeypatch, capsys):
+        # the benchmark's planted scan codes, whole, cut inside size 5 and
+        # with every hit of a nonzero null space skipped with a warning;
+        # no run leaves a child process behind
+        monkeypatch.syspath_prepend(str(FIXDIR.parent / "perfbench"))
+        monkeypatch.delitem(sys.modules, "inputs", raising=False)
+        import inputs
+
+        try:
+            for seed in (1, 41):
+                code = inputs.planted_scan_code(seed)
+                path = tmp_path / f"scan{seed}.txt"
+                path.write_text(code.text)
+                inside = sum(math.comb(code.cols, k) for k in range(1, 5)) + math.comb(code.cols, 5) // 2
+                for limits in ([], ["--budget", str(inside), "--support-cap", "0"]):
+                    for fmt in ("text", "json-lines"):
+                        outputs = []
+                        for workers in (1, 3):
+                            pin_workers(monkeypatch, workers)
+                            argv = ["enumerate", str(path), "--max-a", "6", "--format", fmt, *limits]
+                            assert main(argv) == EXIT_OK
+                            outputs.append(capsys.readouterr().out)
+                            with pytest.raises(ChildProcessError):  # every worker was reaped
+                                os.waitpid(-1, os.WNOHANG)
+                        assert outputs[0] == outputs[1], (seed, limits, fmt)
+                        assert ("warning" if limits else "vns") in outputs[0]
+        finally:
+            sys.modules.pop("inputs", None)
+
+    @pytest.mark.parametrize("fault, message", [
+        ("raise", r"enumerate worker \d+ failed: ValueError: judged in a worker"),
+        ("kill", rf"enumerate worker \d+ failed: exited with status -{signal.SIGKILL}"),
+    ])
+    def test_enumerate_reports_a_failed_worker(self, monkeypatch, capsys, fault, message):
+        parent, grow = os.getpid(), cli.grow_tree
+
+        def grow_in_parent(*args):
+            if os.getpid() != parent:
+                if fault == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise ValueError("judged in a worker")
+            return grow(*args)
+
+        monkeypatch.setattr(cli, "grow_tree", grow_in_parent)
+        pin_workers(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match=message):
+            main(["enumerate", fixture_path("toy_code.txt"), "--max-a", "6"])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_enumerate_kills_its_workers_when_its_own_share_fails(self, monkeypatch, capsys):
+        # each worker stalls for a minute at its first hit; the parent's
+        # error ends them at once
+        parent, grow, stalled = os.getpid(), cli.grow_tree, []
+
+        def stall_in_worker(*args):
+            if os.getpid() == parent:
+                raise ValueError("judged in the parent")
+            if not stalled:
+                stalled.append(True)
+                time.sleep(60)
+            return grow(*args)
+
+        monkeypatch.setattr(cli, "grow_tree", stall_in_worker)
+        pin_workers(monkeypatch, 3)
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="judged in the parent"):
+            main(["enumerate", fixture_path("toy_code.txt"), "--max-a", "6"])
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def pin_workers(monkeypatch, workers: int) -> None:
+    """Make ``enumerate`` judge on ``workers`` processes, whatever the host has."""
+    monkeypatch.setattr(cli, "_workers", lambda: workers)
 
 
 def readme_schema() -> dict[str, set[str]]:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -335,25 +336,41 @@ def test_walk_classes_match_induced_configurations():
 
 def test_walk_limit_cuts_only_the_largest_size():
     # shapes(max_size, limit) walks the first ``limit`` subsets of max_size
-    # columns and every smaller subset, in the unlimited walk's order
+    # columns and every smaller subset, in the unlimited walk's order; the
+    # walks from each first column in turn, the cut shared out root by
+    # root, hand over the same subsets, classes and hits in the same order
+    def walked(walk):
+        return [(subset, topo, read()) for subset, topo, read in walk]
+
     rng = random.Random(8)
     for gamma in (2, 3):
         graph = random_code(rng, 7, 7, gamma)
-        for max_size in (1, 3, 7):
+        for max_size in range(1, 8):
             full = [subset for subset, _, _ in graph.shapes(max_size)]
             largest = [s for s in full if len(s) == max_size]
-            for limit in (0, 1, len(largest) // 2, len(largest)):
+            for limit in (None, 0, 1, len(largest) // 2, len(largest)):
                 keep = set(largest[:limit])
                 want = [s for s in full if len(s) < max_size or s in keep]
-                assert [subset for subset, _, _ in graph.shapes(max_size, limit)] == want
+                whole = walked(graph.shapes(max_size, limit))
+                assert [subset for subset, _, _ in whole] == want
+                split, left = [], limit
+                for first in range(graph.cols):
+                    share = None
+                    if left is not None:
+                        share = min(left, math.comb(graph.cols - 1 - first, max_size - 1))
+                        left -= share
+                    split += walked(graph.shapes(max_size, share, first=first))
+                assert split == whole, (max_size, limit)
 
 
 def test_walk_hits_match_induced_configurations():
     # every subset of small random codes, in one walk up to cols + 1
-    # columns: what the walk hands over is what induce gives, and the family
-    # test on it is smallest_b on the induced configuration, support-cap
-    # overruns included; where the exhaustive family oracle is cheap it
-    # checks b and the witness apart from the membership kernel
+    # columns and again in the walks from each first column, which hand
+    # over the same subsets in the same order: what a walk hands over is
+    # what induce gives, and the family test on it is smallest_b on the
+    # induced configuration, support-cap overruns included; where the
+    # exhaustive family oracle is cheap it checks b and the witness apart
+    # from the membership kernel
     def outcome(judge, cap):
         try:
             return judge(cap)
@@ -370,36 +387,40 @@ def test_walk_hits_match_induced_configurations():
                     size: (SupportScan(field, size - 1), SupportScan(field, size * (gamma + 1)))
                     for size in range(1, graph.cols + 1)
                 }
-                for subset, topo, read in graph.shapes(graph.cols + 1):
-                    size = len(subset)
-                    scan, wide = scans[size]
-                    shape, cfg = read(), graph.induce(subset)
-                    packing = SupportScan(field, size)
-                    assert shape.rows == tuple(map(packing.pack, cfg.adjacency().entries)), subset
-                    assert shape.deg1_rows == tuple(sorted(cfg.deg1_cns))
-                    assert list(shape.pairs.items()) == [
-                        (cn, tuple(v for v, _ in cfg.cn_neighbors[cn])) for cn in sorted(cfg.deg2_cns)
-                    ]
-                    assert shape.vn_deg1_counts == cfg.vn_deg1_counts
-                    assert (shape.d1, shape.d2, shape.d3) == (cfg.d1, cfg.d2, cfg.d3)
-                    assert shape.params(7) == cfg.params(7)
-                    for kind in kinds:
-                        if not topo.supports(kind):
-                            continue
-                        tree = grow_tree(shape.pairs, shape.vn_deg1_counts, topo, gamma, kind)
-                        assert tree == build_tree(cfg, kind)
-                        for cap in (0, 12):
-                            walked = outcome(
-                                lambda cap: smallest_b_on_rows(shape.rows, shape.deg1_rows, tree, scan, wide, cap),
-                                cap,
-                            )
-                            assert walked == outcome(lambda cap: smallest_b(cfg, build_tree(cfg, kind), cap), cap), subset
-                        if walked == "support cap" or (field.q - 1) ** size > 4096:
-                            continue
-                        oracle = oracle_in_family(cfg, kind)
-                        assert (walked is not None) == oracle.is_member, subset
-                        if walked is not None:
-                            b, witness = walked
-                            count, _, unsat = compute_b_for_values(cfg, witness)
-                            assert b == count == oracle.smallest_b, subset
-                            assert tuple(sorted(set(unsat) - cfg.deg1_cns)) in tree.family, subset
+                orders: dict[bool, list[tuple[int, ...]]] = {True: [], False: []}
+                for first in (None, *range(graph.cols)):
+                    for subset, topo, read in graph.shapes(graph.cols + 1, first=first):
+                        orders[first is None].append(subset)
+                        size = len(subset)
+                        scan, wide = scans[size]
+                        shape, cfg = read(), graph.induce(subset)
+                        packing = SupportScan(field, size)
+                        assert shape.rows == tuple(map(packing.pack, cfg.adjacency().entries)), subset
+                        assert shape.deg1_rows == tuple(sorted(cfg.deg1_cns))
+                        assert list(shape.pairs.items()) == [
+                            (cn, tuple(v for v, _ in cfg.cn_neighbors[cn])) for cn in sorted(cfg.deg2_cns)
+                        ]
+                        assert shape.vn_deg1_counts == cfg.vn_deg1_counts
+                        assert (shape.d1, shape.d2, shape.d3) == (cfg.d1, cfg.d2, cfg.d3)
+                        assert shape.params(7) == cfg.params(7)
+                        for kind in kinds:
+                            if not topo.supports(kind):
+                                continue
+                            tree = grow_tree(shape.pairs, shape.vn_deg1_counts, topo, gamma, kind)
+                            assert tree == build_tree(cfg, kind)
+                            for cap in (0, 12):
+                                walked = outcome(
+                                    lambda cap: smallest_b_on_rows(shape.rows, shape.deg1_rows, tree, scan, wide, cap),
+                                    cap,
+                                )
+                                assert walked == outcome(lambda cap: smallest_b(cfg, build_tree(cfg, kind), cap), cap), subset
+                            if walked == "support cap" or (field.q - 1) ** size > 4096:
+                                continue
+                            oracle = oracle_in_family(cfg, kind)
+                            assert (walked is not None) == oracle.is_member, subset
+                            if walked is not None:
+                                b, witness = walked
+                                count, _, unsat = compute_b_for_values(cfg, witness)
+                                assert b == count == oracle.smallest_b, subset
+                                assert tuple(sorted(set(unsat) - cfg.deg1_cns)) in tree.family, subset
+                assert orders[True] == orders[False]

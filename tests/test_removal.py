@@ -380,6 +380,42 @@ class TestOptimizeCode:
         second = report.processed[1]
         assert second.protected_checks >= 1
 
+    def test_protected_checks_ask_only_removals_sharing_an_edge(self, monkeypatch):
+        # four disjoint copies of the overlap code: a candidate or an
+        # accepted plan re-weights one VN, and only the removals holding one
+        # of its edges are asked what it moves, in registry order
+        tile, tile_targets = fx.toy_code_overlapping()
+        copies = 4
+        weights = {
+            (r + k * tile.rows, c + k * tile.cols): w
+            for k in range(copies)
+            for (r, c), w in tile.weights.items()
+        }
+        graph = CodeGraph(copies * tile.rows, copies * tile.cols, tile.gamma, tile.field, weights)
+        targets = [
+            Target(tuple(v + k * tile.cols for v in t.vn_ids), t.kind, t.expected_params)
+            for k in range(copies)
+            for t in tile_targets
+        ]
+        moved, asked = removal._ProtectedEntry.moved, []
+
+        def counted(entry, changes):
+            asked.append((entry.vn_ids, bool(entry.edges.keys() & changes.keys())))
+            return moved(entry, changes)
+
+        monkeypatch.setattr(removal._ProtectedEntry, "moved", counted)
+        _, report = optimize_code(graph, targets)
+        assert [p.result for p in report.processed] == ["removed"] * len(targets)
+        assert all(shares for _, shares in asked)
+        # one entry per protected check; an accepted plan folds into its own
+        # entry and into each earlier removal that holds the VN it re-weights
+        held, folds = [], 0
+        for plan in report.processed:
+            folds += 1 + sum(plan.selected_vn in vns for vns in held)
+            held.append(tuple(int(v) - 1 for v in plan.object_id.split(",")))
+        assert report.protected_checks == copies
+        assert len(asked) == report.protected_checks + folds
+
     def test_skip_non_matching_topology(self):
         graph, target = fx.toy_code_single_instance()
         bogus = Target(vn_ids=(6, 7, 8), kind="gast")

@@ -20,7 +20,9 @@ space (about 50 per seed), so truncation and warning order are covered too.
 A matrix reduction is one ``_ColumnMembership._reduce`` call; the
 counters are deterministic, so running the script on two checkouts and
 diffing the listings shows whether any plan, optimize or enumerate output
-changed, and whether the removals and optimize runs did the same work:
+changed, and whether the removals and optimize runs did the same work.
+The counters wrap functions in this process, so ``enumerate`` is pinned
+to judge every shape hit here, not in forked workers:
 
     python3 tools/plan_digest.py > change.txt
     python3 tools/plan_digest.py --root ../parent > parent.txt
@@ -72,6 +74,7 @@ def main() -> int:
 
     removal._ColumnMembership._reduce, cli.optimize_code = counted_reduce, counted_optimize
     cli.grow_tree = counted_grow
+    cli._workers = lambda: 1
     total, count = hashlib.sha256(), 0
     for workload, seed, size in POOLS:
         h = hashlib.sha256()
