@@ -16,15 +16,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import marshal
-import os
-import signal
 import sys
-import threading
 import warnings
 from math import comb
-from typing import Callable, Iterable, NoReturn, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
+from . import workers
 from .config import (
     CodeGraph,
     Configuration,
@@ -598,7 +595,8 @@ def cmd_enumerate(args: argparse.Namespace, rep: Reporter) -> int:
 
     # Scan order is size by size, lexicographic within a size.
     records = sorted(
-        _in_workers(judge, _deal(loads, _workers())), key=lambda record: (len(record[0]), record[0])
+        workers.run(judge, workers.deal(loads, workers.available()), "enumerate"),
+        key=lambda record: (len(record[0]), record[0]),
     )
     found: list[Target] = []
     for subset, params in records:
@@ -624,108 +622,6 @@ def cmd_enumerate(args: argparse.Namespace, rep: Reporter) -> int:
         },
     )
     return EXIT_OK
-
-
-# ------------------------------------------------------------------- workers
-
-
-def _workers() -> int:
-    """Processes ``enumerate`` may judge on: one per CPU this process may run on.
-
-    One where there is no ``os.fork`` or the process runs other threads: a
-    forked child holds only the thread that forked it, and a lock another
-    thread held stays locked there.
-    """
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _deal(loads: Sequence[int], workers: int) -> list[list[int]]:
-    """The indices with a nonzero load dealt out to at most ``workers`` shares.
-
-    Largest load first, each to the least-loaded share (the first on a
-    tie), so the largest lands in the first share; each share ascending.
-    At least one share, empty when no load is nonzero.
-    """
-    shares: list[list[int]] = [[] for _ in range(workers)]
-    held = [0] * workers
-    for i in sorted((i for i, load in enumerate(loads) if load), key=lambda i: -loads[i]):
-        w = held.index(min(held))
-        shares[w].append(i)
-        held[w] += loads[i]
-    return [sorted(share) for share in shares if share] or [[]]
-
-
-def _in_workers(work: Callable[[list[int]], list], shares: list[list[int]]) -> list:
-    """``work`` of every share, joined in share order.
-
-    The first share is worked in this process, each other one in a forked
-    child, which sends ``marshal.dumps`` of its list (exit status 0) or of
-    its error's message (status 1) through a pipe and leaves through
-    ``os._exit``: it runs no caller's ``finally``, no atexit hook and no
-    flush of a copied stdout buffer.  A child's non-zero exit is raised
-    here as a ``RuntimeError`` with its message.  Every child is reaped
-    before this returns or raises; on an error here the children still
-    running are killed first.
-    """
-    children: dict[int, int] = {}  # pid -> read end of its pipe, until reaped
-    try:
-        for share in shares[1:]:
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:
-                _child(work, share, w, [r, *children.values()])
-            os.close(w)
-            children[pid] = r
-        out = work(shares[0])
-        for pid, r in list(children.items()):
-            with os.fdopen(r, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[pid]
-            os.close(r)
-            if code:
-                try:
-                    message = marshal.loads(data)
-                except (EOFError, ValueError, TypeError):
-                    message = f"exited with status {code}"
-                raise RuntimeError(f"enumerate worker {pid} failed: {message}")
-            out.extend(marshal.loads(data))
-        return out
-    finally:
-        for pid, r in children.items():
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            os.close(r)
-            os.waitpid(pid, 0)
-
-
-def _child(work: Callable[[list[int]], list], share: list[int], w: int, others: list[int]) -> NoReturn:
-    """A forked child's whole life: work its share, send the outcome, exit."""
-    status = 1
-    try:
-        for fd in others:
-            os.close(fd)
-        try:
-            payload, done = marshal.dumps(work(share)), 0
-        except Exception as exc:  # sent to the parent, which raises it
-            payload, done = marshal.dumps(f"{type(exc).__name__}: {exc}"), 1
-        with os.fdopen(w, "wb") as pipe:
-            pipe.write(payload)
-        status = done
-    finally:
-        os._exit(status)
 
 
 # ----------------------------------------------------------------------- main

@@ -11,12 +11,14 @@ earlier removals that share edges.
 from __future__ import annotations
 
 import itertools
+import sys
 import warnings
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import astuple, dataclass, field as dataclass_field, replace
 from functools import reduce
 from operator import xor
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+from . import workers
 from .config import (
     CodeGraph,
     Configuration,
@@ -85,9 +87,12 @@ class WeightConditionReport:
         return tuple(i + 1 for i, r in enumerate(self.records) if not r.broken)
 
 
-def _vn_components(c: Configuration, kept_rows: Sequence[int]) -> list[list[int]]:
-    """Connected components over all VNs, linked through the kept CN rows."""
-    parent = list(range(c.num_vns))
+def _components(count: int, links: Iterable[Sequence[int]]) -> list[list[int]]:
+    """Connected components of 0..count-1, each link joining the indices it lists.
+
+    Each component ascending, components ordered by their smallest index.
+    """
+    parent = list(range(count))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -95,16 +100,15 @@ def _vn_components(c: Configuration, kept_rows: Sequence[int]) -> list[list[int]
             x = parent[x]
         return x
 
-    for r in kept_rows:
-        vns = [v for v, _ in c.cn_neighbors[r]]
-        for v in vns[1:]:
-            ra, rb = find(vns[0]), find(v)
+    for link in links:
+        for v in link[1:]:
+            ra, rb = find(link[0]), find(v)
             if ra != rb:
                 parent[rb] = ra
     groups: dict[int, list[int]] = {}
-    for v in range(c.num_vns):
+    for v in range(count):
         groups.setdefault(find(v), []).append(v)
-    return [sorted(g) for g in sorted(groups.values())]
+    return sorted(groups.values())
 
 
 class _Reduced:
@@ -293,7 +297,7 @@ def evaluate_weight_conditions(
         kept = [r for r in range(c.num_cns) if r not in removed]
         ns = null_space(a.keep_rows(kept))
         found, witness = has_full_support_vector(ns, support_cap)
-        comps = _vn_components(c, kept)
+        comps = _components(c.num_vns, ([v for v, _ in c.cn_neighbors[r]] for r in kept))
         # A component's rows are zero outside its columns, so their rank is
         # the rank of the component's own matrix.
         dims = []
@@ -719,17 +723,18 @@ def optimize_code(
     re-weights one copy of ``graph`` in place and returns it; ``graph`` is
     left as it was.  Every removal is re-verified at the end on ``is_in_Z``
     over the re-induced object.
+
+    A removal reads and writes only edges at its target's VNs, so targets
+    that share no VN, directly or through a chain of targets over both
+    phases, are removed independently: each such group runs in processing
+    order on its own, the groups split over ``workers.available()``
+    processes, and the report is merged in processing order.  Plans,
+    counters, warnings and the returned graph are those of one process;
+    an error is raised as the one the first failing target in processing
+    order raised, with that target's traceback in its cause.
     """
     if phases not in ("gast", "gast+ost"):
         raise ValueError(f"unknown phases {phases!r}")
-    report = OptimizationReport()
-    registry: list[_ProtectedEntry] = []
-    holders: dict[tuple[int, int], list[int]] = {}  # graph edge -> registry indices holding it
-
-    def sharing(graph_changes: Mapping[tuple[int, int], int]) -> list[_ProtectedEntry]:
-        """The registered removals that hold a changed edge, in registry order."""
-        return [registry[i] for i in sorted({i for edge in graph_changes for i in holders.get(edge, ())})]
-
     phase_kinds = ["gast"]
     if phases == "gast+ost":
         if graph.gamma % 2 == 0:
@@ -738,16 +743,94 @@ def optimize_code(
             warnings.warn("oscillating phase skipped: column weight is odd")
     elif any(t.kind == "ost" for t in targets):
         warnings.warn("oscillating targets present but phases='gast'; they are ignored")
+    order = [
+        (phase_kind, t)
+        for phase_kind in phase_kinds
+        for t in sorted((t for t in targets if t.kind == phase_kind), key=lambda t: (len(t.vn_ids), t.vn_ids))
+    ]
+    groups = _sharing_groups([target.vn_ids for _, target in order])
     current = graph.apply_changes({})
-    for phase_kind in phase_kinds:
-        batch = sorted(
-            (t for t in targets if t.kind == phase_kind),
-            key=lambda t: (len(t.vn_ids), t.vn_ids),
-        )
-        for target in batch:
+
+    def work(share: list[int]) -> list[tuple]:
+        return [
+            record
+            for g in share
+            for record in _remove_group(current, order, groups[g], support_cap, oracle_cap)
+        ]
+
+    shares = workers.deal([len(group) for group in groups], workers.available())
+    report = OptimizationReport()
+    for key, kind, value, messages in sorted(workers.run(work, shares, "optimize")):
+        for message in messages:
+            warnings.warn(message)
+        if kind == "error":
+            module, name, args, trace = value
+            raise getattr(sys.modules[module], name)(*args) from RuntimeError(f"in a target group:\n{trace}")
+        object_id = order[key % len(order)][1].object_id
+        if kind == "skipped":
+            report.skipped.append(object_id)
+        elif kind == "intact":
+            report.reverified.append(object_id)
+        else:
+            fields, checks, rejections = value
+            plan = RemovalPlan(*fields)
+            report.plan_log.append(plan)
+            report.protected_checks += checks
+            report.protected_rejections += rejections
+            if plan.result == "unremovable":
+                report.unremovable.append(object_id)
+                continue
+            current.weights.update({(cn, vn): new for cn, vn, _, new in plan.changes})
+            report.changes.extend(plan.changes)
+            report.processed.append(plan)
+    return current, report
+
+
+def _sharing_groups(vn_sets: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Positions in ``vn_sets`` grouped by shared VNs, directly or through a chain of sets.
+
+    Each group ascending, groups ordered by their first position.
+    """
+    holding: dict[int, list[int]] = {}  # VN -> positions of the sets holding it
+    for i, vns in enumerate(vn_sets):
+        for v in vns:
+            holding.setdefault(v, []).append(i)
+    return _components(len(vn_sets), holding.values())
+
+
+def _remove_group(
+    current: CodeGraph,
+    order: Sequence[tuple[str, Target]],
+    group: Sequence[int],
+    support_cap: int,
+    oracle_cap: int,
+) -> list[tuple]:
+    """Remove the targets at ``group``'s positions in ``order`` from ``current``, then re-verify them.
+
+    No target outside the group shares a VN with these, so none reads or
+    writes an edge they do.  Returns marshal-able records ``(key, kind,
+    value, warning messages)``, key i for target i's plan and len(order) + i
+    for its final re-verification: kind 'skipped' (value None), 'plan'
+    (the plan's fields, then the protected checks and rejections its
+    search cost), 'intact' (value None) or 'error' (the exception's module,
+    type name, args and traceback; the group stops there).
+    """
+    records: list[tuple] = []
+    registry: list[tuple[int, _ProtectedEntry]] = []  # (position in order, entry)
+    holders: dict[tuple[int, int], list[int]] = {}  # graph edge -> registry indices holding it
+    counts = [0, 0]  # the current search's protected checks and rejections
+
+    def sharing(graph_changes: Mapping[tuple[int, int], int]) -> list[_ProtectedEntry]:
+        """The registered removals that hold a changed edge, in registry order."""
+        return [registry[i][1] for i in sorted({i for edge in graph_changes for i in holders.get(edge, ())})]
+
+    key = 0
+    try:
+        for key in group:
+            phase_kind, target = order[key]
             cfg = current.induce(target.vn_ids)
             if not classify_unlabeled(cfg).supports(phase_kind):
-                report.skipped.append(target.object_id)
+                records.append((key, "skipped", None, []))
                 continue
             wcms = extract_wcms(cfg, build_tree(cfg, phase_kind))
             assert cfg.cn_ids is not None and cfg.vn_ids is not None
@@ -757,22 +840,25 @@ def optimize_code(
                 """Re-verify the removals that share at least one changed edge."""
                 graph_changes = {(cn_ids[cn], vn_ids[vn]): wt for (cn, vn), wt in changes.items()}
                 for entry in sharing(graph_changes):
-                    report.protected_checks += 1
+                    counts[0] += 1
                     if entry.columns.first_unbroken(*entry.moved(graph_changes)) is not None:
-                        report.protected_rejections += 1
+                        counts[1] += 1
                         return False
                 return True
 
+            counts[:] = 0, 0
             columns = _ObjectColumns(cfg, wcms, support_cap)
-            plan = remove_object(
-                cfg,
-                wcms,
-                protected_ok=protected_ok,
-                support_cap=support_cap,
-                oracle_cap=oracle_cap,
-                object_id=target.object_id,
-                columns=columns,
-            )
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                plan = remove_object(
+                    cfg,
+                    wcms,
+                    protected_ok=protected_ok,
+                    support_cap=support_cap,
+                    oracle_cap=oracle_cap,
+                    object_id=target.object_id,
+                    columns=columns,
+                )
             plan = replace(
                 plan,
                 changes=tuple(
@@ -781,9 +867,8 @@ def optimize_code(
                 ),
                 selected_vn=vn_ids[plan.selected_vn] if plan.selected_vn is not None else None,
             )
-            report.plan_log.append(plan)
+            records.append((key, "plan", (astuple(plan), *counts), [str(w.message) for w in caught]))
             if plan.result == "unremovable":
-                report.unremovable.append(target.object_id)
                 continue
             entry = _ProtectedEntry(target.object_id, cfg, wcms, columns)
             if plan.changes:
@@ -793,12 +878,16 @@ def optimize_code(
                 for held in (*sharing(graph_changes), entry):
                     held.columns.fold(*held.moved(graph_changes))
                 current.weights.update(graph_changes)
-                report.changes.extend(plan.changes)
-            report.processed.append(plan)
             for edge in entry.edges:
                 holders.setdefault(edge, []).append(len(registry))
-            registry.append(entry)
-    for entry in registry:
-        if not is_in_Z(current.induce(entry.vn_ids), entry.wcms, support_cap):
-            report.reverified.append(entry.object_id)
-    return current, report
+            registry.append((key, entry))
+        for position, entry in registry:
+            key = len(order) + position
+            if not is_in_Z(current.induce(entry.vn_ids), entry.wcms, support_cap):
+                records.append((key, "intact", None, []))
+    except Exception as exc:  # raised by the merge, in processing order
+        import traceback  # here, not at the top: importing it costs every run a few ms
+
+        error = type(exc).__module__, type(exc).__name__, exc.args, traceback.format_exc()
+        records.append((key, "error", error, []))
+    return records

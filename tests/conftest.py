@@ -8,6 +8,7 @@ import warnings
 from dataclasses import replace
 from typing import NamedTuple
 
+from wcmopt import workers
 from wcmopt.config import (
     CodeGraph,
     Configuration,
@@ -568,3 +569,22 @@ GF16_POLY = 0b10011
 
 def gf16() -> FieldContext:
     return FieldContext(4, GF16_POLY)
+
+
+def pin_workers(monkeypatch, count: int) -> None:
+    """Make ``enumerate`` and ``optimize`` work on ``count`` processes, whatever the host has."""
+    monkeypatch.setattr(workers, "available", lambda: count)
+
+
+def disjoint_union(parts) -> tuple[CodeGraph, list[Target]]:
+    """Codes side by side, block-diagonally, each with its targets moved along.
+
+    ``parts`` holds (graph, targets) pairs over one field and column
+    weight; no target of one part shares a VN with another part's.
+    """
+    weights, targets, rows, cols = {}, [], 0, 0
+    for graph, part_targets in parts:
+        weights.update({(r + rows, c + cols): w for (r, c), w in graph.weights.items()})
+        targets += [replace(t, vn_ids=tuple(v + cols for v in t.vn_ids)) for t in part_targets]
+        rows, cols = rows + graph.rows, cols + graph.cols
+    return CodeGraph(rows, cols, graph.gamma, graph.field, weights), targets

@@ -11,7 +11,15 @@ import time
 
 import pytest
 
-from conftest import drop_rows, gf16, random_code, reference_enumerate, satisfied_labeling
+from conftest import (
+    disjoint_union,
+    drop_rows,
+    gf16,
+    pin_workers,
+    random_code,
+    reference_enumerate,
+    satisfied_labeling,
+)
 from wcmopt import cli, config, removal, wcmtree
 from wcmopt import fixtures as fx
 from wcmopt.cli import (
@@ -30,6 +38,7 @@ from wcmopt.cli import (
     serialize_targets,
 )
 from wcmopt.config import CodeGraph, Configuration, classify_unlabeled
+from wcmopt.gf import gf4, gf8
 from wcmopt.gflinalg import null_space
 from wcmopt.removal import DEFAULT_ORACLE_CAP, Target, oracle_in_family
 from wcmopt.wcmtree import build_tree
@@ -708,10 +717,98 @@ class TestCommands:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_optimize_output_is_the_same_on_any_worker_count(self, tmp_path, monkeypatch, capsys):
+        # stdout in both formats, the --out bytes and the exit code agree on
+        # one, two and three workers; no run leaves a child behind, and a
+        # code whose targets chain into one group never forks
+        def write(name, graph, targets):
+            code, listed = tmp_path / f"{name}.txt", tmp_path / f"{name}_targets.txt"
+            code.write_text(serialize_code(graph))
+            listed.write_text(serialize_targets(targets))
+            return str(code), str(listed)
 
-def pin_workers(monkeypatch, workers: int) -> None:
-    """Make ``enumerate`` judge on ``workers`` processes, whatever the host has."""
-    monkeypatch.setattr(cli, "_workers", lambda: workers)
+        def enumerated(graph, kinds):
+            code = write("scan", graph, [])[0]
+            found = tmp_path / "found.txt"
+            targets = []
+            for kind in kinds:
+                assert main(["enumerate", code, "--max-a", "5", "--kind", kind, "--out", str(found)]) == EXIT_OK
+                targets += parse_targets(found.read_text())
+            return targets
+
+        def refuse_fork():
+            raise AssertionError("a single target group forked")
+
+        overlap = fixture_path("toy_code_overlap.txt"), fixture_path("toy_targets_overlap.txt")
+        cases = [(overlap, [], False), (write("tiles", *disjoint_union([fx.toy_code_overlapping()] * 3)), [], False)]
+        # random GF(4)/GF(8) codes whose enumerated targets chain into one
+        # group, over both phases on gamma 4; the GF(4) ones each have a
+        # removal beyond the topological bound.  Two copies of the gamma-4
+        # code side by side, the first without its last target: the second
+        # copy's larger group is dealt to this process, so the first copy's
+        # warning, earlier in processing order, comes from a child
+        pin_workers(monkeypatch, 1)
+        for seed, gamma, field in ((0, 3, gf4()), (2, 3, gf8()), (1, 4, gf4())):
+            graph = random_code(random.Random(f"optimize-workers:{seed}"), 8 + 3 * (gamma - 3), 10, gamma, field)
+            targets = enumerated(graph, ("gast", "ost")[: gamma - 2])
+            cases.append((write(f"chain{seed}", graph, targets), ["--phases", "gast+ost"], True))
+        chains = disjoint_union([(graph, targets[:-1]), (graph, targets)])
+        cases.append((write("chains", *chains), ["--phases", "gast+ost"], False))
+        capsys.readouterr()
+        out_path = tmp_path / "out.txt"
+        warned = 0
+        for files, flags, one_group in cases:
+            for fmt in ("text", "json-lines"):
+                outputs = []
+                for count in (1, 2, 3):
+                    pin_workers(monkeypatch, count)
+                    with monkeypatch.context() as forks:
+                        if one_group:
+                            forks.setattr(os, "fork", refuse_fork)
+                        out_path.unlink(missing_ok=True)
+                        rc = main(["optimize", *files, "--format", fmt, "--out", str(out_path), *flags])
+                    captured = capsys.readouterr()
+                    outputs.append((rc, captured.out, captured.err, out_path.read_bytes()))
+                    with pytest.raises(ChildProcessError):  # every worker was reaped
+                        os.waitpid(-1, os.WNOHANG)
+                assert outputs[0] == outputs[1] == outputs[2], (files, fmt)
+                assert outputs[0][0] == EXIT_OK and "removed" in outputs[0][1]
+                warned += outputs[0][1].count("beyond the topological bound")
+        assert warned >= 2 * 4, warned
+
+    def test_optimize_raises_the_earliest_overrun_on_any_worker_count(self, tmp_path, monkeypatch, capsys):
+        # two groups overrun --support-cap 0: a (6,2,2,5,2) object first in
+        # processing order at dimension 2, then the overlap code's two
+        # targets at dimension 1; the larger group is dealt to this process,
+        # which meets the later overrun, and the earlier one wins
+        cfg = fx.gast_6_2_2_5_2()
+        alone = CodeGraph(cfg.num_cns, cfg.num_vns, cfg.gamma, cfg.field, {(cn, vn): w for cn, vn, w in cfg.edges})
+        graph, targets = disjoint_union([(alone, [Target(tuple(range(6)))]), fx.toy_code_overlapping()])
+        code, listed = tmp_path / "code.txt", tmp_path / "targets.txt"
+        code.write_text(serialize_code(graph))
+        listed.write_text(serialize_targets(targets))
+        out_path = tmp_path / "out.txt"
+        parent, remove_group, here = os.getpid(), removal._remove_group, []
+
+        def watched(current, order, group, *caps):
+            if os.getpid() == parent:
+                here.append(list(group))
+            return remove_group(current, order, group, *caps)
+
+        monkeypatch.setattr(removal, "_remove_group", watched)
+        for count in (1, 2, 3):
+            pin_workers(monkeypatch, count)
+            here.clear()
+            argv = ["optimize", str(code), str(listed), "--support-cap", "0", "--out", str(out_path)]
+            assert main(argv) == EXIT_SUPPORT
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out_path.exists()
+            assert captured.err == (
+                "support search infeasible: null-space dimension 2 exceeds support search cap 0\n"
+            )
+            assert here == ([[0], [1, 2]] if count == 1 else [[1, 2]])
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
 
 
 def readme_schema() -> dict[str, set[str]]:

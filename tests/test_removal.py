@@ -6,7 +6,9 @@ import warnings
 import pytest
 
 from conftest import (
+    disjoint_union,
     gf16,
+    pin_workers,
     random_code,
     random_matrices,
     random_reweighting,
@@ -384,19 +386,8 @@ class TestOptimizeCode:
         # four disjoint copies of the overlap code: a candidate or an
         # accepted plan re-weights one VN, and only the removals holding one
         # of its edges are asked what it moves, in registry order
-        tile, tile_targets = fx.toy_code_overlapping()
         copies = 4
-        weights = {
-            (r + k * tile.rows, c + k * tile.cols): w
-            for k in range(copies)
-            for (r, c), w in tile.weights.items()
-        }
-        graph = CodeGraph(copies * tile.rows, copies * tile.cols, tile.gamma, tile.field, weights)
-        targets = [
-            Target(tuple(v + k * tile.cols for v in t.vn_ids), t.kind, t.expected_params)
-            for k in range(copies)
-            for t in tile_targets
-        ]
+        graph, targets = disjoint_union([fx.toy_code_overlapping()] * copies)
         moved, asked = removal._ProtectedEntry.moved, []
 
         def counted(entry, changes):
@@ -404,6 +395,7 @@ class TestOptimizeCode:
             return moved(entry, changes)
 
         monkeypatch.setattr(removal._ProtectedEntry, "moved", counted)
+        pin_workers(monkeypatch, 1)  # the calls are counted in this process
         _, report = optimize_code(graph, targets)
         assert [p.result for p in report.processed] == ["removed"] * len(targets)
         assert all(shares for _, shares in asked)
@@ -415,6 +407,41 @@ class TestOptimizeCode:
             held.append(tuple(int(v) - 1 for v in plan.object_id.split(",")))
         assert report.protected_checks == copies
         assert len(asked) == report.protected_checks + folds
+
+    def test_target_groups_are_the_components_of_sharing_a_vn(self):
+        # random target lists against a breadth-first walk over the pairs of
+        # targets that share a VN; duplicates, single targets and chains of
+        # targets that share no VN pairwise all occur
+        rng = random.Random("sharing-groups")
+        seen = dict.fromkeys(("duplicate", "single", "chain"), 0)
+        for _ in range(300):
+            cols = rng.randint(1, 40)
+            vn_sets = [
+                tuple(sorted(rng.sample(range(cols), rng.randint(1, min(6, cols)))))
+                for _ in range(rng.randint(0, 14))
+            ]
+            if vn_sets and rng.random() < 0.3:
+                vn_sets.insert(rng.randrange(len(vn_sets)), rng.choice(vn_sets))
+            left, want = set(range(len(vn_sets))), []
+            while left:
+                group, queue = [], [min(left)]
+                left.remove(queue[0])
+                while queue:
+                    i = queue.pop(0)
+                    group.append(i)
+                    for j in sorted(left):
+                        if set(vn_sets[i]) & set(vn_sets[j]):
+                            left.remove(j)
+                            queue.append(j)
+                want.append(sorted(group))
+            assert removal._sharing_groups(vn_sets) == want
+            for group in want:
+                seen["single"] += len(group) == 1
+                seen["duplicate"] += len({vn_sets[i] for i in group}) < len(group)
+                seen["chain"] += any(
+                    not set(vn_sets[i]) & set(vn_sets[j]) for i in group for j in group
+                )
+        assert all(seen.values()), seen
 
     def test_skip_non_matching_topology(self):
         graph, target = fx.toy_code_single_instance()
@@ -510,6 +537,15 @@ def protected_codes(count=12):
         yield graph, shape_hit_targets(graph)
 
 
+def split_protected_codes():
+    """``protected_codes``, each a single target group, then eight codes of two groups.
+
+    Code s sits beside code s + 4, which has its field and column weight.
+    """
+    codes = list(protected_codes())
+    return codes + [disjoint_union(codes[s:s + 5:4]) for s in range(8)]
+
+
 def watch_protected_checks(monkeypatch, wrap):
     """Hand ``remove_object`` ``wrap(protected_ok, columns)`` in place of the hook ``optimize_code`` passes."""
     remove = removal.remove_object
@@ -536,8 +572,10 @@ def flagged(protected_ok, inside):
 class TestProtectedKernels:
     def test_kernel_route_matches_reinduced_route(self, monkeypatch):
         # every protected check on a kept kernel gives the verdict of is_in_Z
-        # on the re-induced object; the sweep must fold plans into earlier
-        # removals and pack a kernel again after a fold at another column
+        # on the re-induced object, in one process and with the independent
+        # target groups split over two; the sweep must fold plans into
+        # earlier removals and pack a kernel again after a fold at another
+        # column (counted in the one-process runs)
         events = dict.fromkeys(("fold", "rebuild_after_other_vn"), 0)
         own, inside, dropped = [None], [False], {}
         cls = removal._ObjectColumns
@@ -564,25 +602,29 @@ class TestProtectedKernels:
         rejections = 0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # searches beyond the topological bound
-            for graph, targets in protected_codes():
+            for graph, targets in split_protected_codes():
                 before = CodeGraph(graph.rows, graph.cols, graph.gamma, graph.field, graph.weights)
-                got_graph, got = optimize_code(graph, targets)
                 want_graph, want = reference_optimize_code(graph, targets)
-                assert graph == before
-                assert repr(got.plan_log) == repr(want.plan_log)
-                assert (got.protected_checks, got.protected_rejections) == (
-                    want.protected_checks, want.protected_rejections
-                )
-                assert got.reverified == want.reverified
-                assert got.unremovable == want.unremovable and got.skipped == want.skipped
-                assert got_graph.weights == want_graph.weights
+                for count in (1, 2):
+                    pin_workers(monkeypatch, count)
+                    got_graph, got = optimize_code(graph, targets)
+                    assert graph == before
+                    assert repr(got.plan_log) == repr(want.plan_log)
+                    assert (got.protected_checks, got.protected_rejections) == (
+                        want.protected_checks, want.protected_rejections
+                    )
+                    assert got.reverified == want.reverified
+                    assert got.unremovable == want.unremovable and got.skipped == want.skipped
+                    assert got.processed == want.processed and got.changes == want.changes
+                    assert got_graph.weights == want_graph.weights
                 rejections += got.protected_rejections
         assert rejections > 0
         assert all(events.values()), events
 
     def test_support_cap_overruns_match_reinduced_route(self, monkeypatch):
         # a kernel at another column reaches the same matrices with the same
-        # null-space dimensions, so a tight cap overruns where is_in_Z does
+        # null-space dimensions, so a tight cap overruns where is_in_Z does,
+        # in one process and with the target groups split over two
         overruns = []
 
         def wrap(protected_ok, columns):
@@ -606,10 +648,11 @@ class TestProtectedKernels:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            for graph, targets in protected_codes():
-                assert outcome(optimize_code, graph, targets) == outcome(
-                    reference_optimize_code, graph, targets
-                )
+            for graph, targets in split_protected_codes():
+                want = outcome(reference_optimize_code, graph, targets)
+                for count in (1, 2):
+                    pin_workers(monkeypatch, count)
+                    assert outcome(optimize_code, graph, targets) == want
         assert overruns
 
     def test_protected_checks_reuse_the_removals_kernels(self, monkeypatch):
@@ -628,6 +671,7 @@ class TestProtectedKernels:
 
             monkeypatch.setattr(_ColumnMembership, name, counted)
         watch_protected_checks(monkeypatch, lambda protected_ok, columns: flagged(protected_ok, inside))
+        pin_workers(monkeypatch, 1)  # the work is counted in this process
         _, report = optimize_code(graph, targets)
         assert report.protected_checks >= 1
         assert work == {"_reduce": 0, "__init__": 0}
@@ -677,6 +721,7 @@ class TestProtectedKernels:
                 return _method(self, *args)
 
             monkeypatch.setattr(CodeGraph, name, counted)
+        pin_workers(monkeypatch, 1)  # the calls are counted in this process
         checks = objects = 0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

@@ -21,8 +21,9 @@ A matrix reduction is one ``_ColumnMembership._reduce`` call; the
 counters are deterministic, so running the script on two checkouts and
 diffing the listings shows whether any plan, optimize or enumerate output
 changed, and whether the removals and optimize runs did the same work.
-The counters wrap functions in this process, so ``enumerate`` is pinned
-to judge every shape hit here, not in forked workers:
+The counters wrap functions in this process, so ``enumerate`` and
+``optimize`` are pinned to one worker (``workers.available``): every shape
+hit is judged and every target removed here, not in forked workers:
 
     python3 tools/plan_digest.py > change.txt
     python3 tools/plan_digest.py --root ../parent > parent.txt
@@ -74,7 +75,11 @@ def main() -> int:
 
     removal._ColumnMembership._reduce, cli.optimize_code = counted_reduce, counted_optimize
     cli.grow_tree = counted_grow
-    cli._workers = lambda: 1
+    try:
+        from wcmopt import workers
+        workers.available = lambda: 1
+    except ImportError:  # a checkout from before the worker helper left cli
+        cli._workers = lambda: 1
     total, count = hashlib.sha256(), 0
     for workload, seed, size in POOLS:
         h = hashlib.sha256()
