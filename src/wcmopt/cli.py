@@ -29,7 +29,7 @@ from .config import (
     classify_unlabeled,
 )
 from .gf import FieldContext, FieldError, format_element
-from .gflinalg import DEFAULT_SUPPORT_CAP, SearchTooLargeError, SupportScan
+from .gflinalg import DEFAULT_SUPPORT_CAP, SearchTooLargeError
 from .removal import (
     DEFAULT_ORACLE_CAP,
     OracleTooLargeError,
@@ -566,13 +566,6 @@ def cmd_enumerate(args: argparse.Namespace, rep: Reporter) -> int:
             last = shares[f] = min(limit, last)
             limit -= last
         loads.append(sum(comb(n - 1 - f, k) for k in range(top - 1)) + last)
-    # smallest_b_on_rows's layouts per size: B spans size - 1 columns and
-    # wide spans B, x and up to size * gamma checks
-    scans = [
-        (SupportScan(graph.field, size - 1), SupportScan(graph.field, size * (graph.gamma + 1)))
-        for size in range(1, top + 1)
-    ]
-
     def judge(roots: list[int]) -> list[tuple[tuple[int, ...], tuple[int, ...] | None]]:
         """(subset, params) per family member of the roots' walks; params
         None marks a shape hit skipped at the support cap."""
@@ -582,10 +575,11 @@ def cmd_enumerate(args: argparse.Namespace, rep: Reporter) -> int:
                 if not topo.supports(kind):
                     continue
                 shape = read()
-                scan, wide = scans[len(subset) - 1]
                 tree = grow_tree(shape.pairs, shape.vn_deg1_counts, topo, graph.gamma, kind)
                 try:
-                    hit = smallest_b_on_rows(shape.rows, shape.deg1_rows, tree, scan, wide, args.support_cap)
+                    hit = smallest_b_on_rows(
+                        shape.rows, shape.deg1_rows, tree, len(subset), graph.field, args.support_cap
+                    )
                 except SearchTooLargeError:
                     records.append((subset, None))
                     continue

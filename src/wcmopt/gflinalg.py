@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from operator import xor
 from typing import Iterable, Sequence
 
@@ -129,6 +129,12 @@ class SupportScan:
         return None
 
 
+@cache
+def support_scan(field: FieldContext, length: int) -> SupportScan:
+    """The one ``SupportScan`` over GF(q)^length; every scan the package uses comes from here."""
+    return SupportScan(field, length)
+
+
 def eliminate(rows: list[int], ncols: int, scan: SupportScan) -> list[int]:
     """Gauss-Jordan elimination of packed rows, in place, pivoting in the first ``ncols`` columns.
 
@@ -176,7 +182,7 @@ def null_basis(rows: Sequence[int], pivots: Sequence[int], ncols: int, scan: Sup
 
 
 def _reduced(m: GfMatrix) -> tuple[SupportScan, list[int], list[int]]:
-    scan = SupportScan(m.field, m.cols)
+    scan = support_scan(m.field, m.cols)
     rows = [scan.pack(row) for row in m.entries]
     return scan, rows, eliminate(rows, m.cols, scan)
 
@@ -238,7 +244,7 @@ def has_full_support_vector(
     if p == 0:
         return False, None
     check_search_size(p, support_cap)
-    scan = SupportScan(ns.field, ns.length)
+    scan = support_scan(ns.field, ns.length)
     multiples = [scan.multiples(scan.pack(vec)) for vec in ns.basis_vectors]
     for lead in range(p):
         hit = scan.first(multiples[lead][1], multiples[lead + 1 :])

@@ -16,7 +16,7 @@ import warnings
 from dataclasses import astuple, dataclass, field as dataclass_field, replace
 from functools import reduce
 from operator import xor
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import workers
 from .config import (
@@ -29,7 +29,6 @@ from .config import (
 from .gf import FieldContext
 from .gflinalg import (
     DEFAULT_SUPPORT_CAP,
-    SupportScan,
     check_search_size,
     eliminate,
     has_full_support_vector,
@@ -37,6 +36,7 @@ from .gflinalg import (
     null_basis,
     null_space,
     rank,
+    support_scan,
 )
 from .wcmtree import UnlabeledTree, WcmSet, build_tree, extract_wcms
 
@@ -111,41 +111,33 @@ def _components(count: int, links: Iterable[Sequence[int]]) -> list[list[int]]:
     return sorted(groups.values())
 
 
-class _Reduced:
-    """One reduced matrix of a ``_ColumnMembership``.
+class _Reduced(NamedTuple):
+    """One reduced matrix of a ``_ColumnMembership``, built whole by ``_reduce``.
 
-    Packed P x, P e_r per kept changeable row r and null(B)'s basis; the
-    multiples of P e_r and of the basis are built the first time a
-    judgement needs them.
+    Packed P x, the multiples of P e_r per kept changeable row r and the
+    multiples of each vector of null(B)'s basis.
     """
 
-    __slots__ = ("tx", "columns", "terms", "basis", "null_multiples")
-
-    def __init__(self, tx: int, columns: dict[int, int], basis: list[int]):
-        self.tx, self.columns, self.basis = tx, columns, basis
-        self.terms: dict[int, list[int]] = {}
-        self.null_multiples: list[list[int]] | None = None
+    tx: int
+    terms: dict[int, list[int]]
+    null_multiples: list[list[int]]
 
 
-def _pack_rows(
-    rows: Sequence[tuple[int, ...]], vn: int, field: FieldContext
-) -> tuple[list[int], SupportScan, SupportScan]:
-    """Row tuples in ``_ColumnMembership``'s layouts, column ``vn`` as x: (packed, scan, wide)."""
-    # every slot a kernel row or a reduced column can use: B, x and
-    # the unit columns, or B and the rows below the rank
-    wide = SupportScan(field, len(rows[0]) + len(rows))
-    packed = [wide.pack(row[:vn] + row[vn + 1 :] + (row[vn],)) for row in rows]
-    return packed, SupportScan(field, len(rows[0]) - 1), wide
+def _pack_rows(rows: Sequence[tuple[int, ...]], vn: int, field: FieldContext) -> list[int]:
+    """Row tuples packed in ``_ColumnMembership``'s layout: B's columns, then column ``vn`` as x."""
+    scan = support_scan(field, len(rows[0]))
+    return [scan.pack(row[:vn] + row[vn + 1 :] + (row[vn],)) for row in rows]
 
 
 class _ColumnMembership:
     """The one membership test: the first matrix with unbroken conditions.
 
-    ``packed`` holds an adjacency matrix's rows as ``wide`` vectors, B's
-    columns in the first ``scan.length`` slots and x in the next one (see
-    ``_pack_rows``); ``wide`` spans B, x and one slot per row.  Each group
-    lists the rows one matrix drops.  ``first_unbroken(deltas)`` judges
-    the rows with ``deltas[cn]`` added to column vn at row cn, for rows in
+    ``packed`` holds an adjacency matrix's rows over ``ncols`` columns, B's
+    ncols - 1 columns in the first slots and x in the next one (see
+    ``_pack_rows``).  The kernel's layouts are its own: ``scan`` spans B,
+    and ``wide`` spans B, x and one slot per row.  Each group lists the
+    rows one matrix drops.  ``first_unbroken(deltas)`` judges the rows
+    with ``deltas[cn]`` added to column vn at row cn, for rows in
     ``changeable``.  Matrices are tried in group order up to the first
     unbroken one, so a support-cap overrun raises only on a matrix the scan
     reaches.  None means every matrix is broken.
@@ -157,41 +149,42 @@ class _ColumnMembership:
     them.  When the scan first reaches a matrix, one ``eliminate`` over
     B's columns turns the kept rows of [B | x | e_r for r in changeable]
     into P [B | x | e_r], P the transform that takes B to its reduced
-    row-echelon form.  P x nonzero below the rank means x is outside B's
-    column space and the matrix is broken; otherwise y0 is read off P x
-    and the matrix is unbroken iff some y0 + n, n in null(B), has full
-    support.  A delta moves P x by delta P e_r.  Any transform T with T B
-    reduced gives the same verdicts: T = S P with S = [[I, *], [0,
-    invertible]], so T x vanishes below the rank exactly when P x does,
-    and then the upper parts agree.  P x and P e_r are packed ints: the
-    entries of the pivot rows in the slots of their pivot columns, so P x
-    holds y0, and the rows below the rank in the slots after B's.
+    row-echelon form, and the whole reduced matrix is built then.  P x
+    nonzero below the rank means x is outside B's column space and the
+    matrix is broken; otherwise y0 is read off P x and the matrix is
+    unbroken iff some y0 + n, n in null(B), has full support.  A delta
+    moves P x by delta P e_r.  Any transform T with T B reduced gives the
+    same verdicts: T = S P with S = [[I, *], [0, invertible]], so T x
+    vanishes below the rank exactly when P x does, and then the upper
+    parts agree.  P x and P e_r are packed ints: the entries of the pivot
+    rows in the slots of their pivot columns, so P x holds y0, and the rows
+    below the rank in the slots after B's.
     """
 
     def __init__(
         self,
         packed: Sequence[int],
-        scan: SupportScan,
-        wide: SupportScan,
+        ncols: int,
+        field: FieldContext,
         groups: Sequence[Sequence[int]],
         support_cap: int,
         changeable: frozenset[int],
     ):
-        self.packed, self.scan, self.wide = packed, scan, wide
-        self.groups, self.support_cap, self.changeable = groups, support_cap, changeable
+        self.packed, self.groups, self.support_cap, self.changeable = packed, groups, support_cap, changeable
+        self.scan, self.wide = support_scan(field, ncols - 1), support_scan(field, ncols + len(packed))
         self.reduced: list[_Reduced | None] = [None] * len(groups)
 
     def _reduce(self, group: Sequence[int]) -> _Reduced:
-        n, wide = self.scan.length, self.wide
+        n, scan, wide = self.scan.length, self.scan, self.wide
         kept = [r for r in range(len(self.packed)) if r not in group]
         units = [r for r in kept if r in self.changeable]
         slot = {u: n + 1 + i for i, u in enumerate(units)}
         rows = [self.packed[r] | (1 << wide.width * slot[r] if r in slot else 0) for r in kept]
         pivots = eliminate(rows, n, wide)
         slots = pivots + list(range(n, n + len(rows) - len(pivots)))
-        columns = {u: wide.column(rows, s, slots) for u, s in slot.items()}
-        basis = null_basis(rows, pivots, n, wide)
-        return _Reduced(wide.column(rows, n, slots), columns, basis)
+        terms = {u: wide.multiples(wide.column(rows, s, slots)) for u, s in slot.items()}
+        null_multiples = [scan.multiples(b) for b in null_basis(rows, pivots, n, wide)]
+        return _Reduced(wide.column(rows, n, slots), terms, null_multiples)
 
     def first_unbroken(self, deltas: Mapping[int, int]) -> int | None:
         """Position of the first unbroken matrix with ``deltas[cn]`` added at row cn."""
@@ -212,18 +205,14 @@ class _ColumnMembership:
             m = self.reduced[i]
             if m is None:
                 m = self.reduced[i] = self._reduce(group)
-            tx = m.tx
+            tx, terms, null_multiples = m
             for cn, delta in deltas.items():
-                if cn in m.columns:
-                    if cn not in m.terms:
-                        m.terms[cn] = self.wide.multiples(m.columns[cn])
-                    tx ^= m.terms[cn][delta]
+                if cn in terms:
+                    tx ^= terms[cn][delta]
             solvable = not tx >> shift
-            check_search_size(len(m.basis) + solvable, self.support_cap)
+            check_search_size(len(null_multiples) + solvable, self.support_cap)
             if solvable:
-                if m.null_multiples is None:
-                    m.null_multiples = [scan.multiples(b) for b in m.basis]
-                y = scan.first(tx, m.null_multiples)
+                y = scan.first(tx, null_multiples)
                 if y is not None:
                     return i, y
         return None
@@ -259,7 +248,9 @@ class _ObjectColumns:
         if vn not in self.kernels:
             packed = _pack_rows(self.rows, vn, self.field)
             changeable = frozenset(cn for cn, row in enumerate(self.rows) if row[vn])
-            self.kernels[vn] = _ColumnMembership(*packed, self.groups, self.support_cap, changeable), {}
+            kernel = _ColumnMembership(packed, len(self.rows[0]), self.field, self.groups, self.support_cap,
+                                       changeable)
+            self.kernels[vn] = kernel, {}
         kernel, held = self.kernels[vn]
         return kernel.first_unbroken(_add_deltas(held, deltas) if held else deltas)
 
@@ -337,7 +328,7 @@ def is_in_Z(
     """
     groups = [rec.removed_rows for rec in w.wcms]
     packed = _pack_rows(c.adjacency().entries, c.num_vns - 1, c.field)
-    column = _ColumnMembership(*packed, groups, support_cap, frozenset())
+    column = _ColumnMembership(packed, c.num_vns, c.field, groups, support_cap, frozenset())
     return column.first_unbroken({}) is not None
 
 
@@ -345,40 +336,39 @@ def smallest_b_on_rows(
     rows: Sequence[int],
     deg1_rows: Sequence[int],
     tree: UnlabeledTree,
-    scan: SupportScan,
-    wide: SupportScan,
+    ncols: int,
+    field: FieldContext,
     support_cap: int = DEFAULT_SUPPORT_CAP,
 ) -> tuple[int, tuple[int, ...]] | None:
     """Smallest b over ``tree``'s family and an assignment attaining it; None when out of it.
 
-    ``rows`` are an object's adjacency rows packed in ``_ColumnMembership``'s
-    layouts, with x its last column, and ``deg1_rows`` its degree-1 rows;
-    ``scan`` spans the other columns.  A caller that judges many objects of
-    one size builds ``scan`` and ``wide`` once.  One matrix per flippable
-    set: the rows without the degree-1 rows and the set's.  Sets are tried
-    by size, in the family's lexicographic order within a size, up to the
-    first matrix with a full-support null vector, which is the witness.
-    Its unsatisfied checks are the degree-1 ones and a subset of the set;
+    ``rows`` are an object's adjacency rows over ``ncols`` columns, packed
+    in ``_ColumnMembership``'s layout with x its last column, and
+    ``deg1_rows`` its degree-1 rows.  One matrix per flippable set: the
+    rows without the degree-1 rows and the set's.  Sets are tried by size,
+    in the family's lexicographic order within a size, up to the first
+    matrix with a full-support null vector, which is the witness.  Its
+    unsatisfied checks are the degree-1 ones and a subset of the set;
     every subset of a flippable set is flippable and was tried first, so
     they are exactly the set's and b = d1 + its size is the smallest.  A
     support-cap overrun raises only on a matrix the walk reaches.
     """
     sets = sorted(tree.family, key=len)
     groups = [tuple(sorted((*deg1_rows, *s))) for s in sets]
-    column = _ColumnMembership(rows, scan, wide, groups, support_cap, frozenset())
+    column = _ColumnMembership(rows, ncols, field, groups, support_cap, frozenset())
     hit = column.first_solution({})
     if hit is None:
         return None
     i, y = hit
-    return len(deg1_rows) + len(sets[i]), scan.unpack(y) + (1,)
+    return len(deg1_rows) + len(sets[i]), column.scan.unpack(y) + (1,)
 
 
 def smallest_b(
     c: Configuration, tree: UnlabeledTree, support_cap: int = DEFAULT_SUPPORT_CAP
 ) -> tuple[int, tuple[int, ...]] | None:
     """``smallest_b_on_rows`` on a configuration's adjacency rows."""
-    rows, scan, wide = _pack_rows(c.adjacency().entries, c.num_vns - 1, c.field)
-    return smallest_b_on_rows(rows, sorted(c.deg1_cns), tree, scan, wide, support_cap)
+    rows = _pack_rows(c.adjacency().entries, c.num_vns - 1, c.field)
+    return smallest_b_on_rows(rows, sorted(c.deg1_cns), tree, c.num_vns, c.field, support_cap)
 
 
 def compute_b_for_values(
@@ -416,7 +406,7 @@ def _scan(
     q, a, ell = c.field.q, c.num_vns, c.num_cns
     if (total := (q - 1) ** a) > cap:
         raise OracleTooLargeError(f"(q-1)^a = {total} assignments exceeds oracle cap {cap}")
-    scan = SupportScan(c.field, ell)
+    scan = support_scan(c.field, ell)
     carry, guards = scan.carry, scan.guards
     forbidden = sum(1 << scan.width * cn for cn in satisfied) << c.field.lam
     # x times column vn, for x = 1 .. q - 1: VN vn's syndrome term at value x
@@ -663,9 +653,9 @@ class _ProtectedEntry:
     column of the object.
     """
 
-    def __init__(self, object_id: str, cfg: Configuration, wcms: WcmSet, columns: _ObjectColumns):
+    def __init__(self, cfg: Configuration, wcms: WcmSet, columns: _ObjectColumns):
         assert cfg.cn_ids is not None and cfg.vn_ids is not None
-        self.object_id, self.vn_ids, self.wcms, self.columns = object_id, cfg.vn_ids, wcms, columns
+        self.vn_ids, self.wcms, self.columns = cfg.vn_ids, wcms, columns
         self.edges = {(cfg.cn_ids[cn], cfg.vn_ids[vn]): (cn, vn) for cn, vn, _ in cfg.edges}
 
     def moved(self, changes: Mapping[tuple[int, int], int]) -> tuple[int, dict[int, int]]:
@@ -870,7 +860,7 @@ def _remove_group(
             records.append((key, "plan", (astuple(plan), *counts), [str(w.message) for w in caught]))
             if plan.result == "unremovable":
                 continue
-            entry = _ProtectedEntry(target.object_id, cfg, wcms, columns)
+            entry = _ProtectedEntry(cfg, wcms, columns)
             if plan.changes:
                 graph_changes = {
                     (cn, vn): new for cn, vn, _, new in plan.changes

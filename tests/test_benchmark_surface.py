@@ -1,15 +1,19 @@
-"""The library surface the benchmark harness in ``perfbench/`` relies on.
+"""The library surface the benchmark harness in ``perfbench/`` and ``tools/plan_digest.py`` rely on.
 
 The harness spans library functions by name and calls them through their
-modules; a rename or deletion there would otherwise only show when the
-benchmark's own tests run.
+modules, and the digest tool wraps some by name to count work; a rename
+or deletion there would otherwise only show when the benchmark's own
+tests or the tool run.
 """
 
 import importlib
 import pathlib
 import sys
 
-PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+from wcmopt import cli, removal, workers
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 HARNESS = ("spans", "layers", "inputs", "workloads")
 
 
@@ -30,3 +34,16 @@ def test_harness_spans_and_imports_resolve(monkeypatch):
     finally:
         for name in HARNESS:
             sys.modules.pop(name, None)
+
+
+def test_plan_digest_patches_names_that_exist():
+    source = (ROOT / "tools" / "plan_digest.py").read_text(encoding="utf-8")
+    patched = {
+        "removal._ColumnMembership._reduce": removal._ColumnMembership,
+        "cli.optimize_code": cli,
+        "cli.grow_tree": cli,
+        "workers.available": workers,
+    }
+    for dotted, owner in patched.items():
+        assert dotted in source
+        assert callable(getattr(owner, dotted.rpartition(".")[2], None)), dotted

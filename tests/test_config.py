@@ -383,16 +383,11 @@ def test_walk_hits_match_induced_configurations():
             kinds = ("gast", "ost") if gamma % 2 == 0 else ("gast",)
             for _ in range(5):
                 graph = random_code(rng, rng.randint(gamma, 9), rng.randint(1, 8), gamma, field)
-                scans = {
-                    size: (SupportScan(field, size - 1), SupportScan(field, size * (gamma + 1)))
-                    for size in range(1, graph.cols + 1)
-                }
                 orders: dict[bool, list[tuple[int, ...]]] = {True: [], False: []}
                 for first in (None, *range(graph.cols)):
                     for subset, topo, read in graph.shapes(graph.cols + 1, first=first):
                         orders[first is None].append(subset)
                         size = len(subset)
-                        scan, wide = scans[size]
                         shape, cfg = read(), graph.induce(subset)
                         packing = SupportScan(field, size)
                         assert shape.rows == tuple(map(packing.pack, cfg.adjacency().entries)), subset
@@ -410,7 +405,7 @@ def test_walk_hits_match_induced_configurations():
                             assert tree == build_tree(cfg, kind)
                             for cap in (0, 12):
                                 walked = outcome(
-                                    lambda cap: smallest_b_on_rows(shape.rows, shape.deg1_rows, tree, scan, wide, cap),
+                                    lambda cap: smallest_b_on_rows(shape.rows, shape.deg1_rows, tree, size, field, cap),
                                     cap,
                                 )
                                 assert walked == outcome(lambda cap: smallest_b(cfg, build_tree(cfg, kind), cap), cap), subset

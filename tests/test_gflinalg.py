@@ -31,6 +31,7 @@ from wcmopt.gflinalg import (
     null_space,
     rank,
     rref,
+    support_scan,
 )
 
 A, A2 = 2, 3
@@ -212,6 +213,14 @@ def test_support_scan_multiples_match_field_products(field):
                 sum(field.mul(c, x) << scan.width * i for i, x in enumerate(vec))
                 for c in range(field.q)
             ]
+
+
+def test_support_scan_is_one_per_field_and_length():
+    # equal fields share their scans, so a kernel's layouts cost a lookup
+    scan, fresh = support_scan(gf4(), 5), SupportScan(gf4(), 5)
+    assert scan is support_scan(gf4(), 5)
+    assert (scan.field, scan.length, scan.carry, scan.guards) == (fresh.field, fresh.length, fresh.carry, fresh.guards)
+    assert support_scan(gf4(), 6) is not scan and support_scan(gf8(), 5) is not scan
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -835,7 +835,8 @@ class TestMembershipKernel:
                 rows = rows_with_weights(cfg.adjacency().entries, changes)
                 first = reference_first_unbroken(rows, groups, field, DEFAULT_SUPPORT_CAP)
                 one_shot = _ColumnMembership(
-                    *_pack_rows(rows, cfg.num_vns - 1, field), groups, DEFAULT_SUPPORT_CAP, frozenset()
+                    _pack_rows(rows, cfg.num_vns - 1, field), cfg.num_vns, field, groups, DEFAULT_SUPPORT_CAP,
+                    frozenset(),
                 )
                 assert one_shot.first_unbroken({}) == first
                 assert (first is None) == report.all_broken
@@ -868,7 +869,9 @@ class TestMembershipKernel:
                     for vn in range(case.num_vns):
                         deg2 = frozenset(cn for cn, _ in case.vn_neighbors[vn] if cn in case.deg2_cns)
                         for changeable in (frozenset(), deg2):
-                            column = _ColumnMembership(*_pack_rows(rows, vn, field), case_groups, cap, changeable)
+                            column = _ColumnMembership(
+                                _pack_rows(rows, vn, field), case.num_vns, field, case_groups, cap, changeable
+                            )
                             fast = membership_outcome(lambda: column.first_unbroken({}))
                             assert fast == ref, (name, vn, cap)
                             verdicts.add(type(fast))
@@ -895,7 +898,7 @@ class TestMembershipKernel:
             assert ref == (0 if cap == cfg.num_vns else f"null-space dimension 3 exceeds support search cap {cap}")
             for vn in range(cfg.num_vns):
                 for changeable in (frozenset(), frozenset(range(cfg.num_cns))):
-                    column = _ColumnMembership(*_pack_rows(rows, vn, field), groups, cap, changeable)
+                    column = _ColumnMembership(_pack_rows(rows, vn, field), cfg.num_vns, field, groups, cap, changeable)
                     assert membership_outcome(lambda: column.first_unbroken({})) == ref
                     assert membership_outcome(lambda: column.first_unbroken(dict.fromkeys(changeable, 1))) == ref
 
@@ -912,17 +915,23 @@ class TestMembershipKernel:
             rows = [row + (v,) for row, v in zip(m.entries, x)]
             rows.append(tuple(rng.randrange(f.q) for _ in range(m.cols + 1)))
             units = rng.sample(range(m.rows + 1), rng.randrange(m.rows + 2))
-            column = _ColumnMembership(*_pack_rows(rows, m.cols, f), [(m.rows,)], DEFAULT_SUPPORT_CAP, frozenset(units))
+            column = _ColumnMembership(
+                _pack_rows(rows, m.cols, f), m.cols + 1, f, [(m.rows,)], DEFAULT_SUPPORT_CAP, frozenset(units)
+            )
             reduced = column._reduce((m.rows,))
-            assert sorted(reduced.columns) == sorted(u for u in units if u < m.rows)
-            assert tuple(map(column.scan.unpack, reduced.basis)) == null_space(m).basis_vectors
+            assert sorted(reduced.terms) == sorted(u for u in units if u < m.rows)
+            # the multiples c = 0 .. q - 1 of each vector, so entry 1 is the vector
+            for times in (*reduced.null_multiples, *reduced.terms.values()):
+                assert times == column.wide.multiples(times[1])
+            basis = [times[1] for times in reduced.null_multiples]
+            assert tuple(map(column.scan.unpack, basis)) == null_space(m).basis_vectors
             rk = rank(m)
             for _ in range(4):
-                deltas = {u: rng.randrange(f.q) for u in reduced.columns}
+                deltas = {u: rng.randrange(f.q) for u in reduced.terms}
                 rhs = [v ^ deltas.get(r, 0) for r, v in enumerate(x)]
                 px = column.wide.unpack(reduced.tx)
                 for u, d in deltas.items():
-                    px = [v ^ f.mul(d, t) for v, t in zip(px, column.wide.unpack(reduced.columns[u]))]
+                    px = [v ^ f.mul(d, t) for v, t in zip(px, column.wide.unpack(reduced.terms[u][1]))]
                 augmented = GfMatrix(m.rows, m.cols + 1, tuple(row + (v,) for row, v in zip(m.entries, rhs)), f)
                 ok = not any(px[m.cols:])
                 assert ok == (rank(augmented) == rk)
@@ -945,7 +954,9 @@ class TestMembershipKernel:
             rows = cfg.adjacency().entries
             for vn in range(cfg.num_vns):
                 changeable = sorted(rng.sample(range(cfg.num_cns), rng.randrange(1, 5)))
-                column = _ColumnMembership(*_pack_rows(rows, vn, field), groups, DEFAULT_SUPPORT_CAP, frozenset(changeable))
+                column = _ColumnMembership(
+                    _pack_rows(rows, vn, field), cfg.num_vns, field, groups, DEFAULT_SUPPORT_CAP, frozenset(changeable)
+                )
                 for _ in range(6):
                     picked = rng.sample(changeable, rng.randrange(1, len(changeable) + 1))
                     deltas = {cn: rng.randrange(1, field.q) for cn in picked}
@@ -963,7 +974,8 @@ class TestMembershipKernel:
         deg2 = sorted(cn for cn, _ in cfg.vn_neighbors[0] if cn in cfg.deg2_cns)
         far = next(cn for cn, row in enumerate(cfg.adjacency().entries) if row[0] == 0)
         column = _ColumnMembership(
-            *_pack_rows(cfg.adjacency().entries, 0, cfg.field), groups, DEFAULT_SUPPORT_CAP, frozenset(deg2[:1])
+            _pack_rows(cfg.adjacency().entries, 0, cfg.field), cfg.num_vns, cfg.field, groups, DEFAULT_SUPPORT_CAP,
+            frozenset(deg2[:1]),
         )
         assert column.first_unbroken({deg2[0]: 1}) == reference_first_unbroken(
             rows_with_weights(cfg.adjacency().entries, {(deg2[0], 0): cfg.weight_of(deg2[0], 0) ^ 1}),
@@ -1056,7 +1068,9 @@ class TestColumnUpdate:
                 columns = {}
                 for vn, edge_set in candidates[:30]:
                     deg2 = frozenset(cn for cn, _ in cfg.vn_neighbors[vn] if cn in cfg.deg2_cns)
-                    column = columns.setdefault(vn, _ColumnMembership(*_pack_rows(rows, vn, field), groups, cap, deg2))
+                    column = columns.setdefault(
+                        vn, _ColumnMembership(_pack_rows(rows, vn, field), cfg.num_vns, field, groups, cap, deg2)
+                    )
                     for _ in range(2):
                         changes = {e: rng.choice([w for w in range(1, field.q) if w != cfg.weight_of(*e)])
                                    for e in edge_set}
@@ -1087,6 +1101,18 @@ def test_pipeline_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def count_reductions(monkeypatch) -> list[int]:
+    """Count ``_ColumnMembership._reduce`` calls, one per matrix reduced, in a one-element list."""
+    count, reduce = [0], _ColumnMembership._reduce
+
+    def counted(self, group):
+        count[0] += 1
+        return reduce(self, group)
+
+    monkeypatch.setattr(_ColumnMembership, "_reduce", counted)
+    return count
 
 
 class TestPinnedCounters:
@@ -1120,6 +1146,37 @@ class TestPinnedCounters:
             (p.candidates_tried, p.protected_checks, p.protected_rejections) for p in report.plan_log
         ] == per_plan
         assert (report.protected_checks, report.protected_rejections) == totals
+
+    # matrices reduced: the entry check's and the candidates' on the
+    # kernels a removal packs, and for optimize the final re-verifications
+    @pytest.mark.parametrize("name, mode, reductions", [
+        ("gast_6_0_0_9_0", "gast", 10),
+        ("gast_6_2_2_5_2", "gast", 2),
+        ("gast_borderline_no_deg2", "gast", 1),
+        ("ugast_6_0_9_0", "gast", 6),
+        ("ugast_6_2_11_0", "gast", 3),
+        ("ugast_7_9_13_0", "gast", 5),
+        ("ugast_8_0_16_0", "gast", 24),
+        ("ost_6_2_11_0", "ost", 28),
+        ("ost_8_3_13_1", "ost", 51),
+    ])
+    def test_remove_fixture_reductions(self, name, mode, reductions, monkeypatch):
+        cfg = parse_config((FIXDIR / f"{name}.cfg").read_text())
+        wcms = pipeline(cfg, mode)
+        reduced = count_reductions(monkeypatch)
+        remove_object(cfg, wcms)
+        assert reduced == [reductions]
+
+    @pytest.mark.parametrize("code, targets, reductions", [
+        ("toy_code.txt", "toy_targets.txt", 20),
+        ("toy_code_overlap.txt", "toy_targets_overlap.txt", 40),
+    ])
+    def test_optimize_fixture_reductions(self, code, targets, reductions, monkeypatch):
+        graph = parse_code((FIXDIR / code).read_text())
+        reduced = count_reductions(monkeypatch)
+        pin_workers(monkeypatch, 1)  # the reductions are counted in this process
+        optimize_code(graph, parse_targets((FIXDIR / targets).read_text()))
+        assert reduced == [reductions]
 
 
 def scan_cases(field, budget, rng):

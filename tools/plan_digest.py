@@ -55,7 +55,7 @@ def main() -> int:
     root = parser.parse_args().root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import inputs
-    from wcmopt import cli, removal, wcmtree
+    from wcmopt import cli, removal, wcmtree, workers
 
     counts = {"reductions": 0, "protected_checks": 0, "shape_hits": 0}
     reduce, optimize, grow = removal._ColumnMembership._reduce, cli.optimize_code, cli.grow_tree
@@ -74,12 +74,7 @@ def main() -> int:
         return grow(*args, **kwargs)
 
     removal._ColumnMembership._reduce, cli.optimize_code = counted_reduce, counted_optimize
-    cli.grow_tree = counted_grow
-    try:
-        from wcmopt import workers
-        workers.available = lambda: 1
-    except ImportError:  # a checkout from before the worker helper left cli
-        cli._workers = lambda: 1
+    cli.grow_tree, workers.available = counted_grow, lambda: 1
     total, count = hashlib.sha256(), 0
     for workload, seed, size in POOLS:
         h = hashlib.sha256()
