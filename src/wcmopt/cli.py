@@ -4,10 +4,11 @@ Commands: analyze, remove, optimize, enumerate, verify.  All output is
 line-oriented key=value blocks (or one JSON object per block with
 ``--format json-lines``); identical inputs always give identical output.
 Each command takes only the options it reads.  Exit codes: 0 ok, 2 input
-error (a file that does not parse, an option the command does not take, a
-negative count or cap, ``enumerate --kind ost`` on an odd column weight),
-3 unremovable, 4 oracle infeasible, 5 support search infeasible (a null
-space wider than ``--support-cap`` in ``remove`` or ``optimize``).
+error (a file that cannot be read, written or parsed, an option the
+command does not take, a negative count or cap, ``enumerate --kind ost``
+on an odd column weight), 3 unremovable, 4 oracle infeasible, 5 support
+search infeasible (a null space wider than ``--support-cap`` in
+``remove`` or ``optimize``).
 ``enumerate`` never exits 5: it warns and skips a shape hit whose family
 walk meets a null space wider than ``--support-cap``.
 """
@@ -566,32 +567,28 @@ def cmd_enumerate(args: argparse.Namespace, rep: Reporter) -> int:
             last = shares[f] = min(limit, last)
             limit -= last
         loads.append(sum(comb(n - 1 - f, k) for k in range(top - 1)) + last)
-    def judge(roots: list[int]) -> list[tuple[tuple[int, ...], tuple[int, ...] | None]]:
-        """(subset, params) per family member of the roots' walks; params
+    def judge(root: int) -> list[tuple[tuple[int, ...], tuple[int, ...] | None]]:
+        """(subset, params) per family member of the root's walk; params
         None marks a shape hit skipped at the support cap."""
         records = []
-        for root in roots:
-            for subset, topo, read in graph.shapes(top, shares[root], first=root):
-                if not topo.supports(kind):
-                    continue
-                shape = read()
-                tree = grow_tree(shape.pairs, shape.vn_deg1_counts, topo, graph.gamma, kind)
-                try:
-                    hit = smallest_b_on_rows(
-                        shape.rows, shape.deg1_rows, tree, len(subset), graph.field, args.support_cap
-                    )
-                except SearchTooLargeError:
-                    records.append((subset, None))
-                    continue
-                if hit is not None:
-                    records.append((subset, shape.params(hit[0])))
+        for subset, topo, read in graph.shapes(top, shares[root], first=root):
+            if not topo.supports(kind):
+                continue
+            shape = read()
+            tree = grow_tree(shape.pairs, shape.vn_deg1_counts, topo, graph.gamma, kind)
+            try:
+                hit = smallest_b_on_rows(
+                    shape.rows, shape.deg1_rows, tree, len(subset), graph.field, args.support_cap
+                )
+            except SearchTooLargeError:
+                records.append((subset, None))
+                continue
+            if hit is not None:
+                records.append((subset, shape.params(hit[0])))
         return records
 
     # Scan order is size by size, lexicographic within a size.
-    records = sorted(
-        workers.run(judge, workers.deal(loads, workers.available()), "enumerate"),
-        key=lambda record: (len(record[0]), record[0]),
-    )
+    records = sorted(workers.run(judge, loads, "enumerate"), key=lambda record: (len(record[0]), record[0]))
     found: list[Target] = []
     for subset, params in records:
         if params is None:
@@ -625,14 +622,26 @@ def _yn(flag: bool | None) -> str:
     return "yes" if flag else "no"
 
 
+class InputError(Exception):
+    """A file the command cannot read or write."""
+
+
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError(exc) from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(exc) from exc
 
 
 def _int_flag(value: str) -> int:
@@ -716,7 +725,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OracleTooLargeError as exc:

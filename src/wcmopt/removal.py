@@ -224,12 +224,15 @@ def _add_deltas(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
 
 
 class _ObjectColumns:
-    """An object's column kernels, on its adjacency rows as re-weighted so far.
+    """One object's record: its ids, its WCMs and its column kernels.
 
-    The rows start as ``c``'s and the matrices are ``w``'s removal groups.
-    ``kernels[vn]`` is a ``_ColumnMembership`` with column vn as x and every
-    row at vn changeable, and the row deltas column vn has taken since the
-    kernel's rows were packed; its other columns are as packed.
+    The kernels work on the object's adjacency rows as re-weighted so far.
+    The rows start as ``c``'s and the matrices are ``w``'s removal groups;
+    ``vn_ids`` and ``cn_ids`` are ``c``'s graph ids (None when ``c`` was
+    not induced from a graph) and ``wcms`` is ``w``.  ``kernels[vn]`` is a
+    ``_ColumnMembership`` with column vn as x and every row at vn
+    changeable, and the row deltas column vn has taken since the kernel's
+    rows were packed; its other columns are as packed.
     ``first_unbroken(vn, deltas)`` judges the rows with ``deltas`` added to
     column vn, packing the kernel at vn from ``rows`` on first use.  Every
     choice of x gives each matrix the same verdict and the same null-space
@@ -240,8 +243,17 @@ class _ObjectColumns:
     def __init__(self, c: Configuration, w: WcmSet, support_cap: int):
         self.rows = list(c.adjacency().entries)
         self.field, self.support_cap = c.field, support_cap
+        self.vn_ids, self.cn_ids, self.wcms = c.vn_ids, c.cn_ids, w
         self.groups = [rec.removed_rows for rec in w.wcms]
         self.kernels: dict[int, tuple[_ColumnMembership, dict[int, int]]] = {}
+
+    def moved(self, changes: Mapping[tuple[int, int], int]) -> tuple[int, dict[int, int]]:
+        """The column and row deltas of ``changes`` to graph edges at one of the object's VNs."""
+        vn, deltas = -1, {}
+        for (cn, v), wt in changes.items():
+            vn, row = self.vn_ids.index(v), self.cn_ids.index(cn)
+            deltas[row] = self.rows[row][vn] ^ wt
+        return vn, deltas
 
     def first_unbroken(self, vn: int, deltas: Mapping[int, int]) -> int | None:
         """Position of the first unbroken matrix with ``deltas[cn]`` added at (cn, vn)."""
@@ -642,50 +654,34 @@ class Target:
         return ",".join(str(v + 1) for v in self.vn_ids)
 
 
-class _ProtectedEntry:
-    """A removed object and its column kernels, judged under later re-weightings.
-
-    ``edges`` maps each graph edge of the object to its (cn, vn) as
-    ``graph.induce(vn_ids)`` numbers it; re-weighting keeps the structure,
-    so that numbering and ``wcms`` hold on every later graph.  ``columns``
-    has every accepted plan folded in, so its rows are the object's
-    current weights.  A plan re-weights one VN, so a change touches one
-    column of the object.
-    """
-
-    def __init__(self, cfg: Configuration, wcms: WcmSet, columns: _ObjectColumns):
-        assert cfg.cn_ids is not None and cfg.vn_ids is not None
-        self.vn_ids, self.wcms, self.columns = cfg.vn_ids, wcms, columns
-        self.edges = {(cfg.cn_ids[cn], cfg.vn_ids[vn]): (cn, vn) for cn, vn, _ in cfg.edges}
-
-    def moved(self, changes: Mapping[tuple[int, int], int]) -> tuple[int, dict[int, int]]:
-        """The object's column graph ``changes`` re-weight and its row deltas (none: -1, {})."""
-        vn, deltas = -1, {}
-        for edge, wt in changes.items():
-            if edge in self.edges:
-                cn, vn = self.edges[edge]
-                deltas[cn] = self.columns.rows[cn][vn] ^ wt
-        return vn, deltas
-
-
 @dataclass
 class OptimizationReport:
-    """Bookkeeping of a full-code run.
+    """Bookkeeping of a full-code run, read off its plan log.
 
-    ``processed`` holds the plans of objects now out of their family (P);
-    ``unremovable`` the ids of objects the search gave up on (X).  The two
-    are disjoint; ``plan_log`` keeps every plan in processing order for
-    reporting, failures included.
+    ``plan_log`` keeps every plan in processing order, failures included.
+    ``processed`` is the plans of objects now out of their family (P),
+    ``unremovable`` the ids of objects the search gave up on (X) and
+    ``changes`` every edge change of the processed plans in order; all
+    three are views of ``plan_log``, so P and X are disjoint.
     """
 
-    processed: list[RemovalPlan] = dataclass_field(default_factory=list)
-    unremovable: list[str] = dataclass_field(default_factory=list)
     plan_log: list[RemovalPlan] = dataclass_field(default_factory=list)
     skipped: list[str] = dataclass_field(default_factory=list)
-    changes: list[tuple[int, int, int, int]] = dataclass_field(default_factory=list)
+    reverified: list[str] = dataclass_field(default_factory=list)
     protected_checks: int = 0
     protected_rejections: int = 0
-    reverified: list[str] = dataclass_field(default_factory=list)
+
+    @property
+    def processed(self) -> list[RemovalPlan]:
+        return [plan for plan in self.plan_log if plan.result != "unremovable"]
+
+    @property
+    def unremovable(self) -> list[str]:
+        return [plan.object_id for plan in self.plan_log if plan.result == "unremovable"]
+
+    @property
+    def changes(self) -> list[tuple[int, int, int, int]]:
+        return [change for plan in self.plan_log for change in plan.changes]
 
     @property
     def total_changes(self) -> int:
@@ -706,22 +702,23 @@ def optimize_code(
     and an even column weight a second phase processes oscillating targets,
     whose family check spans both shapes so no oscillating object is ever
     converted into the strict kind.  Edge changes are written back between
-    objects, and every candidate change set touching an earlier removal's
-    edges re-verifies that removal before being accepted, on the column
-    kernels its removal left, with no re-induced object; an index by graph
-    edge finds those removals without a walk over all of them.  The run
-    re-weights one copy of ``graph`` in place and returns it; ``graph`` is
-    left as it was.  Every removal is re-verified at the end on ``is_in_Z``
-    over the re-induced object.
+    objects.  A candidate re-weights edges at one VN, and it re-verifies
+    every earlier removal that holds that VN before being accepted, on the
+    column kernels that removal's record keeps, with no re-induced object;
+    an index by VN finds those removals without a walk over all of them.
+    The run re-weights one copy of ``graph`` in place and returns it;
+    ``graph`` is left as it was.  Every removal is re-verified at the end
+    on ``is_in_Z`` over the re-induced object.
 
     A removal reads and writes only edges at its target's VNs, so targets
     that share no VN, directly or through a chain of targets over both
     phases, are removed independently: each such group runs in processing
-    order on its own, the groups split over ``workers.available()``
-    processes, and the report is merged in processing order.  Plans,
-    counters, warnings and the returned graph are those of one process;
-    an error is raised as the one the first failing target in processing
-    order raised, with that target's traceback in its cause.
+    order on its own, ``workers.run`` splits the groups over its
+    processes, and the report is merged in processing order; the returned
+    graph takes the merged report's changes.  Plans, counters, warnings
+    and the returned graph are those of one process; an error is raised
+    as the one the first failing target in processing order raised, with
+    that target's traceback in its cause.
     """
     if phases not in ("gast", "gast+ost"):
         raise ValueError(f"unknown phases {phases!r}")
@@ -741,16 +738,11 @@ def optimize_code(
     groups = _sharing_groups([target.vn_ids for _, target in order])
     current = graph.apply_changes({})
 
-    def work(share: list[int]) -> list[tuple]:
-        return [
-            record
-            for g in share
-            for record in _remove_group(current, order, groups[g], support_cap, oracle_cap)
-        ]
+    def work(g: int) -> list[tuple]:
+        return _remove_group(current, order, groups[g], support_cap, oracle_cap)
 
-    shares = workers.deal([len(group) for group in groups], workers.available())
     report = OptimizationReport()
-    for key, kind, value, messages in sorted(workers.run(work, shares, "optimize")):
+    for key, kind, value, messages in sorted(workers.run(work, [len(group) for group in groups], "optimize")):
         for message in messages:
             warnings.warn(message)
         if kind == "error":
@@ -763,16 +755,10 @@ def optimize_code(
             report.reverified.append(object_id)
         else:
             fields, checks, rejections = value
-            plan = RemovalPlan(*fields)
-            report.plan_log.append(plan)
+            report.plan_log.append(RemovalPlan(*fields))
             report.protected_checks += checks
             report.protected_rejections += rejections
-            if plan.result == "unremovable":
-                report.unremovable.append(object_id)
-                continue
-            current.weights.update({(cn, vn): new for cn, vn, _, new in plan.changes})
-            report.changes.extend(plan.changes)
-            report.processed.append(plan)
+    current.weights.update({(cn, vn): new for cn, vn, _, new in report.changes})
     return current, report
 
 
@@ -798,22 +784,19 @@ def _remove_group(
     """Remove the targets at ``group``'s positions in ``order`` from ``current``, then re-verify them.
 
     No target outside the group shares a VN with these, so none reads or
-    writes an edge they do.  Returns marshal-able records ``(key, kind,
-    value, warning messages)``, key i for target i's plan and len(order) + i
-    for its final re-verification: kind 'skipped' (value None), 'plan'
-    (the plan's fields, then the protected checks and rejections its
-    search cost), 'intact' (value None) or 'error' (the exception's module,
-    type name, args and traceback; the group stops there).
+    writes an edge they do.  A candidate or plan at a VN asks or folds
+    into the records of the removed objects held under that VN.  Returns
+    marshal-able records ``(key, kind, value, warning messages)``, key i
+    for target i's plan and len(order) + i for its final re-verification:
+    kind 'skipped' (value None), 'plan' (the plan's fields, then the
+    protected checks and rejections its search cost), 'intact' (value
+    None) or 'error' (the exception's module, type name, args and
+    traceback; the group stops there).
     """
     records: list[tuple] = []
-    registry: list[tuple[int, _ProtectedEntry]] = []  # (position in order, entry)
-    holders: dict[tuple[int, int], list[int]] = {}  # graph edge -> registry indices holding it
+    removed: list[tuple[int, _ObjectColumns]] = []  # (position in order, object), in removal order
+    holding: dict[int, list[_ObjectColumns]] = {}  # graph VN -> removed objects holding it, in removal order
     counts = [0, 0]  # the current search's protected checks and rejections
-
-    def sharing(graph_changes: Mapping[tuple[int, int], int]) -> list[_ProtectedEntry]:
-        """The registered removals that hold a changed edge, in registry order."""
-        return [registry[i][1] for i in sorted({i for edge in graph_changes for i in holders.get(edge, ())})]
-
     key = 0
     try:
         for key in group:
@@ -827,11 +810,11 @@ def _remove_group(
             cn_ids, vn_ids = cfg.cn_ids, cfg.vn_ids
 
             def protected_ok(changes: Mapping[tuple[int, int], int]) -> bool:
-                """Re-verify the removals that share at least one changed edge."""
+                """Re-verify the removals that hold the VN the changes re-weight."""
                 graph_changes = {(cn_ids[cn], vn_ids[vn]): wt for (cn, vn), wt in changes.items()}
-                for entry in sharing(graph_changes):
+                for held in holding.get(next(iter(graph_changes))[1], ()):
                     counts[0] += 1
-                    if entry.columns.first_unbroken(*entry.moved(graph_changes)) is not None:
+                    if held.first_unbroken(*held.moved(graph_changes)) is not None:
                         counts[1] += 1
                         return False
                 return True
@@ -860,20 +843,17 @@ def _remove_group(
             records.append((key, "plan", (astuple(plan), *counts), [str(w.message) for w in caught]))
             if plan.result == "unremovable":
                 continue
-            entry = _ProtectedEntry(cfg, wcms, columns)
             if plan.changes:
-                graph_changes = {
-                    (cn, vn): new for cn, vn, _, new in plan.changes
-                }
-                for held in (*sharing(graph_changes), entry):
-                    held.columns.fold(*held.moved(graph_changes))
+                graph_changes = {(cn, vn): new for cn, vn, _, new in plan.changes}
+                for held in (*holding.get(plan.selected_vn, ()), columns):
+                    held.fold(*held.moved(graph_changes))
                 current.weights.update(graph_changes)
-            for edge in entry.edges:
-                holders.setdefault(edge, []).append(len(registry))
-            registry.append((key, entry))
-        for position, entry in registry:
+            for v in vn_ids:
+                holding.setdefault(v, []).append(columns)
+            removed.append((key, columns))
+        for position, held in removed:
             key = len(order) + position
-            if not is_in_Z(current.induce(entry.vn_ids), entry.wcms, support_cap):
+            if not is_in_Z(current.induce(held.vn_ids), held.wcms, support_cap):
                 records.append((key, "intact", None, []))
     except Exception as exc:  # raised by the merge, in processing order
         import traceback  # here, not at the top: importing it costs every run a few ms

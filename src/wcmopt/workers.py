@@ -1,10 +1,10 @@
 """Forked workers: independent shares of one job on every CPU this process may run on.
 
 ``enumerate`` splits its subset walk by root and ``optimize_code`` its
-targets by group; each deals its pieces out with ``deal`` and works the
-shares with ``run``.  Workers are forked, not spawned: a spawned worker
-re-imports the package, which costs about as much as the work it would
-take over.  ``available`` is the one place the worker count is decided,
+targets by group; each hands ``run`` the work of one piece and every
+piece's load, and ``run`` deals the pieces out with ``deal``.  Workers
+are forked, not spawned: a spawned worker re-imports the package, which
+costs about as much as the work it would take over.  ``available`` is the one place the worker count is decided,
 and tests pin it there.
 """
 
@@ -48,18 +48,21 @@ def deal(loads: Sequence[int], workers: int) -> list[list[int]]:
     return [sorted(share) for share in shares if share] or [[]]
 
 
-def run(work: Callable[[list[int]], list], shares: list[list[int]], name: str) -> list:
-    """``work`` of every share, joined in share order.
+def run(work: Callable[[int], list], loads: Sequence[int], name: str) -> list:
+    """``work(i)`` of every piece i with a nonzero load, joined share by share.
 
-    The first share is worked in this process, each other one in a forked
-    child, which sends ``marshal.dumps`` of its list (exit status 0) or of
-    its error's message (status 1) through a pipe and leaves through
-    ``os._exit``: it runs no caller's ``finally``, no atexit hook and no
-    flush of a copied stdout buffer.  A child's non-zero exit is raised
-    here as a ``RuntimeError`` naming the job ``name`` and carrying the
-    child's message.  Every child is reaped before this returns or raises;
-    on an error here the children still running are killed first.
+    The pieces are dealt to ``available()`` shares with ``deal``, and a
+    share's lists are joined in ascending piece order.  The first share is
+    worked in this process, each other one in a forked child, which sends
+    ``marshal.dumps`` of its list (exit status 0) or of its error's message
+    (status 1) through a pipe and leaves through ``os._exit``: it runs no
+    caller's ``finally``, no atexit hook and no flush of a copied stdout
+    buffer.  A child's non-zero exit is raised here as a ``RuntimeError``
+    naming the job ``name`` and carrying the child's message.  Every child
+    is reaped before this returns or raises; on an error here the children
+    still running are killed first.
     """
+    shares = deal(loads, available())
     children: dict[int, int] = {}  # pid -> read end of its pipe, until reaped
     try:
         for share in shares[1:]:
@@ -74,7 +77,7 @@ def run(work: Callable[[list[int]], list], shares: list[list[int]], name: str) -
                 _child(work, share, w, [r, *children.values()])
             os.close(w)
             children[pid] = r
-        out = work(shares[0])
+        out = [record for i in shares[0] for record in work(i)]
         for pid, r in list(children.items()):
             with os.fdopen(r, "rb", closefd=False) as pipe:
                 data = pipe.read()
@@ -99,14 +102,14 @@ def run(work: Callable[[list[int]], list], shares: list[list[int]], name: str) -
             os.waitpid(pid, 0)
 
 
-def _child(work: Callable[[list[int]], list], share: list[int], w: int, others: list[int]) -> NoReturn:
-    """A forked child's whole life: work its share, send the outcome, exit."""
+def _child(work: Callable[[int], list], share: list[int], w: int, others: list[int]) -> NoReturn:
+    """A forked child's whole life: work its share's pieces, send the outcome, exit."""
     status = 1
     try:
         for fd in others:
             os.close(fd)
         try:
-            payload, done = marshal.dumps(work(share)), 0
+            payload, done = marshal.dumps([record for i in share for record in work(i)]), 0
         except Exception as exc:  # sent to the parent, which raises it
             payload, done = marshal.dumps(f"{type(exc).__name__}: {exc}"), 1
         with os.fdopen(w, "wb") as pipe:

@@ -425,12 +425,9 @@ def reference_optimize_code(graph: CodeGraph, targets, phases: str = "gast", *,
             )
             report.plan_log.append(plan)
             if plan.result == "unremovable":
-                report.unremovable.append(target.object_id)
                 continue
             if plan.changes:
                 current = current.apply_changes({(cn, vn): new for cn, vn, _, new in plan.changes})
-                report.changes.extend(plan.changes)
-            report.processed.append(plan)
             edges = frozenset((cn_ids[cn], vn_ids[vn]) for cn, vn, _ in cfg.edges)
             registry.append((target.object_id, vn_ids, wcms, edges))
     for object_id, ids, family, _ in registry:

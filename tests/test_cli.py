@@ -202,6 +202,31 @@ class TestCommands:
         bad.write_text("q=4 gamma=3 a=2 ell=1\n1 1\n")
         assert main(["analyze", str(bad)]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("command", ["analyze", "optimize", "enumerate"])
+    @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8", "out_directory"])
+    def test_unreadable_file_is_an_input_error(self, command, case, tmp_path, capsys):
+        # one error line and exit 2, no traceback; analyze writes no file, so
+        # its --out case runs remove on the same configuration
+        files = {"analyze": ["gast_6_0_0_9_0.cfg"], "optimize": ["toy_code.txt", "toy_targets.txt"],
+                 "enumerate": ["toy_code.txt"]}[command]
+        argv = [command, *map(fixture_path, files)] + (["--max-a", "2"] if command == "enumerate" else [])
+        directory, bad = tmp_path / "dir", tmp_path / "bad.txt"
+        directory.mkdir()
+        bad.write_bytes(b"\xff\xfe q=4\n")
+        if case == "out_directory":
+            argv = ["remove" if command == "analyze" else command, *argv[1:], "--out", str(directory)]
+            want = f"error: [Errno 21] Is a directory: '{directory}'\n"
+        elif case == "not_utf8":
+            argv[len(files)] = str(bad)
+            want = f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+        else:
+            path = directory if case == "directory" else tmp_path / "missing.txt"
+            argv[len(files)] = str(path)
+            want = (f"error: [Errno 21] Is a directory: '{path}'\n" if case == "directory"
+                    else f"error: [Errno 2] No such file or directory: '{path}'\n")
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == want
+
     @pytest.mark.parametrize("command", ["analyze", "remove"])
     @pytest.mark.parametrize("name, mode", [("gast_6_0_0_9_0", "ost"), ("ost_6_2_11_0", "gast")])
     def test_unsupported_shape_is_an_input_error(self, command, name, mode, tmp_path, capsys):

@@ -384,17 +384,17 @@ class TestOptimizeCode:
 
     def test_protected_checks_ask_only_removals_sharing_an_edge(self, monkeypatch):
         # four disjoint copies of the overlap code: a candidate or an
-        # accepted plan re-weights one VN, and only the removals holding one
-        # of its edges are asked what it moves, in registry order
+        # accepted plan re-weights one VN, and only the removals holding
+        # that VN are asked what it moves, in removal order
         copies = 4
         graph, targets = disjoint_union([fx.toy_code_overlapping()] * copies)
-        moved, asked = removal._ProtectedEntry.moved, []
+        moved, asked = removal._ObjectColumns.moved, []
 
         def counted(entry, changes):
-            asked.append((entry.vn_ids, bool(entry.edges.keys() & changes.keys())))
+            asked.append((entry.vn_ids, {v for _, v in changes} <= set(entry.vn_ids)))
             return moved(entry, changes)
 
-        monkeypatch.setattr(removal._ProtectedEntry, "moved", counted)
+        monkeypatch.setattr(removal._ObjectColumns, "moved", counted)
         pin_workers(monkeypatch, 1)  # the calls are counted in this process
         _, report = optimize_code(graph, targets)
         assert [p.result for p in report.processed] == ["removed"] * len(targets)
