@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 import warnings
+from functools import cache
 from math import comb
 from typing import Iterable, Sequence, TextIO
 
@@ -487,13 +488,14 @@ def cmd_remove(args: argparse.Namespace, rep: Reporter) -> int:
         oracle_cap=args.oracle_cap,
         object_id=args.config,
     )
+    if args.out and plan.result != "unremovable":
+        updated = cfg.with_weights({(cn, vn): new for cn, vn, _, new in plan.changes})
+        _write(args.out, serialize_config(updated))
     rep.block("plan", _plan_data(plan))
     if plan.result == "unremovable":
         rep.block("error", {"message": "search exhausted; object is unremovable within caps"})
         return EXIT_UNREMOVABLE
-    updated = cfg.with_weights({(cn, vn): new for cn, vn, _, new in plan.changes})
     if args.out:
-        _write(args.out, serialize_config(updated))
         rep.block("output", {"path": args.out})
     if plan.result == "not_in_z":
         rep.block("note", {"message": "not in the removal family; nothing to do"})
@@ -512,6 +514,8 @@ def cmd_optimize(args: argparse.Namespace, rep: Reporter) -> int:
             support_cap=args.support_cap,
             oracle_cap=args.oracle_cap,
         )
+    if args.out:
+        _write(args.out, serialize_code(new_graph))
     for plan in report.plan_log:
         rep.block(f"object_{plan.object_id}", _plan_data(plan))
     rep.block(
@@ -532,7 +536,6 @@ def cmd_optimize(args: argparse.Namespace, rep: Reporter) -> int:
     for wmsg in caught:
         rep.block("warning", {"message": str(wmsg.message)})
     if args.out:
-        _write(args.out, serialize_code(new_graph))
         rep.block("output", {"path": args.out})
     return EXIT_OK
 
@@ -589,18 +592,16 @@ def cmd_enumerate(args: argparse.Namespace, rep: Reporter) -> int:
 
     # Scan order is size by size, lexicographic within a size.
     records = sorted(workers.run(judge, loads, "enumerate"), key=lambda record: (len(record[0]), record[0]))
-    found: list[Target] = []
+    found = [Target(subset, kind, params) for subset, params in records if params is not None]
+    if args.out:
+        _write(args.out, serialize_targets(found))
     for subset, params in records:
         if params is None:
             rep.block("warning", {"message": f"support cap hit for subset {subset}; skipped"})
-        else:
-            found.append(Target(vn_ids=subset, kind=kind, expected_params=params))
-    if args.out:
-        _write(args.out, serialize_targets(found))
-    elif rep.fmt == "json-lines":
+    if not args.out and rep.fmt == "json-lines":
         for t in found:
             rep.block("target", _target_record(t))
-    else:
+    elif not args.out:
         rep.out.write(serialize_targets(found))
     rep.block(
         "enumerate",
@@ -669,7 +670,9 @@ _FLAGS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: every ``main`` call shares it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field-poly", type=_int_flag, default=None,
                         help="override the primitive polynomial bitmask")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import sys
 import warnings
-from dataclasses import astuple, dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field, fields, replace
 from functools import reduce
 from operator import xor
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -29,6 +29,7 @@ from .config import (
 from .gf import FieldContext
 from .gflinalg import (
     DEFAULT_SUPPORT_CAP,
+    SearchTooLargeError,
     check_search_size,
     eliminate,
     has_full_support_vector,
@@ -191,17 +192,21 @@ class _ColumnMembership:
         hit = self.first_solution(deltas)
         return None if hit is None else hit[0]
 
-    def first_solution(self, deltas: Mapping[int, int]) -> tuple[int, int] | None:
+    def first_solution(
+        self, deltas: Mapping[int, int], order: Sequence[int] | None = None
+    ) -> tuple[int, int] | None:
         """(position, y) for the first unbroken matrix, as ``first_unbroken`` finds it.
 
         y is packed over B's columns, has full support and solves B y = x,
         so y with a 1 at vn is a full-support null vector of the matrix.
+        ``order`` lists the positions to try, in the order to try them; by
+        default every matrix in group order.
         """
         if not self.changeable.issuperset(deltas):
             raise ValueError(f"rows {sorted(set(deltas) - self.changeable)} are not changeable")
         scan = self.scan
         shift = scan.width * scan.length
-        for i, group in enumerate(self.groups):
+        for i, group in enumerate(self.groups) if order is None else ((i, self.groups[i]) for i in order):
             m = self.reduced[i]
             if m is None:
                 m = self.reduced[i] = self._reduce(group)
@@ -364,10 +369,22 @@ def smallest_b_on_rows(
     every subset of a flippable set is flippable and was tried first, so
     they are exactly the set's and b = d1 + its size is the smallest.  A
     support-cap overrun raises only on a matrix the walk reaches.
+
+    The leaf sets' matrices (the WCMs) are judged first.  Every set S lies
+    in some leaf set L, whose matrix drops more rows, so its null space
+    holds S's and is at least as large.  So when every leaf's matrix is
+    broken and none overruns the cap, no set's matrix is unbroken or
+    overruns, and the object is out of the family.  Otherwise the walk by
+    size runs as above, on the matrices already reduced.
     """
     sets = sorted(tree.family, key=len)
     groups = [tuple(sorted((*deg1_rows, *s))) for s in sets]
     column = _ColumnMembership(rows, ncols, field, groups, support_cap, frozenset())
+    try:
+        if column.first_solution({}, [i for i, s in enumerate(sets) if not tree.family[s]]) is None:
+            return None
+    except SearchTooLargeError:
+        pass
     hit = column.first_solution({})
     if hit is None:
         return None
@@ -754,8 +771,8 @@ def optimize_code(
         elif kind == "intact":
             report.reverified.append(object_id)
         else:
-            fields, checks, rejections = value
-            report.plan_log.append(RemovalPlan(*fields))
+            plan_fields, checks, rejections = value
+            report.plan_log.append(RemovalPlan(*plan_fields))
             report.protected_checks += checks
             report.protected_rejections += rejections
     current.weights.update({(cn, vn): new for cn, vn, _, new in report.changes})
@@ -840,7 +857,8 @@ def _remove_group(
                 ),
                 selected_vn=vn_ids[plan.selected_vn] if plan.selected_vn is not None else None,
             )
-            records.append((key, "plan", (astuple(plan), *counts), [str(w.message) for w in caught]))
+            shallow = tuple(getattr(plan, f.name) for f in fields(plan))  # no deep copy of the changes
+            records.append((key, "plan", (shallow, *counts), [str(w.message) for w in caught]))
             if plan.result == "unremovable":
                 continue
             if plan.changes:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import time
 import warnings
 from dataclasses import replace
 from typing import NamedTuple
@@ -36,6 +38,7 @@ from wcmopt.removal import (
     OracleTooLargeError,
     RemovalPlan,
     Target,
+    _ColumnMembership,
     _e_bound,
     compute_e_min,
     is_in_Z,
@@ -285,6 +288,25 @@ def random_code(
         (r, c): rng.randrange(1, field.q) for c in range(cols) for r in rng.sample(range(rows), gamma)
     }
     return CodeGraph(rows, cols, gamma, field, weights)
+
+
+def reference_smallest_b_on_rows(
+    rows, deg1_rows, tree: UnlabeledTree, ncols: int, field: FieldContext, support_cap: int = DEFAULT_SUPPORT_CAP
+) -> tuple[int, tuple[int, ...]] | None:
+    """``smallest_b_on_rows`` by the walk over all t' sets alone, with no leaf set judged first.
+
+    Every flippable set's matrix by size, lexicographic within a size, up
+    to the first unbroken one; a support-cap overrun raises on the first
+    matrix the walk reaches that overruns.
+    """
+    sets = sorted(tree.family, key=len)
+    groups = [tuple(sorted((*deg1_rows, *s))) for s in sets]
+    column = _ColumnMembership(rows, ncols, field, groups, support_cap, frozenset())
+    hit = column.first_solution({})
+    if hit is None:
+        return None
+    i, y = hit
+    return len(deg1_rows) + len(sets[i]), column.scan.unpack(y) + (1,)
 
 
 def reference_enumerate(
@@ -571,6 +593,28 @@ def gf16() -> FieldContext:
 def pin_workers(monkeypatch, count: int) -> None:
     """Make ``enumerate`` and ``optimize`` work on ``count`` processes, whatever the host has."""
     monkeypatch.setattr(workers, "available", lambda: count)
+
+
+def note(path, line) -> None:
+    """Append one line to ``path`` from any process; an O_APPEND write of a short line is never interleaved."""
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+    try:
+        os.write(fd, f"{line}\n".encode())
+    finally:
+        os.close(fd)
+
+
+def noted(path) -> list[str]:
+    """The lines ``note`` appended to ``path`` so far."""
+    return path.read_text().splitlines() if path.exists() else []
+
+
+def wait_until(done, what: str, seconds: float = 30) -> None:
+    """Poll ``done()`` until it is true; fail the test after ``seconds``."""
+    deadline = time.monotonic() + seconds
+    while not done():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.001)
 
 
 def disjoint_union(parts) -> tuple[CodeGraph, list[Target]]:

@@ -15,10 +15,13 @@ from conftest import (
     disjoint_union,
     drop_rows,
     gf16,
+    note,
+    noted,
     pin_workers,
     random_code,
     reference_enumerate,
     satisfied_labeling,
+    wait_until,
 )
 from wcmopt import cli, config, removal, wcmtree
 from wcmopt import fixtures as fx
@@ -205,8 +208,9 @@ class TestCommands:
     @pytest.mark.parametrize("command", ["analyze", "optimize", "enumerate"])
     @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8", "out_directory"])
     def test_unreadable_file_is_an_input_error(self, command, case, tmp_path, capsys):
-        # one error line and exit 2, no traceback; analyze writes no file, so
-        # its --out case runs remove on the same configuration
+        # one error line and exit 2, no traceback and nothing on stdout;
+        # analyze writes no file, so its --out case runs remove on the same
+        # configuration
         files = {"analyze": ["gast_6_0_0_9_0.cfg"], "optimize": ["toy_code.txt", "toy_targets.txt"],
                  "enumerate": ["toy_code.txt"]}[command]
         argv = [command, *map(fixture_path, files)] + (["--max-a", "2"] if command == "enumerate" else [])
@@ -225,7 +229,9 @@ class TestCommands:
             want = (f"error: [Errno 21] Is a directory: '{path}'\n" if case == "directory"
                     else f"error: [Errno 2] No such file or directory: '{path}'\n")
         assert main(argv) == EXIT_INPUT
-        assert capsys.readouterr().err == want
+        captured = capsys.readouterr()
+        assert captured.err == want
+        assert captured.out == ""  # a failed --out write comes before any report block
 
     @pytest.mark.parametrize("command", ["analyze", "remove"])
     @pytest.mark.parametrize("name, mode", [("gast_6_0_0_9_0", "ost"), ("ost_6_2_11_0", "gast")])
@@ -703,14 +709,18 @@ class TestCommands:
         ("raise", r"enumerate worker \d+ failed: ValueError: judged in a worker"),
         ("kill", rf"enumerate worker \d+ failed: exited with status -{signal.SIGKILL}"),
     ])
-    def test_enumerate_reports_a_failed_worker(self, monkeypatch, capsys, fault, message):
-        parent, grow = os.getpid(), cli.grow_tree
+    def test_enumerate_reports_a_failed_worker(self, monkeypatch, tmp_path, capsys, fault, message):
+        # this process holds its first shape hit until the worker has failed
+        # at one of its own, whichever roots each of them pulls
+        parent, grow, failed = os.getpid(), cli.grow_tree, tmp_path / "failed.txt"
 
         def grow_in_parent(*args):
             if os.getpid() != parent:
+                note(failed, os.getpid())
                 if fault == "kill":
                     os.kill(os.getpid(), signal.SIGKILL)
                 raise ValueError("judged in a worker")
+            wait_until(failed.exists, "the worker's failure")
             return grow(*args)
 
         monkeypatch.setattr(cli, "grow_tree", grow_in_parent)
@@ -769,9 +779,9 @@ class TestCommands:
         # random GF(4)/GF(8) codes whose enumerated targets chain into one
         # group, over both phases on gamma 4; the GF(4) ones each have a
         # removal beyond the topological bound.  Two copies of the gamma-4
-        # code side by side, the first without its last target: the second
-        # copy's larger group is dealt to this process, so the first copy's
-        # warning, earlier in processing order, comes from a child
+        # code side by side, the first without its last target: whichever
+        # process removes each copy's group, the warnings come out in
+        # processing order
         pin_workers(monkeypatch, 1)
         for seed, gamma, field in ((0, 3, gf4()), (2, 3, gf8()), (1, 4, gf4())):
             graph = random_code(random.Random(f"optimize-workers:{seed}"), 8 + 3 * (gamma - 3), 10, gamma, field)
@@ -804,8 +814,9 @@ class TestCommands:
     def test_optimize_raises_the_earliest_overrun_on_any_worker_count(self, tmp_path, monkeypatch, capsys):
         # two groups overrun --support-cap 0: a (6,2,2,5,2) object first in
         # processing order at dimension 2, then the overlap code's two
-        # targets at dimension 1; the larger group is dealt to this process,
-        # which meets the later overrun, and the earlier one wins
+        # targets at dimension 1.  Each group is removed once, in whichever
+        # process pulls it; on two workers the groups are held apart, each
+        # process meets one overrun, and the earlier one wins
         cfg = fx.gast_6_2_2_5_2()
         alone = CodeGraph(cfg.num_cns, cfg.num_vns, cfg.gamma, cfg.field, {(cn, vn): w for cn, vn, w in cfg.edges})
         graph, targets = disjoint_union([(alone, [Target(tuple(range(6)))]), fx.toy_code_overlapping()])
@@ -813,17 +824,24 @@ class TestCommands:
         code.write_text(serialize_code(graph))
         listed.write_text(serialize_targets(targets))
         out_path = tmp_path / "out.txt"
-        parent, remove_group, here = os.getpid(), removal._remove_group, []
+        parent, remove_group = os.getpid(), removal._remove_group
+        worked, begun = tmp_path / "worked.txt", tmp_path / "begun.txt"
 
         def watched(current, order, group, *caps):
-            if os.getpid() == parent:
-                here.append(list(group))
-            return remove_group(current, order, group, *caps)
+            if count == 2 and os.getpid() == parent:  # the child holds the other group
+                begun.touch()
+                wait_until(lambda: noted(worked), "the child's group")
+            elif count == 2:  # until this process holds one
+                wait_until(begun.exists, "this process's group")
+            records = remove_group(current, order, group, *caps)
+            note(worked, f"{os.getpid()} {','.join(map(str, group))}")
+            return records
 
         monkeypatch.setattr(removal, "_remove_group", watched)
         for count in (1, 2, 3):
             pin_workers(monkeypatch, count)
-            here.clear()
+            worked.unlink(missing_ok=True)
+            begun.unlink(missing_ok=True)
             argv = ["optimize", str(code), str(listed), "--support-cap", "0", "--out", str(out_path)]
             assert main(argv) == EXIT_SUPPORT
             captured = capsys.readouterr()
@@ -831,7 +849,14 @@ class TestCommands:
             assert captured.err == (
                 "support search infeasible: null-space dimension 2 exceeds support search cap 0\n"
             )
-            assert here == ([[0], [1, 2]] if count == 1 else [[1, 2]])
+            pids, groups = zip(*map(str.split, noted(worked)))
+            assert sorted(groups) == ["0", "1,2"]
+            if count == 1:
+                assert groups == ("0", "1,2") and set(pids) == {str(parent)}
+            elif count == 2:
+                assert len(set(pids)) == 2 and str(parent) in pids
+            else:
+                assert len(set(pids)) <= count
             with pytest.raises(ChildProcessError):
                 os.waitpid(-1, os.WNOHANG)
 

@@ -7,6 +7,7 @@ counts stay explicit.
 
 import itertools
 import random
+from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +19,7 @@ from conftest import (
     random_reweighting,
     random_weights,
     reference_oracle_in_family,
+    reference_smallest_b_on_rows,
     satisfied_labeling,
 )
 from wcmopt import fixtures as fx
@@ -25,6 +27,7 @@ from wcmopt.config import classify_unlabeled, cn_flippable_partners
 from wcmopt.gf import gf4, gf8
 from wcmopt.gflinalg import (
     GfMatrix,
+    SearchTooLargeError,
     has_full_support_vector,
     mat_vec,
     null_space,
@@ -37,10 +40,12 @@ from wcmopt.removal import (
     is_in_Z,
     oracle_in_family,
     oracle_is_gas,
+    _pack_rows,
     remove_object,
     smallest_b,
+    smallest_b_on_rows,
 )
-from wcmopt.wcmtree import build_tree, extract_wcms
+from wcmopt.wcmtree import build_tree, extract_wcms, grow_tree
 
 
 def matrix_strategy(field):
@@ -309,3 +314,75 @@ def test_smallest_b_matches_the_family_oracle_on_random_codes():
                             u = sum(1 for cn, _ in cfg.vn_neighbors[vn] if cn in unsat)
                             assert 2 * u < gamma if kind == "gast" else 2 * u <= gamma
     assert len(members) == 6 and min(hits.values()) >= 150 and min(members.values()) >= 10, (hits, members)
+
+
+def _family_cases(rng):
+    """Family questions: shape hits of random GF(4)/GF(8) codes, and random and satisfied labelings of the shipped shapes.
+
+    Each is ``(args, kind, cfg)``: ``smallest_b_on_rows``'s arguments up to
+    the cap, the family's kind and the configuration the rows come from.
+    """
+    for field in (gf4(), gf8()):
+        for gamma in (3, 4):
+            kinds = ("gast", "ost") if gamma % 2 == 0 else ("gast",)
+            for _ in range(3):
+                graph = random_code(rng, rng.randint(6, 9), 8, gamma, field)
+                for subset, topo, read in graph.shapes(6):
+                    shape = None
+                    for kind in kinds:
+                        if topo.supports(kind):
+                            shape = shape or read()
+                            tree = grow_tree(shape.pairs, shape.vn_deg1_counts, topo, gamma, kind)
+                            yield (shape.rows, shape.deg1_rows, tree, len(subset), field), kind, graph.induce(subset)
+        for kind, base in _fixture_topologies(field):
+            for make in (random_weights, satisfied_labeling):
+                for _ in range(10):
+                    cfg = make(base, rng)
+                    rows = _pack_rows(cfg.adjacency().entries, cfg.num_vns - 1, field)
+                    yield (rows, sorted(cfg.deg1_cns), build_tree(cfg, kind), cfg.num_vns, field), kind, cfg
+
+
+def test_smallest_b_on_rows_matches_the_walk_over_every_set():
+    # judging the leaf sets first changes no answer: the same (b, witness),
+    # or the same support-cap overrun, as the walk over all t' sets, at
+    # caps that overrun often, sometimes and never
+    def outcome(judge, args, cap):
+        try:
+            return judge(*args, cap)
+        except SearchTooLargeError as exc:
+            return f"overrun: {exc}"
+
+    seen = Counter()
+    for args, kind, _ in _family_cases(random.Random(71)):
+        tree = args[2]
+        for cap in (0, 1, 12):
+            got = outcome(smallest_b_on_rows, args, cap)
+            assert got == outcome(reference_smallest_b_on_rows, args, cap), (args, kind, cap)
+            verdict = "out" if got is None else "overrun" if isinstance(got, str) else "member"
+            seen[cap, verdict, len(tree.family) > len(tree.leaf_sets())] += 1
+    # every verdict a cap allows, on trees with inner sets: a member needs a
+    # null space of dimension at least 1, so cap 0 overruns on each of them
+    allowed = {0: ("out", "overrun"), 1: ("out", "member", "overrun"), 12: ("out", "member")}
+    assert all(seen[cap, verdict, True] >= 5 for cap, verdicts in allowed.items() for verdict in verdicts), seen
+
+
+def test_a_flippable_set_is_no_freer_than_a_leaf_set_holding_it():
+    # the lemma behind judging the leaf sets first: a set's matrix keeps
+    # every row a leaf set holding it keeps, so its null space lies in the
+    # leaf's; its dimension is no larger, and a set whose matrix is unbroken
+    # has every leaf holding it unbroken
+    unbroken_inner = 0
+    for (_, _, tree, _, _), kind, cfg in _family_cases(random.Random(73)):
+        leaves = tree.leaf_sets()
+        judged = {}
+        for s in tree.family:
+            ns = null_space(drop_rows(cfg.adjacency(), cfg.deg1_cns.union(s)))
+            judged[s] = ns.dimension, has_full_support_vector(ns, cfg.num_vns)[0]
+        for s, (dim, unbroken) in judged.items():
+            holding = [leaf for leaf in leaves if set(s) <= set(leaf)]
+            assert holding, (s, kind)
+            for leaf in holding:
+                assert dim <= judged[leaf][0], (s, leaf, kind)
+                assert judged[leaf][1] or not unbroken, (s, leaf, kind)
+            unbroken_inner += unbroken and tree.family[s] != ()
+    assert unbroken_inner >= 50, unbroken_inner
