@@ -14,7 +14,6 @@ from .gflinalg import (
     has_full_support_vector,
     mat_vec,
     null_space,
-    rank,
     rref,
 )
 from .removal import (
@@ -74,7 +73,6 @@ __all__ = [
     "optimize_code",
     "oracle_in_family",
     "oracle_is_gas",
-    "rank",
     "remove_object",
     "rref",
     "select_candidate_edges",

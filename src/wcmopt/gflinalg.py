@@ -2,9 +2,13 @@
 
 Everything here is exact integer arithmetic through a FieldContext; the
 matrices in play are configuration adjacency matrices and their row
-submatrices, a few dozen entries at most.  Matrices are dense tuples of
-rows; elimination runs on rows packed into ints, one ``SupportScan``
-vector each, and no external library is used.
+submatrices, a few dozen entries at most.  Elimination runs on rows packed
+into ints, one ``SupportScan`` vector each, and no external library is
+used.  The package's membership decisions all run on ``eliminate``,
+``null_basis`` and ``SupportScan`` through ``removal._ColumnMembership``.
+``rref``, ``null_space`` and ``has_full_support_vector`` on dense
+``GfMatrix`` rows are references: the tests check the kernel against them
+and the benchmark spans them by name.
 """
 
 from __future__ import annotations
@@ -53,11 +57,6 @@ class GfMatrix:
             if len(row) != ncols:
                 raise DimensionMismatchError("ragged rows")
         return cls(len(tup), ncols, tup, field)
-
-    def keep_rows(self, indices: Sequence[int]) -> "GfMatrix":
-        """Submatrix of the given rows, preserving column order."""
-        kept = tuple(self.entries[i] for i in indices)
-        return GfMatrix(len(kept), self.cols, kept, self.field)
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,7 @@ def _reduced(m: GfMatrix) -> tuple[SupportScan, list[int], list[int]]:
 
 
 def rref(m: GfMatrix) -> tuple[GfMatrix, int]:
-    """Reduced row-echelon form and rank over GF(q).
+    """Reduced row-echelon form and rank over GF(q); a reference, nothing in the package calls it.
 
     Pivots are normalized to 1 and eliminated above and below, so the result
     is canonical and idempotent.
@@ -197,12 +196,8 @@ def rref(m: GfMatrix) -> tuple[GfMatrix, int]:
     return GfMatrix(m.rows, m.cols, tuple(map(scan.unpack, rows)), m.field), len(pivots)
 
 
-def rank(m: GfMatrix) -> int:
-    return len(_reduced(m)[2])
-
-
 def null_space(m: GfMatrix) -> NullSpaceBasis:
-    """Basis of {v : m v = 0}; dimension = cols - rank (rank-nullity)."""
+    """Basis of {v : m v = 0}, dimension cols - rank; a reference for ``null_basis``."""
     scan, rows, pivots = _reduced(m)
     basis = tuple(map(scan.unpack, null_basis(rows, pivots, m.cols, scan)))
     return NullSpaceBasis(len(basis), basis, m.cols, m.field)
@@ -238,7 +233,8 @@ def has_full_support_vector(
     fixes the first nonzero coefficient to 1 (projective normalization): for
     each lead it walks the coset basis[lead] + span(basis[lead + 1:]), which
     makes (q^p - 1)/(q - 1) combinations in all.  Returns the first witness
-    found, or (False, None) when no combination works.
+    found, or (False, None) when no combination works.  At p >= 2 the witness
+    may differ from ``removal._ColumnMembership``'s, which fixes x's entry to 1.
     """
     p = ns.dimension
     if p == 0:

@@ -32,11 +32,9 @@ from .gflinalg import (
     SearchTooLargeError,
     check_search_size,
     eliminate,
-    has_full_support_vector,
     mat_vec,
     null_basis,
-    null_space,
-    rank,
+    null_space,  # noqa: F401 -- the benchmark harness's tests read removal.null_space
     support_scan,
 )
 from .wcmtree import UnlabeledTree, WcmSet, build_tree, extract_wcms
@@ -72,7 +70,6 @@ class WcmCondition:
     witness: tuple[int, ...] | None
     delta: int
     component_dims: tuple[int, ...]
-    basis: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -286,47 +283,49 @@ class _ObjectColumns:
 def evaluate_weight_conditions(
     c: Configuration, w: WcmSet, support_cap: int = DEFAULT_SUPPORT_CAP
 ) -> WeightConditionReport:
-    """Null space, full-support verdict and component split for every matrix.
+    """Full-support verdict, null-space dimension and component split for every matrix.
 
-    A matrix is broken when no combination of its null-space basis has full
-    support.  The component split of the residual graph (all VNs plus the
-    kept CNs) is computed alongside: the null-space dimension always equals
-    the sum of per-component dimensions, and for an unbroken matrix every
-    component contributes at least 1.  This is the full diagnostic behind
-    ``analyze``, which prints each matrix's status, dimensions and witness;
-    yes/no membership, ``verify``'s included, goes through ``is_in_Z``,
-    which stops at the first unbroken matrix.  The matrices are ``w``'s
-    removal groups taken from ``c``'s own weights.
+    This is the full diagnostic behind ``analyze``, which prints each
+    matrix's status, dimensions and witness; yes/no membership, ``verify``'s
+    included, goes through ``is_in_Z``, which stops at the first unbroken
+    matrix.  The matrices are ``w``'s removal groups taken from ``c``'s own
+    weights, each judged on the same ``_ColumnMembership`` reduction as in
+    ``is_in_Z``, with the last column as x.  So p = dim null([B | x]) =
+    dim null(B) + [x in B's column space], and a witness is y with a 1 at
+    the last VN, where B y = x.  The component split of the residual graph
+    (all VNs plus the kept CNs) is computed alongside: p always equals the
+    sum of per-component dimensions, and for an unbroken matrix every
+    component contributes at least 1.
     """
-    a = c.adjacency()
+    a, field = c.num_vns, c.field
+    packed = _pack_rows(c.adjacency().entries, a - 1, field)
+    column = _ColumnMembership(packed, a, field, [rec.removed_rows for rec in w.wcms], support_cap, frozenset())
+    shift, full = column.scan.width * (a - 1), support_scan(field, a)
     records = []
-    for rec in w.wcms:
+    for i, rec in enumerate(w.wcms):
+        hit = column.first_solution({}, (i,))
+        tx, _, null_multiples = column.reduced[i]
+        p = len(null_multiples) + (not tx >> shift)
         removed = set(rec.removed_rows)
         kept = [r for r in range(c.num_cns) if r not in removed]
-        ns = null_space(a.keep_rows(kept))
-        found, witness = has_full_support_vector(ns, support_cap)
-        comps = _components(c.num_vns, ([v for v, _ in c.cn_neighbors[r]] for r in kept))
+        comps = _components(a, ([v for v, _ in c.cn_neighbors[r]] for r in kept))
         # A component's rows are zero outside its columns, so their rank is
-        # the rank of the component's own matrix.
-        dims = []
-        for comp in comps:
-            comp_set = set(comp)
-            rows = [r for r in kept if c.cn_neighbors[r][0][0] in comp_set]
-            dims.append(len(comp) - rank(a.keep_rows(rows)))
-        if sum(dims) != ns.dimension:
-            raise AssertionError(
-                f"component dimensions {dims} do not sum to {ns.dimension}"
-            )
+        # the rank of the component's own matrix, in any column order.
+        dims = [
+            len(comp) - len(eliminate([packed[r] for r in kept if c.cn_neighbors[r][0][0] in comp], a, full))
+            for comp in comps
+        ]
+        if sum(dims) != p:
+            raise AssertionError(f"component dimensions {dims} do not sum to {p}")
         records.append(
             WcmCondition(
                 removed_rows=rec.removed_rows,
                 deg2_group=rec.deg2_group,
-                broken=not found,
-                p=ns.dimension,
-                witness=witness,
+                broken=hit is None,
+                p=p,
+                witness=None if hit is None else column.scan.unpack(hit[1]) + (1,),
                 delta=len(comps),
                 component_dims=tuple(dims),
-                basis=ns.basis_vectors,
             )
         )
     return WeightConditionReport(tuple(records))

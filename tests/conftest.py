@@ -27,7 +27,8 @@ from wcmopt.gflinalg import (
     SearchTooLargeError,
     has_full_support_vector,
     mat_vec,
-    rank,
+    null_space,
+    rref,
 )
 from wcmopt.removal import (
     DEFAULT_ORACLE_CAP,
@@ -38,7 +39,10 @@ from wcmopt.removal import (
     OracleTooLargeError,
     RemovalPlan,
     Target,
+    WcmCondition,
+    WeightConditionReport,
     _ColumnMembership,
+    _components,
     _e_bound,
     compute_e_min,
     is_in_Z,
@@ -55,6 +59,11 @@ def identity_matrix(n: int, field: FieldContext) -> GfMatrix:
 
 def zero_matrix(rows: int, cols: int, field: FieldContext) -> GfMatrix:
     return GfMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)), field)
+
+
+def rank(m: GfMatrix) -> int:
+    """Rank over GF(q), read off ``rref``."""
+    return rref(m)[1]
 
 
 def in_span(vectors, v, field: FieldContext) -> bool:
@@ -74,7 +83,8 @@ def spans_equal(a, b, field: FieldContext) -> bool:
 def drop_rows(m: GfMatrix, indices) -> GfMatrix:
     """The submatrix of ``m`` without the given rows, columns in order."""
     drop = set(indices)
-    return m.keep_rows([i for i in range(m.rows) if i not in drop])
+    kept = tuple(row for i, row in enumerate(m.entries) if i not in drop)
+    return GfMatrix(len(kept), m.cols, kept, m.field)
 
 
 def reference_rref(m: GfMatrix) -> tuple[GfMatrix, int]:
@@ -150,6 +160,34 @@ def reference_first_unbroken(rows, groups, field: FieldContext, support_cap: int
         if found:
             return i
     return None
+
+
+def reference_evaluate_weight_conditions(
+    c: Configuration, w, support_cap: int = DEFAULT_SUPPORT_CAP
+) -> WeightConditionReport:
+    """Slow reference for ``evaluate_weight_conditions``: each matrix's ``null_space`` and scan.
+
+    p and the witness come from ``null_space`` of the kept rows and
+    ``has_full_support_vector``, which fixes the lead coefficient of a
+    basis combination to 1, so at p >= 2 its witness may differ from the
+    kernel's; each component's dimension comes from ``rank`` of its rows.
+    """
+    a = c.adjacency()
+    records = []
+    for rec in w.wcms:
+        ns = null_space(drop_rows(a, rec.removed_rows))
+        found, witness = has_full_support_vector(ns, support_cap)
+        kept = [r for r in range(c.num_cns) if r not in rec.removed_rows]
+        comps = _components(c.num_vns, ([v for v, _ in c.cn_neighbors[r]] for r in kept))
+        dims = []
+        for comp in comps:
+            rows = tuple(a.entries[r] for r in kept if c.cn_neighbors[r][0][0] in comp)
+            dims.append(len(comp) - rank(GfMatrix(len(rows), a.cols, rows, c.field)))
+        assert sum(dims) == ns.dimension
+        records.append(
+            WcmCondition(rec.removed_rows, rec.deg2_group, not found, ns.dimension, witness, len(comps), tuple(dims))
+        )
+    return WeightConditionReport(tuple(records))
 
 
 def reference_full_support(ns: NullSpaceBasis) -> tuple[bool, tuple[int, ...] | None]:

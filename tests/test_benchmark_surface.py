@@ -10,7 +10,7 @@ import importlib
 import pathlib
 import sys
 
-from wcmopt import cli, removal, workers
+from wcmopt import cli, gflinalg, removal, workers
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -34,6 +34,12 @@ def test_harness_spans_and_imports_resolve(monkeypatch):
     finally:
         for name in HARNESS:
             sys.modules.pop(name, None)
+
+
+def test_removal_binds_the_null_space_the_harness_rebinds():
+    # the harness's own tests check that rebinding gflinalg.null_space
+    # reaches this binding, although nothing in removal calls it
+    assert removal.null_space is gflinalg.null_space
 
 
 def test_plan_digest_patches_names_that_exist():

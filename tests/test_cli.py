@@ -23,7 +23,7 @@ from conftest import (
     satisfied_labeling,
     wait_until,
 )
-from wcmopt import cli, config, removal, wcmtree
+from wcmopt import cli, config, gflinalg, removal, wcmtree
 from wcmopt import fixtures as fx
 from wcmopt.cli import (
     EXIT_OK,
@@ -335,6 +335,32 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "oracle skipped" in out
         assert "t=10" in out  # the tree portion still ran
+
+    def test_analyze_takes_no_dense_null_space_route(self, monkeypatch, capsys):
+        # every matrix's report comes off the membership kernel: analyze on
+        # every shipped configuration, in every mode and format, exits and
+        # prints the same with the dense-matrix route refusing to run
+        def runs():
+            seen = []
+            for path in sorted(FIXDIR.glob("*.cfg")):
+                for mode in ("gast", "ost", "eas", "bast"):
+                    for fmt in ("text", "json-lines"):
+                        code = main(["analyze", str(path), "--mode", mode, "--format", fmt])
+                        seen.append((code, capsys.readouterr().out))
+            return seen
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("analyze took the dense null-space route")
+
+        expected = runs()
+        assert sum("wcm_01" in out for _, out in expected) >= 40
+        bound = [m for name, m in sys.modules.items() if name.split(".")[0] == "wcmopt"]
+        assert {gflinalg, removal, cli} <= set(bound)
+        for module in bound:
+            for name in ("null_space", "has_full_support_vector", "rref"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        assert runs() == expected
 
     def test_oracle_cap_boundary(self, capsys):
         # 3^6 = 729 assignments: a cap of 729 scans, 728 refuses

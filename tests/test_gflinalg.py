@@ -11,6 +11,7 @@ from conftest import (
     in_span,
     naive_full_support,
     random_matrices,
+    rank,
     reference_full_support,
     reference_null_space,
     reference_rref,
@@ -29,7 +30,6 @@ from wcmopt.gflinalg import (
     has_full_support_vector,
     mat_vec,
     null_space,
-    rank,
     rref,
     support_scan,
 )

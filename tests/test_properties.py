@@ -18,6 +18,7 @@ from conftest import (
     random_code,
     random_reweighting,
     random_weights,
+    rank,
     reference_oracle_in_family,
     reference_smallest_b_on_rows,
     satisfied_labeling,
@@ -31,7 +32,6 @@ from wcmopt.gflinalg import (
     has_full_support_vector,
     mat_vec,
     null_space,
-    rank,
     rref,
 )
 from wcmopt.removal import (

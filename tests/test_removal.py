@@ -1,18 +1,25 @@
 import gc
+import itertools
 import pathlib
 import random
 import warnings
+from dataclasses import replace
 
 import pytest
 
 from conftest import (
+    assert_valid_witness,
     disjoint_union,
+    drop_rows,
     gf16,
+    in_span,
     pin_workers,
     random_code,
     random_matrices,
     random_reweighting,
     random_weights,
+    rank,
+    reference_evaluate_weight_conditions,
     reference_first_unbroken,
     reference_oracle_in_family,
     reference_oracle_is_gas,
@@ -27,7 +34,7 @@ from wcmopt import fixtures as fx, removal
 from wcmopt.cli import parse_code, parse_config, parse_targets
 from wcmopt.config import CodeGraph, Configuration, classify_unlabeled
 from wcmopt.gf import gf4, gf8
-from wcmopt.gflinalg import DEFAULT_SUPPORT_CAP, GfMatrix, SearchTooLargeError, mat_vec, null_space, rank
+from wcmopt.gflinalg import DEFAULT_SUPPORT_CAP, GfMatrix, SearchTooLargeError, mat_vec, null_space
 from wcmopt.removal import (
     InvalidValuesError,
     NoCandidateError,
@@ -57,6 +64,14 @@ def pipeline(cfg, mode="gast"):
     return extract_wcms(cfg, tree)
 
 
+def checked_basis(cfg, rec):
+    """Null-space basis of ``rec``'s matrix; ``rec.witness``, present iff unbroken, lies in its span."""
+    basis = null_space(drop_rows(cfg.adjacency(), rec.removed_rows)).basis_vectors
+    assert (rec.witness is None) == rec.broken
+    assert rec.witness is None or in_span(basis, rec.witness, cfg.field)
+    return basis
+
+
 class TestWeightConditions:
     def test_baseline_all_unbroken(self):
         cfg = fx.gast_6_0_0_9_0()
@@ -65,7 +80,7 @@ class TestWeightConditions:
         rec = report.records[1]
         assert tuple(g + 1 for g in rec.deg2_group) == (1, 4, 9)
         assert rec.p == 2 and rec.delta == 2 and rec.component_dims == (1, 1)
-        assert spans_equal(rec.basis, [(A, 0, 0, 0, 1, 1), (0, 1, 1, A, 0, 0)], cfg.field)
+        assert spans_equal(checked_basis(cfg, rec), [(A, 0, 0, 0, 1, 1), (0, 1, 1, A, 0, 0)], cfg.field)
 
     def test_first_change_set_leaves_three_unbroken(self):
         base = fx.gast_6_0_0_9_0()
@@ -75,7 +90,7 @@ class TestWeightConditions:
         assert report.unbroken_indices() == (5, 7, 10)
         survivors = [r for r in report.records if not r.broken]
         for rec in survivors:
-            assert spans_equal(rec.basis, [(1, 1, 1, A, 1, 1)], cfg.field)
+            assert spans_equal(checked_basis(cfg, rec), [(1, 1, 1, A, 1, 1)], cfg.field)
 
     def test_second_change_set_breaks_all(self):
         base = fx.gast_6_0_0_9_0()
@@ -85,7 +100,7 @@ class TestWeightConditions:
         assert report.all_broken
         rec2 = report.records[1]
         assert rec2.p == 1
-        assert spans_equal(rec2.basis, [(0, 1, 1, A, 0, 0)], cfg.field)
+        assert spans_equal(checked_basis(cfg, rec2), [(0, 1, 1, A, 0, 0)], cfg.field)
 
     def test_variant_has_two_unbroken(self):
         base = fx.gast_6_0_0_9_0()
@@ -130,7 +145,50 @@ class TestWeightConditions:
         assert report.all_broken
         short = next(r for r in report.records if tuple(g + 1 for g in r.deg2_group) == (2, 4))
         assert short.p == 1
-        assert spans_equal(short.basis, [(1, 0, 0, A2, 1, A2)], cfg.field)
+        assert spans_equal(checked_basis(cfg, short), [(1, 0, 0, A2, 1, A2)], cfg.field)
+
+    def test_matches_the_null_space_route_on_random_objects(self):
+        # every shape hit of size 3 to 6 of random GF(4)/GF(8)/GF(16) codes,
+        # with its induced, random and satisfied labelings, at three support
+        # caps: the kernel's report has the reference route's verdicts,
+        # dimensions and cap overruns, and its witness where the null space
+        # is a line; every witness is a full-support null vector with a 1 at
+        # the last VN
+        def judged(evaluate, cfg, wcms, cap):
+            try:
+                return evaluate(cfg, wcms, cap)
+            except SearchTooLargeError as exc:
+                return str(exc)
+
+        rng = random.Random(25)
+        seen = dict.fromkeys(("raised", "line", "wider"), 0)
+        for field in (gf4(), gf8(), gf16()):
+            for gamma in (3, 4):
+                graph = random_code(rng, rng.randint(6, 9), 8, gamma, field)
+                for subset in (s for k in range(3, 7) for s in itertools.combinations(range(8), k)):
+                    cfg = graph.induce(subset)
+                    for kind in ("gast", "ost") if gamma == 4 else ("gast",):
+                        if not classify_unlabeled(cfg).supports(kind):
+                            continue
+                        tree = build_tree(cfg, kind)
+                        for labeled in (cfg, random_weights(cfg, rng), satisfied_labeling(cfg, rng)):
+                            wcms = extract_wcms(labeled, tree)
+                            for cap in (0, 1, DEFAULT_SUPPORT_CAP):
+                                mine = judged(evaluate_weight_conditions, labeled, wcms, cap)
+                                ref = judged(reference_evaluate_weight_conditions, labeled, wcms, cap)
+                                if isinstance(ref, str):
+                                    assert mine == ref
+                                    seen["raised"] += 1
+                                    continue
+                                for rec, want in zip(mine.records, ref.records, strict=True):
+                                    assert rec == replace(want, witness=rec.witness)
+                                    if rec.p == 1:
+                                        assert rec.witness == want.witness
+                                    if rec.witness is not None:
+                                        assert_valid_witness(labeled, rec.removed_rows, rec.witness)
+                                        assert rec.witness[-1] == 1
+                                        seen["line" if rec.p == 1 else "wider"] += 1
+        assert min(seen.values()) >= 50, seen
 
 
 class TestMembership:
