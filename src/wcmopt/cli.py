@@ -20,10 +20,8 @@ import json
 import sys
 import warnings
 from functools import cache
-from math import comb
 from typing import Iterable, Sequence, TextIO
 
-from . import workers
 from .config import (
     CodeGraph,
     Configuration,
@@ -37,15 +35,15 @@ from .removal import (
     OracleTooLargeError,
     RemovalPlan,
     Target,
+    enumerate_code,
     evaluate_weight_conditions,
     is_in_Z,
     optimize_code,
     oracle_in_family,
     oracle_is_gas,
     remove_object,
-    smallest_b_on_rows,
 )
-from .wcmtree import build_tree, extract_wcms, grow_tree, z_family
+from .wcmtree import build_tree, extract_wcms, z_family
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -542,75 +540,30 @@ def cmd_optimize(args: argparse.Namespace, rep: Reporter) -> int:
 
 def cmd_enumerate(args: argparse.Namespace, rep: Reporter) -> int:
     graph = parse_code(_read(args.code), args.code, args.field_poly)
-    kind, n = args.kind, graph.cols
-    if kind == "ost" and graph.gamma % 2:
+    if args.kind == "ost" and graph.gamma % 2:
         rep.block(
             "error",
             {"message": f"--kind ost needs an even column weight; the code has gamma={graph.gamma}"},
         )
         return EXIT_INPUT
-    # The budget takes the first subsets in size-then-lexicographic order:
-    # every subset of the sizes it covers whole, then the first ``limit`` of
-    # the next size, which the walk stops at.
-    counts = [comb(n, size) for size in range(1, min(args.max_a, n) + 1)]
-    total, top, limit, left = sum(counts), len(counts), None, args.budget
-    for size, count in enumerate(counts, start=1):
-        if left < count:
-            top, limit = size, left
-            break
-        left -= count
-    # The walk splits by each subset's smallest column, its root: root f
-    # holds comb(n - 1 - f, size - 1) subsets of each size, so the cut at
-    # size ``top`` takes the first ``limit`` of them root by root.
-    shares: list[int | None] = [None] * n
-    loads = []  # subsets walked from each root
-    for f in range(n):
-        last = comb(n - 1 - f, top - 1)
-        if limit is not None:
-            last = shares[f] = min(limit, last)
-            limit -= last
-        loads.append(sum(comb(n - 1 - f, k) for k in range(top - 1)) + last)
-    def judge(root: int) -> list[tuple[tuple[int, ...], tuple[int, ...] | None]]:
-        """(subset, params) per family member of the root's walk; params
-        None marks a shape hit skipped at the support cap."""
-        records = []
-        for subset, topo, read in graph.shapes(top, shares[root], first=root):
-            if not topo.supports(kind):
-                continue
-            shape = read()
-            tree = grow_tree(shape.pairs, shape.vn_deg1_counts, topo, graph.gamma, kind)
-            try:
-                hit = smallest_b_on_rows(
-                    shape.rows, shape.deg1_rows, tree, len(subset), graph.field, args.support_cap
-                )
-            except SearchTooLargeError:
-                records.append((subset, None))
-                continue
-            if hit is not None:
-                records.append((subset, shape.params(hit[0])))
-        return records
-
-    # Scan order is size by size, lexicographic within a size.
-    records = sorted(workers.run(judge, loads, "enumerate"), key=lambda record: (len(record[0]), record[0]))
-    found = [Target(subset, kind, params) for subset, params in records if params is not None]
+    report = enumerate_code(graph, args.kind, args.max_a, budget=args.budget, support_cap=args.support_cap)
     if args.out:
-        _write(args.out, serialize_targets(found))
-    for subset, params in records:
-        if params is None:
-            rep.block("warning", {"message": f"support cap hit for subset {subset}; skipped"})
+        _write(args.out, serialize_targets(report.targets))
+    for subset in report.skipped:
+        rep.block("warning", {"message": f"support cap hit for subset {subset}; skipped"})
     if not args.out and rep.fmt == "json-lines":
-        for t in found:
+        for t in report.targets:
             rep.block("target", _target_record(t))
     elif not args.out:
-        rep.out.write(serialize_targets(found))
+        rep.out.write(serialize_targets(report.targets))
     rep.block(
         "enumerate",
         {
-            "kind": kind,
+            "kind": args.kind,
             "max_a": args.max_a,
-            "subsets_examined": min(total, args.budget),
-            "found": len(found),
-            "truncated": _yn(total > args.budget),
+            "subsets_examined": report.examined,
+            "found": len(report.targets),
+            "truncated": _yn(report.truncated),
         },
     )
     return EXIT_OK

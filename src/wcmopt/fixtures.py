@@ -169,13 +169,6 @@ def ost_6_2_11_0(field: FieldContext | None = None) -> Configuration:
     return Configuration(4, f, 6, 13, edges)
 
 
-def not_gas_single_vn(field: FieldContext | None = None) -> Configuration:
-    """One VN whose checks are all degree-1: never an absorbing shape."""
-    f = field or gf4()
-    edges = [(0, 0, 1), (1, 0, 1), (2, 0, 1)]
-    return Configuration(3, f, 1, 3, edges)
-
-
 def gast_borderline_no_deg2(field: FieldContext | None = None) -> Configuration:
     """(5,1,1,4,2) object, gamma=3, whose only borderline VN has no degree-2 CN.
 

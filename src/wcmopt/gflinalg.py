@@ -49,15 +49,6 @@ class GfMatrix:
     entries: tuple[tuple[int, ...], ...]
     field: FieldContext
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int]], field: FieldContext) -> "GfMatrix":
-        tup = tuple(tuple(field.validate(v) for v in row) for row in rows)
-        ncols = len(tup[0]) if tup else 0
-        for row in tup:
-            if len(row) != ncols:
-                raise DimensionMismatchError("ragged rows")
-        return cls(len(tup), ncols, tup, field)
-
 
 @dataclass(frozen=True)
 class NullSpaceBasis:

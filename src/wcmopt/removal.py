@@ -5,7 +5,8 @@ the consistency matrices: the object is present exactly when some matrix
 still has a full-support vector in its null space.  Removal searches for
 the smallest set of degree-2 edge re-weightings that breaks every matrix at
 once, and the full-code optimizer replays that per object while protecting
-earlier removals that share edges.
+earlier removals that share edges.  ``enumerate_code`` lists the family
+members among a code's small VN subsets.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field as dataclass_field, fields, replace
 from functools import reduce
+from math import comb
 from operator import xor
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -37,7 +39,7 @@ from .gflinalg import (
     null_space,  # noqa: F401 -- the benchmark harness's tests read removal.null_space
     support_scan,
 )
-from .wcmtree import UnlabeledTree, WcmSet, build_tree, extract_wcms
+from .wcmtree import UnlabeledTree, WcmSet, build_tree, extract_wcms, grow_tree
 
 DEFAULT_ORACLE_CAP = 10_000_000
 EXTRA_CHANGES = 2  # set sizes tried beyond the topological bound
@@ -521,10 +523,7 @@ def compute_e_min(
         return bound, bound, False
     _, _, unsat = compute_b_for_values(c, oracle.witness)
     unsat_set = set(unsat)
-    b_vn_max = max(
-        sum(1 for cn, _ in c.vn_neighbors[v] if cn in unsat_set)
-        for v in range(c.num_vns)
-    )
+    b_vn_max = max(sum(1 for cn, _ in c.vn_neighbors[v] if cn in unsat_set) for v in range(c.num_vns))
     return allowance(c.gamma, kind) - b_vn_max + 1, bound, True
 
 
@@ -545,17 +544,10 @@ def select_candidate_edges(
     d1_max = max(d1_counts)
     maximal_vns = [v for v, cnt in enumerate(d1_counts) if cnt == d1_max]
     per_vn_edges = {
-        v: [
-            (cn, v)
-            for cn, _ in sorted(c.vn_neighbors[v])
-            if cn in c.deg2_cns
-        ]
-        for v in maximal_vns
+        v: [(cn, v) for cn, _ in sorted(c.vn_neighbors[v]) if cn in c.deg2_cns] for v in maximal_vns
     }
     if all(not edges for edges in per_vn_edges.values()):
-        raise NoCandidateError(
-            "no degree-2 CN incident to any maximal degree-1 VN"
-        )
+        raise NoCandidateError("no degree-2 CN incident to any maximal degree-1 VN")
     for v in maximal_vns:
         for size in range(max(1, min_size), max_size + 1):
             for combo in itertools.combinations(per_vn_edges[v], size):
@@ -617,10 +609,7 @@ def remove_object(
         candidates = []
     for vn, edge_set in candidates:
         old = {edge: c.weight_of(*edge) for edge in edge_set}
-        options = [
-            [wt for wt in range(1, c.field.q) if wt != old[edge]]
-            for edge in edge_set
-        ]
+        options = [[wt for wt in range(1, c.field.q) if wt != old[edge]] for edge in edge_set]
         for combo in itertools.product(*options):
             tried += 1
             changes = dict(zip(edge_set, combo))
@@ -878,3 +867,73 @@ def _remove_group(
         error = type(exc).__module__, type(exc).__name__, exc.args, traceback.format_exc()
         records.append((key, "error", error, []))
     return records
+
+
+class EnumerationReport(NamedTuple):
+    """An ``enumerate_code`` scan: the members found, the subsets examined, whether the
+    budget cut the scan and the shape hits skipped at the support cap, in scan order."""
+
+    targets: list[Target]
+    examined: int
+    truncated: bool
+    skipped: list[tuple[int, ...]]
+
+
+def enumerate_code(
+    graph: CodeGraph, kind: str, max_a: int, *, budget: int = 200_000, support_cap: int = DEFAULT_SUPPORT_CAP
+) -> EnumerationReport:
+    """Members of ``kind``'s family among the first ``budget`` subsets of 1 .. ``max_a`` columns.
+
+    Subsets are scanned size by size, lexicographic within a size.  A shape
+    hit, a subset whose class supports ``kind``, grows its tree from the
+    walk's running state and ``smallest_b_on_rows`` judges it; a hit whose
+    family walk meets a null space wider than ``support_cap`` is skipped.
+    ``workers.run`` gets one piece per root, a subset's smallest column.
+    """
+    n = graph.cols
+    # The budget takes the first subsets in size-then-lexicographic order:
+    # every subset of the sizes it covers whole, then the first ``limit`` of
+    # the next size, which the walk stops at.
+    counts = [comb(n, size) for size in range(1, min(max_a, n) + 1)]
+    total, top, limit, left = sum(counts), len(counts), None, budget
+    for size, count in enumerate(counts, start=1):
+        if left < count:
+            top, limit = size, left
+            break
+        left -= count
+    # The walk splits by each subset's smallest column, its root: root f
+    # holds comb(n - 1 - f, size - 1) subsets of each size, so the cut at
+    # size ``top`` takes the first ``limit`` of them root by root.
+    shares: list[int | None] = [None] * n
+    loads = []  # subsets walked from each root
+    for f in range(n):
+        last = comb(n - 1 - f, top - 1)
+        if limit is not None:
+            last = shares[f] = min(limit, last)
+            limit -= last
+        loads.append(sum(comb(n - 1 - f, k) for k in range(top - 1)) + last)
+
+    def judge(root: int) -> list[tuple[tuple[int, ...], tuple[int, ...] | None]]:
+        """(subset, params) per family member of the root's walk; params
+        None marks a shape hit skipped at the support cap."""
+        records = []
+        for subset, topo, read in graph.shapes(top, shares[root], first=root):
+            if not topo.supports(kind):
+                continue
+            shape = read()
+            tree = grow_tree(shape.pairs, shape.vn_deg1_counts, topo, graph.gamma, kind)
+            try:
+                hit = smallest_b_on_rows(
+                    shape.rows, shape.deg1_rows, tree, len(subset), graph.field, support_cap
+                )
+            except SearchTooLargeError:
+                records.append((subset, None))
+                continue
+            if hit is not None:
+                records.append((subset, shape.params(hit[0])))
+        return records
+
+    records = sorted(workers.run(judge, loads, "enumerate"), key=lambda record: (len(record[0]), record[0]))
+    found = [Target(subset, kind, params) for subset, params in records if params is not None]
+    skipped = [subset for subset, params in records if params is None]
+    return EnumerationReport(found, min(total, budget), total > budget, skipped)

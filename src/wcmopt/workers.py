@@ -1,6 +1,6 @@
 """Forked workers: independent pieces of one job on every CPU this process may run on.
 
-``enumerate`` splits its subset walk by root and ``optimize_code`` its
+``enumerate_code`` splits its subset walk by root and ``optimize_code`` its
 targets by group; each hands ``run`` the work of one piece and every
 piece's load.  ``run`` puts the loaded pieces, largest load first, on one
 queue that every process pulls from, so a piece's load orders the queue

@@ -22,6 +22,7 @@ from wcmopt.config import (
 from wcmopt.gf import FieldContext, gf4, gf8
 from wcmopt.gflinalg import (
     DEFAULT_SUPPORT_CAP,
+    DimensionMismatchError,
     GfMatrix,
     NullSpaceBasis,
     SearchTooLargeError,
@@ -53,6 +54,16 @@ from wcmopt.removal import (
 from wcmopt.wcmtree import TreeError, UnlabeledTree, build_tree, extract_wcms
 
 
+def gf_matrix(rows, field: FieldContext) -> GfMatrix:
+    """The matrix of ``rows``, every entry checked to be an element of ``field``."""
+    tup = tuple(tuple(field.validate(v) for v in row) for row in rows)
+    ncols = len(tup[0]) if tup else 0
+    for row in tup:
+        if len(row) != ncols:
+            raise DimensionMismatchError("ragged rows")
+    return GfMatrix(len(tup), ncols, tup, field)
+
+
 def identity_matrix(n: int, field: FieldContext) -> GfMatrix:
     return GfMatrix(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), field)
 
@@ -70,8 +81,8 @@ def in_span(vectors, v, field: FieldContext) -> bool:
     """True iff ``v`` lies in the span of ``vectors``."""
     if not vectors:
         return all(x == 0 for x in v)
-    base = GfMatrix.from_rows(vectors, field)
-    stacked = GfMatrix.from_rows(list(vectors) + [list(v)], field)
+    base = gf_matrix(vectors, field)
+    stacked = gf_matrix(list(vectors) + [list(v)], field)
     return rank(base) == rank(stacked)
 
 
@@ -351,13 +362,14 @@ def reference_enumerate(
     graph: CodeGraph, max_a: int, kind: str = "gast", budget: int = 200_000,
     support_cap: int = DEFAULT_SUPPORT_CAP,
 ) -> tuple[list[Target], int, bool, list[tuple[int, ...]]]:
-    """Slow reference for ``enumerate``: size by size, every subset through ``induce``.
+    """Slow reference for ``removal.enumerate_code``: size by size, every subset through ``induce``.
 
     Each subset is classified with ``classify_unlabeled`` and each shape hit
     judged with ``smallest_b`` on the induced configuration.  Returns the
     targets found, the subsets examined, whether the budget cut the scan,
     and the shape hits whose family walk overran ``support_cap``, in scan
-    order.
+    order: the fields of ``enumerate_code``'s ``EnumerationReport``, in
+    their order, so the two compare equal.
     """
     found: list[Target] = []
     skipped: list[tuple[int, ...]] = []
@@ -558,6 +570,11 @@ def reference_build_tree(c: Configuration, mode: str = "gast") -> OrderedTree:
     return OrderedTree(kind, loop_max, children, max(depths), min(depths))
 
 
+def not_gas_single_vn() -> Configuration:
+    """One VN whose checks are all degree-1: never an absorbing shape."""
+    return Configuration(3, gf4(), 1, 3, [(0, 0, 1), (1, 0, 1), (2, 0, 1)])
+
+
 def sub_configuration(cfg: Configuration, vns) -> Configuration:
     """The configuration a VN subset of ``cfg`` induces."""
     weights = {(cn, vn): w for cn, vn, w in cfg.edges}
@@ -629,7 +646,7 @@ def gf16() -> FieldContext:
 
 
 def pin_workers(monkeypatch, count: int) -> None:
-    """Make ``enumerate`` and ``optimize`` work on ``count`` processes, whatever the host has."""
+    """Make ``enumerate_code`` and ``optimize_code`` work on ``count`` processes, whatever the host has."""
     monkeypatch.setattr(workers, "available", lambda: count)
 
 

@@ -8,11 +8,11 @@ import pathlib
 import random
 import time
 
-from conftest import drop_rows, in_span, ordered_view, random_weights, rank, satisfied_labeling, spans_equal
+from conftest import drop_rows, gf_matrix, in_span, ordered_view, random_weights, rank, satisfied_labeling, spans_equal
 from wcmopt import fixtures as fx
 from wcmopt.cli import main, parse_code, parse_targets
 from wcmopt.gf import gf4, gf8
-from wcmopt.gflinalg import GfMatrix, null_space
+from wcmopt.gflinalg import null_space
 from wcmopt.removal import (
     compute_e_min,
     evaluate_weight_conditions,
@@ -179,7 +179,7 @@ def test_criterion_8_property_suites():
         for _ in range(120):
             rows = rng.randrange(1, 6)
             cols = rng.randrange(1, 6)
-            m = GfMatrix.from_rows(
+            m = gf_matrix(
                 [[rng.randrange(field.q) for _ in range(cols)] for _ in range(rows)],
                 field,
             )

@@ -47,7 +47,7 @@ def test_plan_digest_patches_names_that_exist():
     patched = {
         "removal._ColumnMembership._reduce": removal._ColumnMembership,
         "cli.optimize_code": cli,
-        "cli.grow_tree": cli,
+        "removal.grow_tree": removal,
         "workers.available": workers,
     }
     for dotted, owner in patched.items():

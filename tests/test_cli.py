@@ -43,7 +43,7 @@ from wcmopt.cli import (
 from wcmopt.config import CodeGraph, Configuration, classify_unlabeled
 from wcmopt.gf import gf4, gf8
 from wcmopt.gflinalg import null_space
-from wcmopt.removal import DEFAULT_ORACLE_CAP, Target, oracle_in_family
+from wcmopt.removal import DEFAULT_ORACLE_CAP, Target, enumerate_code, oracle_in_family
 from wcmopt.wcmtree import build_tree
 
 FIXDIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -575,7 +575,8 @@ class TestCommands:
         # subsets examined and truncation agree with combinations -> induce
         # -> classify -> smallest_b, size by size; the budgets stop the scan
         # at each size boundary and inside a size, with and without skips,
-        # judged in one process and split over two.
+        # judged in one process and split over two, through the command line
+        # and through the library call.
         # The full scan's targets also agree with the exhaustive oracle.
         rng = random.Random(40 + gamma)
         kinds = ("gast", "ost") if gamma % 2 == 0 else ("gast",)
@@ -597,12 +598,12 @@ class TestCommands:
                 runs += [(5, {"budget": budget}), (5, {"budget": budget, "support_cap": 0})]
             for kind in kinds:
                 for max_a, limits in runs:
-                    found, examined, truncated, skipped = reference_enumerate(
-                        graph, max_a, kind, **limits
-                    )
+                    reference = reference_enumerate(graph, max_a, kind, **limits)
+                    found, examined, truncated, skipped = reference
                     flags = [f"--{k.replace('_', '-')}={v}" for k, v in limits.items()]
                     for workers in (1, 2):
                         pin_workers(monkeypatch, workers)
+                        assert enumerate_code(graph, kind, max_a, **limits) == reference
                         assert main([
                             "enumerate", str(code_path), "--max-a", str(max_a), "--kind", kind,
                             "--format", "json-lines", "--out", str(out_path), *flags,
@@ -738,7 +739,7 @@ class TestCommands:
     def test_enumerate_reports_a_failed_worker(self, monkeypatch, tmp_path, capsys, fault, message):
         # this process holds its first shape hit until the worker has failed
         # at one of its own, whichever roots each of them pulls
-        parent, grow, failed = os.getpid(), cli.grow_tree, tmp_path / "failed.txt"
+        parent, grow, failed = os.getpid(), removal.grow_tree, tmp_path / "failed.txt"
 
         def grow_in_parent(*args):
             if os.getpid() != parent:
@@ -749,7 +750,7 @@ class TestCommands:
             wait_until(failed.exists, "the worker's failure")
             return grow(*args)
 
-        monkeypatch.setattr(cli, "grow_tree", grow_in_parent)
+        monkeypatch.setattr(removal, "grow_tree", grow_in_parent)
         pin_workers(monkeypatch, 2)
         with pytest.raises(RuntimeError, match=message):
             main(["enumerate", fixture_path("toy_code.txt"), "--max-a", "6"])
@@ -759,7 +760,7 @@ class TestCommands:
     def test_enumerate_kills_its_workers_when_its_own_share_fails(self, monkeypatch, capsys):
         # each worker stalls for a minute at its first hit; the parent's
         # error ends them at once
-        parent, grow, stalled = os.getpid(), cli.grow_tree, []
+        parent, grow, stalled = os.getpid(), removal.grow_tree, []
 
         def stall_in_worker(*args):
             if os.getpid() == parent:
@@ -769,7 +770,7 @@ class TestCommands:
                 time.sleep(60)
             return grow(*args)
 
-        monkeypatch.setattr(cli, "grow_tree", stall_in_worker)
+        monkeypatch.setattr(removal, "grow_tree", stall_in_worker)
         pin_workers(monkeypatch, 3)
         start = time.monotonic()
         with pytest.raises(ValueError, match="judged in the parent"):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import gf16, random_code, random_weights, reference_induce
+from conftest import gf16, not_gas_single_vn, random_code, random_weights, reference_induce
 from wcmopt import fixtures as fx
 from wcmopt.config import (
     CodeGraph,
@@ -102,7 +102,7 @@ def test_classify_fixture_shapes(builder, expect):
 
 
 def test_single_vn_never_absorbing():
-    topo = classify_unlabeled(fx.not_gas_single_vn())
+    topo = classify_unlabeled(not_gas_single_vn())
     assert not topo.is_unlabeled_gas and not topo.is_unlabeled_os
 
 
@@ -121,7 +121,7 @@ def test_b_ut_values():
 
 
 def test_b_ut_clamps_negative_operand():
-    cfg = fx.not_gas_single_vn()
+    cfg = not_gas_single_vn()
     assert cfg.num_vns * allowance(cfg.gamma, "gast") < cfg.d1
     assert classify_unlabeled(cfg).b_ut == 0
 

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     drop_rows,
     gf16,
+    gf_matrix,
     identity_matrix,
     in_span,
     naive_full_support,
@@ -23,7 +24,6 @@ from wcmopt import fixtures as fx
 from wcmopt.gf import gf4, gf8
 from wcmopt.gflinalg import (
     DimensionMismatchError,
-    GfMatrix,
     NullSpaceBasis,
     SearchTooLargeError,
     SupportScan,
@@ -59,7 +59,7 @@ def test_rref_idempotent_random():
         for _ in range(50):
             rows = rng.randrange(1, 6)
             cols = rng.randrange(1, 6)
-            m = GfMatrix.from_rows(
+            m = gf_matrix(
                 [[rng.randrange(field.q) for _ in range(cols)] for _ in range(rows)], field
             )
             once, rk1 = rref(m)
@@ -78,7 +78,7 @@ def test_null_space_basis_properties():
         for _ in range(40):
             rows = rng.randrange(1, 6)
             cols = rng.randrange(1, 6)
-            m = GfMatrix.from_rows(
+            m = gf_matrix(
                 [[rng.randrange(field.q) for _ in range(cols)] for _ in range(rows)], field
             )
             ns = null_space(m)
@@ -86,7 +86,7 @@ def test_null_space_basis_properties():
             for vec in ns.basis_vectors:
                 assert all(x == 0 for x in mat_vec(m, vec))
             if ns.basis_vectors:
-                stacked = GfMatrix.from_rows(ns.basis_vectors, field)
+                stacked = gf_matrix(ns.basis_vectors, field)
                 assert rank(stacked) == ns.dimension
 
 
@@ -154,7 +154,7 @@ def test_full_support_agrees_with_naive_oracle():
         field = rng.choice([gf4(), gf8()])
         length = rng.randrange(2, 6)
         rows = rng.randrange(1, length + 1)
-        m = GfMatrix.from_rows(
+        m = gf_matrix(
             [[rng.randrange(field.q) for _ in range(length)] for _ in range(rows)], field
         )
         ns = null_space(m)
@@ -169,7 +169,7 @@ def random_null_spaces(rng, count):
     for _ in range(count):
         field = rng.choice([gf4(), gf8(), gf16()])
         length = rng.randrange(2, 7)
-        m = GfMatrix.from_rows(
+        m = gf_matrix(
             [[rng.choice([0, rng.randrange(field.q)]) for _ in range(length)]
              for _ in range(rng.randrange(1, length + 1))],
             field,

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     drop_rows,
     gf16,
+    gf_matrix,
     naive_full_support,
     random_code,
     random_reweighting,
@@ -27,7 +28,6 @@ from wcmopt import fixtures as fx
 from wcmopt.config import classify_unlabeled, cn_flippable_partners
 from wcmopt.gf import gf4, gf8
 from wcmopt.gflinalg import (
-    GfMatrix,
     SearchTooLargeError,
     has_full_support_vector,
     mat_vec,
@@ -55,7 +55,7 @@ def matrix_strategy(field):
                 st.lists(st.integers(0, field.q - 1), min_size=cols, max_size=cols),
                 min_size=rows,
                 max_size=rows,
-            ).map(lambda data: GfMatrix.from_rows(data, field))
+            ).map(lambda data: gf_matrix(data, field))
         )
     )
 

@@ -17,10 +17,12 @@ which grows a tree) and matrix reductions; then the same for a run whose
 ``--budget`` stops inside size 5 and whose ``--support-cap 0`` skips, with a
 warning each, the shape hits whose family has a matrix with a nonzero null
 space (about 50 per seed), so truncation and warning order are covered too.
-A matrix reduction is one ``_ColumnMembership._reduce`` call; the
-counters are deterministic, so running the script on two checkouts and
-diffing the listings shows whether any plan, optimize or enumerate output
-changed, and whether the removals and optimize runs did the same work.
+A matrix reduction is one ``_ColumnMembership._reduce`` call, and a shape
+hit one call of ``removal.grow_tree`` (of ``cli.grow_tree`` in checkouts
+whose walk still sits in the command line); the counters are
+deterministic, so running the script on two checkouts and diffing the
+listings shows whether any plan, optimize or enumerate output changed,
+and whether the removals and optimize runs did the same work.
 The counters wrap functions in this process, so ``enumerate`` and
 ``optimize`` are pinned to one worker (``workers.available``): every shape
 hit is judged and every target removed here, not in forked workers:
@@ -58,7 +60,7 @@ def main() -> int:
     from wcmopt import cli, removal, wcmtree, workers
 
     counts = {"reductions": 0, "protected_checks": 0, "shape_hits": 0}
-    reduce, optimize, grow = removal._ColumnMembership._reduce, cli.optimize_code, cli.grow_tree
+    reduce, optimize, grow = removal._ColumnMembership._reduce, cli.optimize_code, wcmtree.grow_tree
 
     def counted_reduce(self, group):
         counts["reductions"] += 1
@@ -74,7 +76,10 @@ def main() -> int:
         return grow(*args, **kwargs)
 
     removal._ColumnMembership._reduce, cli.optimize_code = counted_reduce, counted_optimize
-    cli.grow_tree, workers.available = counted_grow, lambda: 1
+    for owner in (cli, removal):  # the module whose enumerate walk calls grow_tree
+        if hasattr(owner, "grow_tree"):
+            owner.grow_tree = counted_grow
+    workers.available = lambda: 1
     total, count = hashlib.sha256(), 0
     for workload, seed, size in POOLS:
         h = hashlib.sha256()
