@@ -5,23 +5,13 @@ from .config import (
     Configuration,
     TopoClass,
     classify_unlabeled,
-    cn_flippable_partners,
 )
 from .gf import FieldContext, gf4, gf8
-from .gflinalg import (
-    GfMatrix,
-    NullSpaceBasis,
-    has_full_support_vector,
-    mat_vec,
-    null_space,
-    rref,
-)
 from .removal import (
     EnumerationReport,
     OptimizationReport,
     RemovalPlan,
     Target,
-    compute_b_for_values,
     compute_e_min,
     enumerate_code,
     evaluate_weight_conditions,
@@ -50,8 +40,6 @@ __all__ = [
     "Configuration",
     "EnumerationReport",
     "FieldContext",
-    "GfMatrix",
-    "NullSpaceBasis",
     "OptimizationReport",
     "RemovalPlan",
     "Target",
@@ -60,8 +48,6 @@ __all__ = [
     "WcmSet",
     "build_tree",
     "classify_unlabeled",
-    "cn_flippable_partners",
-    "compute_b_for_values",
     "compute_e_min",
     "count_wcms_same_size",
     "count_wcms_u_symmetric",
@@ -70,15 +56,11 @@ __all__ = [
     "extract_wcms",
     "gf4",
     "gf8",
-    "has_full_support_vector",
     "is_in_Z",
-    "mat_vec",
-    "null_space",
     "optimize_code",
     "oracle_in_family",
     "oracle_is_gas",
     "remove_object",
-    "rref",
     "select_candidate_edges",
     "smallest_b",
     "z_family",

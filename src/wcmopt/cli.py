@@ -26,11 +26,13 @@ from .config import (
     CodeGraph,
     Configuration,
     ConfigurationError,
+    NotApplicableError,
     classify_unlabeled,
 )
 from .gf import FieldContext, FieldError, format_element
 from .gflinalg import DEFAULT_SUPPORT_CAP, SearchTooLargeError
 from .removal import (
+    DEFAULT_BUDGET,
     DEFAULT_ORACLE_CAP,
     OracleTooLargeError,
     RemovalPlan,
@@ -162,8 +164,7 @@ def parse_config(text: str, path: str = "<config>", poly_flag: int | None = None
 def serialize_config(cfg: Configuration) -> str:
     lines = [_poly_comment(cfg.field)]
     lines.append(f"q={cfg.field.q} gamma={cfg.gamma} a={cfg.num_vns} ell={cfg.num_cns}")
-    matrix = cfg.adjacency()
-    for row in matrix.entries:
+    for row in cfg.adjacency():
         lines.append(" ".join(str(v) for v in row))
     return "\n".join(lines) + "\n"
 
@@ -540,13 +541,11 @@ def cmd_optimize(args: argparse.Namespace, rep: Reporter) -> int:
 
 def cmd_enumerate(args: argparse.Namespace, rep: Reporter) -> int:
     graph = parse_code(_read(args.code), args.code, args.field_poly)
-    if args.kind == "ost" and graph.gamma % 2:
-        rep.block(
-            "error",
-            {"message": f"--kind ost needs an even column weight; the code has gamma={graph.gamma}"},
-        )
+    try:
+        report = enumerate_code(graph, args.kind, args.max_a, budget=args.budget, support_cap=args.support_cap)
+    except NotApplicableError:
+        rep.block("error", {"message": f"--kind ost needs an even column weight; the code has gamma={graph.gamma}"})
         return EXIT_INPUT
-    report = enumerate_code(graph, args.kind, args.max_a, budget=args.budget, support_cap=args.support_cap)
     if args.out:
         _write(args.out, serialize_targets(report.targets))
     for subset in report.skipped:
@@ -667,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("code")
     p.add_argument("--max-a", type=_at_least(1), required=True)
     p.add_argument("--kind", choices=("gast", "ost"), default="gast")
-    p.add_argument("--budget", type=_at_least(0), default=200_000)
+    p.add_argument("--budget", type=_at_least(0), default=DEFAULT_BUDGET)
 
     return parser
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .gf import FieldContext
-from .gflinalg import GfMatrix
 
 
 class ConfigurationError(Exception):
@@ -91,7 +90,7 @@ class Configuration:
         for cn in self.deg1_cns:
             deg1_counts[cn_nbrs[cn][0][0]] += 1
         self.vn_deg1_counts = tuple(deg1_counts)
-        self._adjacency: GfMatrix | None = None
+        self._adjacency: tuple[tuple[int, ...], ...] | None = None
 
     def weight_of(self, cn: int, vn: int) -> int:
         for v, w in self.cn_neighbors[cn]:
@@ -99,18 +98,17 @@ class Configuration:
                 return w
         raise KeyError(f"no edge ({cn},{vn})")
 
-    def adjacency(self) -> GfMatrix:
-        """The adjacency matrix, built on the first call and shared after.
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """The adjacency matrix's rows, one per CN, built on the first call and shared after.
 
-        Every matrix the pipeline takes of a configuration is cut from this
-        one; a re-weighting is a new configuration with its own.
+        Every matrix the pipeline takes of a configuration is cut from these
+        rows; a re-weighting is a new configuration with its own.
         """
         if self._adjacency is None:
             rows = [[0] * self.num_vns for _ in range(self.num_cns)]
             for cn, vn, w in self.edges:
                 rows[cn][vn] = w
-            entries = tuple(map(tuple, rows))
-            self._adjacency = GfMatrix(self.num_cns, self.num_vns, entries, self.field)
+            self._adjacency = tuple(map(tuple, rows))
         return self._adjacency
 
     def with_weights(self, changes: Mapping[tuple[int, int], int]) -> "Configuration":

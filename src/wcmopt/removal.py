@@ -24,6 +24,7 @@ from . import workers
 from .config import (
     CodeGraph,
     Configuration,
+    NotApplicableError,
     allowance,
     classify_unlabeled,
     keeps_majority,
@@ -34,7 +35,6 @@ from .gflinalg import (
     SearchTooLargeError,
     check_search_size,
     eliminate,
-    mat_vec,
     null_basis,
     null_space,  # noqa: F401 -- the benchmark harness's tests read removal.null_space
     support_scan,
@@ -42,6 +42,7 @@ from .gflinalg import (
 from .wcmtree import UnlabeledTree, WcmSet, build_tree, extract_wcms, grow_tree
 
 DEFAULT_ORACLE_CAP = 10_000_000
+DEFAULT_BUDGET = 200_000  # subsets ``enumerate_code`` examines
 EXTRA_CHANGES = 2  # set sizes tried beyond the topological bound
 
 
@@ -49,16 +50,8 @@ class RemovalError(Exception):
     pass
 
 
-class InvalidValuesError(RemovalError):
-    pass
-
-
 class OracleTooLargeError(RemovalError):
     pass
-
-
-class NoCandidateError(RemovalError):
-    """No degree-2 CN is incident to any edge-selection VN."""
 
 
 @dataclass(frozen=True)
@@ -245,7 +238,7 @@ class _ObjectColumns:
     """
 
     def __init__(self, c: Configuration, w: WcmSet, support_cap: int):
-        self.rows = list(c.adjacency().entries)
+        self.rows = list(c.adjacency())
         self.field, self.support_cap = c.field, support_cap
         self.vn_ids, self.cn_ids, self.wcms = c.vn_ids, c.cn_ids, w
         self.groups = [rec.removed_rows for rec in w.wcms]
@@ -300,7 +293,7 @@ def evaluate_weight_conditions(
     component contributes at least 1.
     """
     a, field = c.num_vns, c.field
-    packed = _pack_rows(c.adjacency().entries, a - 1, field)
+    packed = _pack_rows(c.adjacency(), a - 1, field)
     column = _ColumnMembership(packed, a, field, [rec.removed_rows for rec in w.wcms], support_cap, frozenset())
     shift, full = column.scan.width * (a - 1), support_scan(field, a)
     records = []
@@ -345,7 +338,7 @@ def is_in_Z(
     adjacency rows as they stand.
     """
     groups = [rec.removed_rows for rec in w.wcms]
-    packed = _pack_rows(c.adjacency().entries, c.num_vns - 1, c.field)
+    packed = _pack_rows(c.adjacency(), c.num_vns - 1, c.field)
     column = _ColumnMembership(packed, c.num_vns, c.field, groups, support_cap, frozenset())
     return column.first_unbroken({}) is not None
 
@@ -397,22 +390,8 @@ def smallest_b(
     c: Configuration, tree: UnlabeledTree, support_cap: int = DEFAULT_SUPPORT_CAP
 ) -> tuple[int, tuple[int, ...]] | None:
     """``smallest_b_on_rows`` on a configuration's adjacency rows."""
-    rows = _pack_rows(c.adjacency().entries, c.num_vns - 1, c.field)
+    rows = _pack_rows(c.adjacency(), c.num_vns - 1, c.field)
     return smallest_b_on_rows(rows, sorted(c.deg1_cns), tree, c.num_vns, c.field, support_cap)
-
-
-def compute_b_for_values(
-    c: Configuration, values: Sequence[int]
-) -> tuple[int, int, tuple[int, ...]]:
-    """Unsatisfied-CN count, its degree-2 part, and the unsatisfied index set."""
-    if len(values) != c.num_vns:
-        raise InvalidValuesError(f"expected {c.num_vns} values, got {len(values)}")
-    if any(v == 0 for v in values):
-        raise InvalidValuesError("all VN values must be nonzero")
-    syndromes = mat_vec(c.adjacency(), values)
-    unsat = tuple(i for i, s in enumerate(syndromes) if s != 0)
-    b2 = sum(1 for i in unsat if i in c.deg2_cns)
-    return len(unsat), b2, unsat
 
 
 @dataclass(frozen=True)
@@ -420,6 +399,7 @@ class OracleResult:
     is_member: bool
     smallest_b: int | None
     witness: tuple[int, ...] | None
+    unsatisfied: tuple[int, ...] | None  # the witness's unsatisfied CNs, ascending
 
 
 def _scan(
@@ -431,7 +411,8 @@ def _scan(
     XOR of two half-sums, and the scan's carry moves the unsatisfied CNs into
     its guard bits.  An unsatisfied mask that meets the guard bits of a CN
     in ``satisfied`` is rejected with one AND; any other is judged by
-    ``keeps_majority`` on each VN's unsatisfied count.
+    ``keeps_majority`` on each VN's unsatisfied count.  The witness's
+    unsatisfied CNs are the guard bits of its mask.
     """
     q, a, ell = c.field.q, c.num_vns, c.num_cns
     if (total := (q - 1) ** a) > cap:
@@ -440,12 +421,12 @@ def _scan(
     carry, guards = scan.carry, scan.guards
     forbidden = sum(1 << scan.width * cn for cn in satisfied) << c.field.lam
     # x times column vn, for x = 1 .. q - 1: VN vn's syndrome term at value x
-    terms = [scan.multiples(scan.pack(col))[1:] for col in zip(*c.adjacency().entries)]
+    terms = [scan.multiples(scan.pack(col))[1:] for col in zip(*c.adjacency())]
     head = [reduce(xor, vals, 0) for vals in itertools.product(*terms[: a // 2])]
     tail = [reduce(xor, vals, 0) for vals in itertools.product(*terms[a // 2 :])]
     vn_masks = [(t[0] + carry) & guards for t in terms]
     verdicts: dict[int, int] = {}
-    best, where = ell + 1, 0
+    best, where, won = ell + 1, 0, 0
     for i, p in enumerate(head):
         masks = [((p ^ t) + carry) & guards for t in tail]
         try:
@@ -458,9 +439,13 @@ def _scan(
                 verdicts[m] = m.bit_count() if ok else ell + 1
             bs = list(map(verdicts.__getitem__, masks))
         if min(bs) < best:
-            best, where = min(bs), i * len(tail) + bs.index(min(bs))
+            j = bs.index(min(bs))
+            best, where, won = bs[j], i * len(tail) + j, masks[j]
+    if best > ell:
+        return OracleResult(False, None, None, None)
     witness = tuple(where // (q - 1) ** k % (q - 1) + 1 for k in reversed(range(a)))
-    return OracleResult(True, best, witness) if best <= ell else OracleResult(False, None, None)
+    unsatisfied = tuple(cn for cn in range(ell) if won >> scan.width * cn + c.field.lam & 1)
+    return OracleResult(True, best, witness, unsatisfied)
 
 
 def oracle_is_gas(
@@ -506,11 +491,12 @@ def compute_e_min(
     """Minimum edge-change count and its topological bound.
 
     For the strict-majority family the minimum is g - b_vn_max + 1, with g
-    the ``allowance`` and b_vn_max taken from the per-VN unsatisfied counts
-    of the oracle witness at the smallest b; when the oracle is infeasible
-    the always-available bound g - d1_vn_max + 1 doubles as the minimum
-    estimate (third return value is False then).  Oscillating objects always
-    need exactly one change; their bound uses the weak allowance gamma/2.
+    the ``allowance`` and b_vn_max the most unsatisfied checks at one VN
+    among those the oracle returns with its witness at the smallest b; when
+    the oracle is infeasible the always-available bound g - d1_vn_max + 1
+    doubles as the minimum estimate (third return value is False then).
+    Oscillating objects always need exactly one change; their bound uses
+    the weak allowance gamma/2.
     """
     bound = _e_bound(c, kind)
     if kind == "ost":
@@ -519,11 +505,10 @@ def compute_e_min(
         oracle = oracle_is_gas(c, "gas", cap=oracle_cap)
     except OracleTooLargeError:
         return bound, bound, False
-    if not oracle.is_member or oracle.witness is None:
+    if oracle.unsatisfied is None:  # not a member
         return bound, bound, False
-    _, _, unsat = compute_b_for_values(c, oracle.witness)
-    unsat_set = set(unsat)
-    b_vn_max = max(sum(1 for cn, _ in c.vn_neighbors[v] if cn in unsat_set) for v in range(c.num_vns))
+    unsat = set(oracle.unsatisfied)
+    b_vn_max = max(sum(cn in unsat for cn, _ in nbrs) for nbrs in c.vn_neighbors)
     return allowance(c.gamma, kind) - b_vn_max + 1, bound, True
 
 
@@ -536,21 +521,16 @@ def select_candidate_edges(
     largest number of degree-1 neighbors come first (ascending index), and
     for each the subsets of its degree-2-CN edges, of ``min_size`` to
     ``max_size`` edges, are emitted smallest first, one edge per CN.  Edges
-    on degree->2 CNs are never candidates.  For oscillating objects the same
-    rule lands on the topologically oscillating VNs automatically, since they
-    attain the degree-1 maximum.
+    on degree->2 CNs are never candidates, so a VN with none yields none.
+    For oscillating objects the same rule lands on the topologically
+    oscillating VNs automatically, since they attain the degree-1 maximum.
     """
     d1_counts = c.vn_deg1_counts
     d1_max = max(d1_counts)
-    maximal_vns = [v for v, cnt in enumerate(d1_counts) if cnt == d1_max]
-    per_vn_edges = {
-        v: [(cn, v) for cn, _ in sorted(c.vn_neighbors[v]) if cn in c.deg2_cns] for v in maximal_vns
-    }
-    if all(not edges for edges in per_vn_edges.values()):
-        raise NoCandidateError("no degree-2 CN incident to any maximal degree-1 VN")
-    for v in maximal_vns:
+    for v in (v for v, cnt in enumerate(d1_counts) if cnt == d1_max):
+        edges = [(cn, v) for cn, _ in sorted(c.vn_neighbors[v]) if cn in c.deg2_cns]
         for size in range(max(1, min_size), max_size + 1):
-            for combo in itertools.combinations(per_vn_edges[v], size):
+            for combo in itertools.combinations(edges, size):
                 yield v, combo
 
 
@@ -603,11 +583,7 @@ def remove_object(
     prot_checks = 0
     prot_rejections = 0
     start = e_min if exact else 1
-    try:
-        candidates = list(select_candidate_edges(c, e_bound + EXTRA_CHANGES, start))
-    except NoCandidateError:
-        candidates = []
-    for vn, edge_set in candidates:
+    for vn, edge_set in select_candidate_edges(c, e_bound + EXTRA_CHANGES, start):
         old = {edge: c.weight_of(*edge) for edge in edge_set}
         options = [[wt for wt in range(1, c.field.q) if wt != old[edge]] for edge in edge_set]
         for combo in itertools.product(*options):
@@ -880,7 +856,7 @@ class EnumerationReport(NamedTuple):
 
 
 def enumerate_code(
-    graph: CodeGraph, kind: str, max_a: int, *, budget: int = 200_000, support_cap: int = DEFAULT_SUPPORT_CAP
+    graph: CodeGraph, kind: str, max_a: int, *, budget: int = DEFAULT_BUDGET, support_cap: int = DEFAULT_SUPPORT_CAP
 ) -> EnumerationReport:
     """Members of ``kind``'s family among the first ``budget`` subsets of 1 .. ``max_a`` columns.
 
@@ -889,7 +865,13 @@ def enumerate_code(
     walk's running state and ``smallest_b_on_rows`` judges it; a hit whose
     family walk meets a null space wider than ``support_cap`` is skipped.
     ``workers.run`` gets one piece per root, a subset's smallest column.
+    A kind other than 'gast' or 'ost' raises ``ValueError`` and 'ost' on
+    an odd column weight ``NotApplicableError``, before any walk.
     """
+    if kind not in ("gast", "ost"):
+        raise ValueError(f"unknown kind {kind!r}")
+    if kind == "ost" and graph.gamma % 2:
+        raise NotApplicableError(f"kind 'ost' needs an even column weight; the code has gamma={graph.gamma}")
     n = graph.cols
     # The budget takes the first subsets in size-then-lexicographic order:
     # every subset of the sizes it covers whole, then the first ``limit`` of

@@ -32,9 +32,9 @@ from wcmopt.gflinalg import (
     rref,
 )
 from wcmopt.removal import (
+    DEFAULT_BUDGET,
     DEFAULT_ORACLE_CAP,
     EXTRA_CHANGES,
-    NoCandidateError,
     OptimizationReport,
     OracleResult,
     OracleTooLargeError,
@@ -183,7 +183,7 @@ def reference_evaluate_weight_conditions(
     basis combination to 1, so at p >= 2 its witness may differ from the
     kernel's; each component's dimension comes from ``rank`` of its rows.
     """
-    a = c.adjacency()
+    a = gf_matrix(c.adjacency(), c.field)
     records = []
     for rec in w.wcms:
         ns = null_space(drop_rows(a, rec.removed_rows))
@@ -277,12 +277,24 @@ def _reference_majorities(c: Configuration, unsat: set[int]) -> tuple[bool, bool
     return strict, weak, any_equal
 
 
+def compute_b_for_values(c: Configuration, values) -> tuple[int, int, tuple[int, ...]]:
+    """Unsatisfied-CN count, its degree-2 part, and the unsatisfied index set, by one ``mat_vec``."""
+    if len(values) != c.num_vns:
+        raise ValueError(f"expected {c.num_vns} values, got {len(values)}")
+    if any(v == 0 for v in values):
+        raise ValueError("all VN values must be nonzero")
+    syndromes = mat_vec(gf_matrix(c.adjacency(), c.field), values)
+    unsat = tuple(i for i, s in enumerate(syndromes) if s != 0)
+    b2 = sum(1 for i in unsat if i in c.deg2_cns)
+    return len(unsat), b2, unsat
+
+
 def reference_oracle_is_gas(c: Configuration, kind: str = "gas", cap: int = 10_000_000):
     """Slow reference for ``oracle_is_gas``: one ``mat_vec`` per assignment."""
     if (c.field.q - 1) ** c.num_vns > cap:
         raise OracleTooLargeError("over the cap")
-    adjacency = c.adjacency()
-    best_b = best_witness = None
+    adjacency = gf_matrix(c.adjacency(), c.field)
+    best_b = best_witness = best_unsat = None
     for values in itertools.product(range(1, c.field.q), repeat=c.num_vns):
         syndromes = mat_vec(adjacency, values)
         unsat = {i for i, s in enumerate(syndromes) if s != 0}
@@ -291,13 +303,14 @@ def reference_oracle_is_gas(c: Configuration, kind: str = "gas", cap: int = 10_0
         if ok and (best_b is None or len(unsat) < best_b):
             best_b = len(unsat)
             best_witness = values
-    return OracleResult(best_b is not None, best_b, best_witness)
+            best_unsat = tuple(sorted(unsat))
+    return OracleResult(best_b is not None, best_b, best_witness, best_unsat)
 
 
 def reference_oracle_in_family(c: Configuration, b_cap: int, kind: str = "gast"):
     """Slow reference for ``oracle_in_family``: one ``mat_vec`` per assignment."""
-    adjacency = c.adjacency()
-    best_b = best_witness = None
+    adjacency = gf_matrix(c.adjacency(), c.field)
+    best_b = best_witness = best_unsat = None
     for values in itertools.product(range(1, c.field.q), repeat=c.num_vns):
         syndromes = mat_vec(adjacency, values)
         unsat = {i for i, s in enumerate(syndromes) if s != 0}
@@ -308,7 +321,8 @@ def reference_oracle_in_family(c: Configuration, b_cap: int, kind: str = "gast")
         if ok and (best_b is None or len(unsat) < best_b):
             best_b = len(unsat)
             best_witness = values
-    return OracleResult(best_b is not None, best_b, best_witness)
+            best_unsat = tuple(sorted(unsat))
+    return OracleResult(best_b is not None, best_b, best_witness, best_unsat)
 
 
 def reference_induce(graph: CodeGraph, vns) -> Configuration:
@@ -359,7 +373,7 @@ def reference_smallest_b_on_rows(
 
 
 def reference_enumerate(
-    graph: CodeGraph, max_a: int, kind: str = "gast", budget: int = 200_000,
+    graph: CodeGraph, max_a: int, kind: str = "gast", budget: int = DEFAULT_BUDGET,
     support_cap: int = DEFAULT_SUPPORT_CAP,
 ) -> tuple[list[Target], int, bool, list[tuple[int, ...]]]:
     """Slow reference for ``removal.enumerate_code``: size by size, every subset through ``induce``.
@@ -414,18 +428,14 @@ def reference_remove_object(c: Configuration, w, protected_ok=None, *,
     every matrix from scratch; order, counters and plan are the fast path's.
     """
     kind = w.kind
-    rows = c.adjacency().entries
+    rows = c.adjacency()
     groups = [rec.removed_rows for rec in w.wcms]
     if reference_first_unbroken(rows, groups, c.field, support_cap) is None:
         return RemovalPlan("", kind, "not_in_z", 0, _e_bound(c, kind), True, None, ())
     e_min, e_bound, exact = compute_e_min(c, kind, oracle_cap)
     tried = checks = rejections = 0
     start = e_min if exact else 1
-    try:
-        candidates = list(select_candidate_edges(c, e_bound + EXTRA_CHANGES, start))
-    except NoCandidateError:
-        return RemovalPlan("", kind, "unremovable", e_min, e_bound, exact, None, ())
-    for vn, edge_set in candidates:
+    for vn, edge_set in select_candidate_edges(c, e_bound + EXTRA_CHANGES, start):
         old = {edge: c.weight_of(*edge) for edge in edge_set}
         options = [[wt for wt in range(1, c.field.q) if wt != old[e]] for e in edge_set]
         for combo in itertools.product(*options):
@@ -633,7 +643,7 @@ def random_reweighting(cfg: Configuration, rng: random.Random) -> dict[tuple[int
 
 
 def assert_valid_witness(cfg: Configuration, removed_rows, witness) -> None:
-    sub = drop_rows(cfg.adjacency(), removed_rows)
+    sub = drop_rows(gf_matrix(cfg.adjacency(), cfg.field), removed_rows)
     assert all(x == 0 for x in mat_vec(sub, witness))
     assert all(x != 0 for x in witness)
 

@@ -112,7 +112,7 @@ def test_criterion_5_null_space_fixtures():
     cfg = fx.gast_6_0_0_9_0()
     tree = build_tree(cfg)
     wcms = extract_wcms(cfg, tree)
-    by_group = {rec.deg2_group: drop_rows(cfg.adjacency(), rec.removed_rows) for rec in wcms.wcms}
+    by_group = {rec.deg2_group: drop_rows(gf_matrix(cfg.adjacency(), cfg.field), rec.removed_rows) for rec in wcms.wcms}
     ns = null_space(by_group[(0, 3, 8)])
     assert ns.dimension == 2
     assert spans_equal(
@@ -128,7 +128,7 @@ def test_criterion_5_null_space_fixtures():
 
     cfg2 = fx.gast_6_2_2_5_2()
     wcms2 = extract_wcms(cfg2, build_tree(cfg2))
-    by_group2 = {rec.deg2_group: drop_rows(cfg2.adjacency(), rec.removed_rows) for rec in wcms2.wcms}
+    by_group2 = {rec.deg2_group: drop_rows(gf_matrix(cfg2.adjacency(), cfg2.field), rec.removed_rows) for rec in wcms2.wcms}
     short = null_space(by_group2[(1, 3)])
     assert short.dimension == 2
     for v in [(0, 1, 1, A2, 1, 0), (1, 1, 1, 0, 0, A2)]:

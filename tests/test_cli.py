@@ -15,6 +15,7 @@ from conftest import (
     disjoint_union,
     drop_rows,
     gf16,
+    gf_matrix,
     note,
     noted,
     pin_workers,
@@ -40,7 +41,7 @@ from wcmopt.cli import (
     serialize_config,
     serialize_targets,
 )
-from wcmopt.config import CodeGraph, Configuration, classify_unlabeled
+from wcmopt.config import CodeGraph, Configuration, NotApplicableError, classify_unlabeled
 from wcmopt.gf import gf4, gf8
 from wcmopt.gflinalg import null_space
 from wcmopt.removal import DEFAULT_ORACLE_CAP, Target, enumerate_code, oracle_in_family
@@ -569,6 +570,21 @@ class TestCommands:
         assert out.startswith("[error]") and "gamma=3" in out
         assert "[enumerate]" not in out
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_enumerate_code_refuses_a_kind_it_cannot_scan(self, monkeypatch, workers):
+        # both refusals come before the walk, so no worker is forked
+        def refuse_fork():
+            raise AssertionError("a refused scan forked")
+
+        pin_workers(monkeypatch, workers)
+        monkeypatch.setattr(os, "fork", refuse_fork)
+        graph = parse_code((FIXDIR / "toy_code.txt").read_text())
+        for kind in ("bogus", "eas", "gas"):
+            with pytest.raises(ValueError, match=f"unknown kind '{kind}'"):
+                enumerate_code(graph, kind, 6)
+        with pytest.raises(NotApplicableError, match="gamma=3"):
+            enumerate_code(graph, "ost", 3)
+
     @pytest.mark.parametrize("gamma", [3, 4])
     def test_enumerate_matches_reference_loop(self, tmp_path, capsys, monkeypatch, gamma):
         # targets and their order, support-cap warnings and their order,
@@ -656,7 +672,7 @@ class TestCommands:
             if not classify_unlabeled(cfg).is_unlabeled_gast:
                 continue
             if any(
-                null_space(drop_rows(cfg.adjacency(), cfg.deg1_cns.union(s))).dimension
+                null_space(drop_rows(gf_matrix(cfg.adjacency(), cfg.field), cfg.deg1_cns.union(s))).dimension
                 for s in build_tree(cfg).family
             ):
                 skipped.append(subset)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import gf16, not_gas_single_vn, random_code, random_weights, reference_induce
+from conftest import compute_b_for_values, gf16, not_gas_single_vn, random_code, random_weights, reference_induce
 from wcmopt import fixtures as fx
 from wcmopt.config import (
     CodeGraph,
@@ -18,7 +18,7 @@ from wcmopt.config import (
 )
 from wcmopt.gf import FieldError, gf4, gf8
 from wcmopt.gflinalg import SearchTooLargeError, SupportScan
-from wcmopt.removal import compute_b_for_values, oracle_in_family, smallest_b, smallest_b_on_rows
+from wcmopt.removal import oracle_in_family, smallest_b, smallest_b_on_rows
 from wcmopt.wcmtree import build_tree, grow_tree
 
 A, A2 = 2, 3
@@ -65,8 +65,8 @@ def test_adjacency_is_built_once_per_configuration():
     assert cfg.adjacency() is matrix
     cn, vn, old = cfg.edges[0]
     moved = cfg.with_weights({(cn, vn): old % 3 + 1})
-    assert moved.adjacency().entries[cn][vn] == old % 3 + 1
-    assert cfg.adjacency() is matrix and matrix.entries[cn][vn] == old
+    assert moved.adjacency()[cn][vn] == old % 3 + 1
+    assert cfg.adjacency() is matrix and matrix[cn][vn] == old
 
 
 def test_degree_bookkeeping():
@@ -246,7 +246,7 @@ def test_with_weights_round_trip():
 def test_codegraph_induce_matches_fixture():
     graph, target = fx.toy_code_single_instance()
     cfg = graph.induce(target.vn_ids)
-    assert cfg.adjacency().entries == fx.gast_6_0_0_9_0().adjacency().entries
+    assert cfg.adjacency() == fx.gast_6_0_0_9_0().adjacency()
     assert cfg.vn_ids == (0, 1, 2, 3, 4, 5)
     assert cfg.cn_ids == tuple(range(9))
 
@@ -390,7 +390,7 @@ def test_walk_hits_match_induced_configurations():
                         size = len(subset)
                         shape, cfg = read(), graph.induce(subset)
                         packing = SupportScan(field, size)
-                        assert shape.rows == tuple(map(packing.pack, cfg.adjacency().entries)), subset
+                        assert shape.rows == tuple(map(packing.pack, cfg.adjacency())), subset
                         assert shape.deg1_rows == tuple(sorted(cfg.deg1_cns))
                         assert list(shape.pairs.items()) == [
                             (cn, tuple(v for v, _ in cfg.cn_neighbors[cn])) for cn in sorted(cfg.deg2_cns)

@@ -48,7 +48,7 @@ def test_rref_identity_and_zero():
 
 def test_rref_rank_matches_span_size_oracle():
     # the 9x6 adjacency with both tunable weights at 1 has rank 5
-    m = fx.gast_6_0_0_9_0().adjacency()
+    m = gf_matrix(fx.gast_6_0_0_9_0().adjacency(), gf4())
     assert rank(m) == 5
     assert span_size_rank(m) == 5
 
@@ -94,7 +94,7 @@ def test_null_space_worked_example_two_components():
     # drop the rows of (c1, c4, c9): two-dimensional null space with the
     # documented basis, up to change of basis
     cfg = fx.gast_6_0_0_9_0()
-    m = drop_rows(cfg.adjacency(), [0, 3, 8])
+    m = drop_rows(gf_matrix(cfg.adjacency(), cfg.field), [0, 3, 8])
     ns = null_space(m)
     assert ns.dimension == 2
     assert spans_equal(ns.basis_vectors, [(A, 0, 0, 0, 1, 1), (0, 1, 1, A, 0, 0)], cfg.field)
@@ -102,7 +102,7 @@ def test_null_space_worked_example_two_components():
 
 def test_null_space_worked_example_short_matrix():
     cfg = fx.gast_6_2_2_5_2()
-    m = drop_rows(cfg.adjacency(), [1, 3, 7, 8])
+    m = drop_rows(gf_matrix(cfg.adjacency(), cfg.field), [1, 3, 7, 8])
     ns = null_space(m)
     assert ns.dimension == 2
     for v in [(0, 1, 1, A2, 1, 0), (1, 1, 1, 0, 0, A2)]:
@@ -111,7 +111,7 @@ def test_null_space_worked_example_short_matrix():
 
 def test_full_support_witness_found():
     cfg = fx.gast_6_0_0_9_0()
-    m = drop_rows(cfg.adjacency(), [0, 3, 8])
+    m = drop_rows(gf_matrix(cfg.adjacency(), cfg.field), [0, 3, 8])
     ns = null_space(m)
     found, witness = has_full_support_vector(ns)
     assert found
@@ -128,7 +128,7 @@ def test_full_support_empty_basis():
 
 def test_full_support_broken_after_reweight():
     cfg = fx.gast_6_0_0_9_0(w61=A2)
-    ns = null_space(drop_rows(cfg.adjacency(), [0, 3, 8]))
+    ns = null_space(drop_rows(gf_matrix(cfg.adjacency(), cfg.field), [0, 3, 8]))
     assert ns.dimension == 1
     assert spans_equal(ns.basis_vectors, [(0, 1, 1, A, 0, 0)], cfg.field)
     assert has_full_support_vector(ns) == (False, None)
@@ -237,10 +237,10 @@ def test_packed_rref_matches_reference(seed):
 
 def test_mat_vec_examples():
     cfg = fx.gast_6_0_0_9_0()
-    a = cfg.adjacency()
+    a = gf_matrix(cfg.adjacency(), cfg.field)
     assert mat_vec(a, (0, 0, 0, 0, 0, 0)) == (0,) * 9
     assert mat_vec(a, (A, 1, 1, A, 1, 1)) == (0,) * 9
-    wz = drop_rows(fx.gast_6_2_2_5_2().adjacency(), [7, 8])
+    wz = drop_rows(gf_matrix(fx.gast_6_2_2_5_2().adjacency(), gf4()), [7, 8])
     assert mat_vec(wz, (A2, 1, 1, 1, A, A)) == (0,) * 7
     with pytest.raises(DimensionMismatchError):
         mat_vec(a, (1, 2, 3))

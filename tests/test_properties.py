@@ -12,6 +12,7 @@ from collections import Counter
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    compute_b_for_values,
     drop_rows,
     gf16,
     gf_matrix,
@@ -35,7 +36,6 @@ from wcmopt.gflinalg import (
     rref,
 )
 from wcmopt.removal import (
-    compute_b_for_values,
     evaluate_weight_conditions,
     is_in_Z,
     oracle_in_family,
@@ -179,7 +179,7 @@ def test_short_wcm_state_after_removal():
         report = evaluate_weight_conditions(post, wcms)
         assert report.all_broken
         for rec, raw in zip(report.records, wcms.wcms):
-            matrix = drop_rows(post.adjacency(), raw.removed_rows)
+            matrix = drop_rows(gf_matrix(post.adjacency(), post.field), raw.removed_rows)
             if matrix.rows < matrix.cols:
                 assert rec.p > 0
                 assert rec.broken
@@ -306,7 +306,7 @@ def test_smallest_b_matches_the_family_oracle_on_random_codes():
                         b, witness = hit
                         assert b == fam.smallest_b
                         assert all(witness)
-                        syndrome = mat_vec(cfg.adjacency(), witness)
+                        syndrome = mat_vec(gf_matrix(cfg.adjacency(), cfg.field), witness)
                         unsat = {cn for cn, x in enumerate(syndrome) if x}
                         assert len(unsat) == b
                         assert all(len(cfg.cn_neighbors[cn]) <= 2 for cn in unsat)
@@ -338,7 +338,7 @@ def _family_cases(rng):
             for make in (random_weights, satisfied_labeling):
                 for _ in range(10):
                     cfg = make(base, rng)
-                    rows = _pack_rows(cfg.adjacency().entries, cfg.num_vns - 1, field)
+                    rows = _pack_rows(cfg.adjacency(), cfg.num_vns - 1, field)
                     yield (rows, sorted(cfg.deg1_cns), build_tree(cfg, kind), cfg.num_vns, field), kind, cfg
 
 
@@ -376,7 +376,7 @@ def test_a_flippable_set_is_no_freer_than_a_leaf_set_holding_it():
         leaves = tree.leaf_sets()
         judged = {}
         for s in tree.family:
-            ns = null_space(drop_rows(cfg.adjacency(), cfg.deg1_cns.union(s)))
+            ns = null_space(drop_rows(gf_matrix(cfg.adjacency(), cfg.field), cfg.deg1_cns.union(s)))
             judged[s] = ns.dimension, has_full_support_vector(ns, cfg.num_vns)[0]
         for s, (dim, unbroken) in judged.items():
             holding = [leaf for leaf in leaves if set(s) <= set(leaf)]

@@ -9,9 +9,11 @@ import pytest
 
 from conftest import (
     assert_valid_witness,
+    compute_b_for_values,
     disjoint_union,
     drop_rows,
     gf16,
+    gf_matrix,
     in_span,
     pin_workers,
     random_code,
@@ -36,11 +38,8 @@ from wcmopt.config import CodeGraph, Configuration, classify_unlabeled
 from wcmopt.gf import gf4, gf8
 from wcmopt.gflinalg import DEFAULT_SUPPORT_CAP, GfMatrix, SearchTooLargeError, mat_vec, null_space
 from wcmopt.removal import (
-    InvalidValuesError,
-    NoCandidateError,
     OracleTooLargeError,
     Target,
-    compute_b_for_values,
     compute_e_min,
     evaluate_weight_conditions,
     is_in_Z,
@@ -66,7 +65,7 @@ def pipeline(cfg, mode="gast"):
 
 def checked_basis(cfg, rec):
     """Null-space basis of ``rec``'s matrix; ``rec.witness``, present iff unbroken, lies in its span."""
-    basis = null_space(drop_rows(cfg.adjacency(), rec.removed_rows)).basis_vectors
+    basis = null_space(drop_rows(gf_matrix(cfg.adjacency(), cfg.field), rec.removed_rows)).basis_vectors
     assert (rec.witness is None) == rec.broken
     assert rec.witness is None or in_span(basis, rec.witness, cfg.field)
     return basis
@@ -205,9 +204,9 @@ class TestMembership:
         assert (b, b2, unsat) == (0, 0, ())
         b, b2, unsat = compute_b_for_values(cfg, (A2, 1, 1, A, A, A))
         assert b == 3 and b2 == 3 and tuple(u + 1 for u in unsat) == (1, 4, 9)
-        with pytest.raises(InvalidValuesError):
+        with pytest.raises(ValueError):
             compute_b_for_values(cfg, (0, 1, 1, 1, 1, 1))
-        with pytest.raises(InvalidValuesError):
+        with pytest.raises(ValueError):
             compute_b_for_values(cfg, (1, 1))
 
     def test_oracle_smallest_b(self):
@@ -325,8 +324,7 @@ class TestEdgeSelection:
         assert first_set == ((0, 0), (5, 0))
 
     def test_candidate_error_when_no_degree2(self):
-        with pytest.raises(NoCandidateError):
-            list(select_candidate_edges(fx.gast_borderline_no_deg2(), 1))
+        assert list(select_candidate_edges(fx.gast_borderline_no_deg2(), 1)) == []
 
 
 class TestRemoveObject:
@@ -744,7 +742,7 @@ class TestProtectedKernels:
         for name, cfg, wcms in labeled_members(field, rng, 1):
             groups = [rec.removed_rows for rec in wcms.wcms]
             for cap in (0, 1, 12):
-                rows = [list(row) for row in cfg.adjacency().entries]
+                rows = [list(row) for row in cfg.adjacency()]
                 columns = removal._ObjectColumns(cfg, wcms, cap)
                 for _ in range(12):
                     vn = rng.randrange(cfg.num_vns)
@@ -890,7 +888,7 @@ class TestMembershipKernel:
                 changes = random_reweighting(cfg, rng)
                 candidate = cfg.with_weights(changes)
                 report = evaluate_weight_conditions(candidate, wcms)
-                rows = rows_with_weights(cfg.adjacency().entries, changes)
+                rows = rows_with_weights(cfg.adjacency(), changes)
                 first = reference_first_unbroken(rows, groups, field, DEFAULT_SUPPORT_CAP)
                 one_shot = _ColumnMembership(
                     _pack_rows(rows, cfg.num_vns - 1, field), cfg.num_vns, field, groups, DEFAULT_SUPPORT_CAP,
@@ -920,7 +918,7 @@ class TestMembershipKernel:
                 after = cfg.with_weights({(cn, vn): new for cn, vn, _, new in plan.changes})
                 cases.append((after, groups))
             for case, case_groups in cases:
-                rows = case.adjacency().entries
+                rows = case.adjacency()
                 for cap in range(case.num_vns + 1):
                     ref = membership_outcome(lambda: reference_first_unbroken(rows, case_groups, field, cap))
                     overrun = isinstance(ref, str)
@@ -950,7 +948,7 @@ class TestMembershipKernel:
         # null vector, so the matrix is unbroken once the cap allows a
         # scan of all a columns (a kept small: the scan walks q^(a-2) vectors)
         cfg = sub_configuration(satisfied_labeling(fx.gast_6_0_0_9_0(field=field), random.Random(7)), (0, 1, 2))
-        rows, groups = cfg.adjacency().entries, [tuple(range(cfg.num_cns))]
+        rows, groups = cfg.adjacency(), [tuple(range(cfg.num_cns))]
         for cap in range(cfg.num_vns + 1):
             ref = membership_outcome(lambda: reference_first_unbroken(rows, groups, field, cap))
             assert ref == (0 if cap == cfg.num_vns else f"null-space dimension 3 exceeds support search cap {cap}")
@@ -1009,7 +1007,7 @@ class TestMembershipKernel:
         verdicts = set()
         for name, cfg, wcms in labeled_members(field, rng, 1):
             groups = [rec.removed_rows for rec in wcms.wcms]
-            rows = cfg.adjacency().entries
+            rows = cfg.adjacency()
             for vn in range(cfg.num_vns):
                 changeable = sorted(rng.sample(range(cfg.num_cns), rng.randrange(1, 5)))
                 column = _ColumnMembership(
@@ -1030,13 +1028,13 @@ class TestMembershipKernel:
         cfg = fx.gast_6_0_0_9_0()
         groups = [rec.removed_rows for rec in pipeline(cfg).wcms]
         deg2 = sorted(cn for cn, _ in cfg.vn_neighbors[0] if cn in cfg.deg2_cns)
-        far = next(cn for cn, row in enumerate(cfg.adjacency().entries) if row[0] == 0)
+        far = next(cn for cn, row in enumerate(cfg.adjacency()) if row[0] == 0)
         column = _ColumnMembership(
-            _pack_rows(cfg.adjacency().entries, 0, cfg.field), cfg.num_vns, cfg.field, groups, DEFAULT_SUPPORT_CAP,
+            _pack_rows(cfg.adjacency(), 0, cfg.field), cfg.num_vns, cfg.field, groups, DEFAULT_SUPPORT_CAP,
             frozenset(deg2[:1]),
         )
         assert column.first_unbroken({deg2[0]: 1}) == reference_first_unbroken(
-            rows_with_weights(cfg.adjacency().entries, {(deg2[0], 0): cfg.weight_of(deg2[0], 0) ^ 1}),
+            rows_with_weights(cfg.adjacency(), {(deg2[0], 0): cfg.weight_of(deg2[0], 0) ^ 1}),
             groups, cfg.field, DEFAULT_SUPPORT_CAP,
         )
         for row in (deg2[1], far):
@@ -1116,12 +1114,9 @@ class TestColumnUpdate:
         rng = random.Random(field.q + 5)
         verdicts = set()
         for name, cfg, wcms in labeled_members(field, rng, 1):
-            rows = cfg.adjacency().entries
+            rows = cfg.adjacency()
             groups = [rec.removed_rows for rec in wcms.wcms]
-            try:
-                candidates = list(select_candidate_edges(cfg, 3))
-            except NoCandidateError:
-                continue
+            candidates = list(select_candidate_edges(cfg, 3))
             for cap in (0, 1, 2, DEFAULT_SUPPORT_CAP):
                 columns = {}
                 for vn, edge_set in candidates[:30]:

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import drop_rows, ordered_view, reference_build_tree, sub_configuration
+from conftest import drop_rows, gf_matrix, ordered_view, reference_build_tree, sub_configuration
 from wcmopt import fixtures as fx
 from wcmopt.config import (
     Configuration,
@@ -259,7 +259,7 @@ def test_extract_includes_degree1_rows_and_sizes():
     for rec in wcms.wcms:
         assert set(rec.removed_rows) >= cfg.deg1_cns
         assert cfg.d1 + tree.b_st <= len(rec.removed_rows) <= cfg.d1 + tree.b_et
-        matrix = drop_rows(cfg.adjacency(), rec.removed_rows)
+        matrix = drop_rows(gf_matrix(cfg.adjacency(), cfg.field), rec.removed_rows)
         assert matrix.rows == cfg.num_cns - len(rec.removed_rows)
     assert len({rec.removed_rows for rec in wcms.wcms}) == wcms.t
 
@@ -444,7 +444,7 @@ def test_depth_caps_for_subclasses():
     assert build_tree(cfg, "gast").loop_max == classify_unlabeled(cfg).b_ut
     tree = build_tree(cfg, "eas")
     wcms = extract_wcms(cfg, tree)
-    assert wcms.t == 1 and drop_rows(cfg.adjacency(), wcms.wcms[0].removed_rows).rows == 9
+    assert wcms.t == 1 and drop_rows(gf_matrix(cfg.adjacency(), cfg.field), wcms.wcms[0].removed_rows).rows == 9
 
 
 def test_balanced_cap_shrinks_family():
