@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from functools import cache
 from typing import Iterable, Sequence, TextIO
 
@@ -504,15 +503,7 @@ def cmd_remove(args: argparse.Namespace, rep: Reporter) -> int:
 def cmd_optimize(args: argparse.Namespace, rep: Reporter) -> int:
     graph = parse_code(_read(args.code), args.code, args.field_poly)
     targets = parse_targets(_read(args.targets), args.targets, cols=graph.cols)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        new_graph, report = optimize_code(
-            graph,
-            targets,
-            phases=args.phases,
-            support_cap=args.support_cap,
-            oracle_cap=args.oracle_cap,
-        )
+    new_graph, report = optimize_code(graph, targets, support_cap=args.support_cap, oracle_cap=args.oracle_cap)
     if args.out:
         _write(args.out, serialize_code(new_graph))
     for plan in report.plan_log:
@@ -532,8 +523,10 @@ def cmd_optimize(args: argparse.Namespace, rep: Reporter) -> int:
             "reverified_intact": "; ".join(report.reverified) or "-",
         },
     )
-    for wmsg in caught:
-        rep.block("warning", {"message": str(wmsg.message)})
+    for plan in report.plan_log:
+        if len(plan.changes) > plan.e_bound:
+            rep.block("warning", {"message": f"removal of {plan.object_id} needed {len(plan.changes)} changes, "
+                                             f"beyond the topological bound {plan.e_bound}"})
     if args.out:
         rep.block("output", {"path": args.out})
     return EXIT_OK
@@ -659,7 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "--support-cap", "--oracle-cap", "--out")
     p.add_argument("code")
     p.add_argument("targets")
-    p.add_argument("--phases", choices=("gast", "gast+ost"), default="gast")
 
     p = command("enumerate", cmd_enumerate, "scan a code graph for embedded objects (desk scale)",
                 "--support-cap", "--out")

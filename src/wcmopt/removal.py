@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import sys
-import warnings
 from dataclasses import dataclass, field as dataclass_field, fields, replace
 from functools import reduce
 from math import comb
@@ -597,12 +596,6 @@ def remove_object(
                 if not protected_ok(changes):
                     prot_rejections += 1
                     continue
-            if len(changes) > e_bound:
-                warnings.warn(
-                    f"removal of {object_id or 'object'} needed {len(changes)} changes, "
-                    f"beyond the topological bound {e_bound}",
-                    stacklevel=2,
-                )
             return RemovalPlan(
                 object_id,
                 kind,
@@ -672,64 +665,53 @@ class OptimizationReport:
 def optimize_code(
     graph: CodeGraph,
     targets: Sequence[Target],
-    phases: str = "gast",
     *,
     support_cap: int = DEFAULT_SUPPORT_CAP,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
 ) -> tuple[CodeGraph, OptimizationReport]:
     """Remove target objects from the full graph, smallest first.
 
-    Phase 1 processes the strict-majority targets; with ``phases='gast+ost'``
-    and an even column weight a second phase processes oscillating targets,
-    whose family check spans both shapes so no oscillating object is ever
-    converted into the strict kind.  Edge changes are written back between
-    objects.  A candidate re-weights edges at one VN, and it re-verifies
-    every earlier removal that holds that VN before being accepted, on the
-    column kernels that removal's record keeps, with no re-induced object;
-    an index by VN finds those removals without a walk over all of them.
-    The run re-weights one copy of ``graph`` in place and returns it;
-    ``graph`` is left as it was.  Every removal is re-verified at the end
-    on ``is_in_Z`` over the re-induced object.
+    The strict-majority targets come first and the oscillating ones after
+    them, each smallest first and then by VN ids; an oscillating target's
+    family check spans both shapes, so no oscillating object is ever
+    converted into the strict kind.  A kind other than 'gast' or 'ost'
+    raises ``ValueError``.  A target whose shape is outside its kind's
+    family is skipped, as every oscillating one is on an odd column weight.
+    Edge changes are written back between objects.  A candidate re-weights
+    edges at one VN, and it re-verifies every earlier removal that holds
+    that VN before being accepted, on the column kernels that removal's
+    record keeps, with no re-induced object; an index by VN finds those
+    removals without a walk over all of them.  The run re-weights one copy
+    of ``graph`` in place and returns it; ``graph`` is left as it was.
+    Every removal is re-verified at the end on ``is_in_Z`` over the
+    re-induced object.
 
     A removal reads and writes only edges at its target's VNs, so targets
     that share no VN, directly or through a chain of targets over both
-    phases, are removed independently: each such group runs in processing
+    kinds, are removed independently: each such group runs in processing
     order on its own, ``workers.run`` splits the groups over its
     processes, and the report is merged in processing order; the returned
-    graph takes the merged report's changes.  Plans, counters, warnings
-    and the returned graph are those of one process; an error is raised
-    as the one the first failing target in processing order raised, with
-    that target's traceback in its cause.
+    graph takes the merged report's changes.  Plans, counters and the
+    returned graph are those of one process; an error is raised as the one
+    the first failing target in processing order raised, with that
+    target's traceback in its cause.
     """
-    if phases not in ("gast", "gast+ost"):
-        raise ValueError(f"unknown phases {phases!r}")
-    phase_kinds = ["gast"]
-    if phases == "gast+ost":
-        if graph.gamma % 2 == 0:
-            phase_kinds.append("ost")
-        else:
-            warnings.warn("oscillating phase skipped: column weight is odd")
-    elif any(t.kind == "ost" for t in targets):
-        warnings.warn("oscillating targets present but phases='gast'; they are ignored")
-    order = [
-        (phase_kind, t)
-        for phase_kind in phase_kinds
-        for t in sorted((t for t in targets if t.kind == phase_kind), key=lambda t: (len(t.vn_ids), t.vn_ids))
-    ]
-    groups = _sharing_groups([target.vn_ids for _, target in order])
+    unknown = {t.kind for t in targets} - {"gast", "ost"}
+    if unknown:
+        raise ValueError(f"unknown target kinds {sorted(unknown)}")
+    order = sorted(targets, key=lambda t: (t.kind == "ost", len(t.vn_ids), t.vn_ids))
+    groups = _sharing_groups([target.vn_ids for target in order])
     current = graph.apply_changes({})
 
     def work(g: int) -> list[tuple]:
         return _remove_group(current, order, groups[g], support_cap, oracle_cap)
 
     report = OptimizationReport()
-    for key, kind, value, messages in sorted(workers.run(work, [len(group) for group in groups], "optimize")):
-        for message in messages:
-            warnings.warn(message)
+    for key, kind, value in sorted(workers.run(work, [len(group) for group in groups], "optimize")):
         if kind == "error":
             module, name, args, trace = value
             raise getattr(sys.modules[module], name)(*args) from RuntimeError(f"in a target group:\n{trace}")
-        object_id = order[key % len(order)][1].object_id
+        object_id = order[key % len(order)].object_id
         if kind == "skipped":
             report.skipped.append(object_id)
         elif kind == "intact":
@@ -757,22 +739,23 @@ def _sharing_groups(vn_sets: Sequence[Sequence[int]]) -> list[list[int]]:
 
 def _remove_group(
     current: CodeGraph,
-    order: Sequence[tuple[str, Target]],
+    order: Sequence[Target],
     group: Sequence[int],
     support_cap: int,
     oracle_cap: int,
 ) -> list[tuple]:
     """Remove the targets at ``group``'s positions in ``order`` from ``current``, then re-verify them.
 
-    No target outside the group shares a VN with these, so none reads or
-    writes an edge they do.  A candidate or plan at a VN asks or folds
-    into the records of the removed objects held under that VN.  Returns
-    marshal-able records ``(key, kind, value, warning messages)``, key i
-    for target i's plan and len(order) + i for its final re-verification:
-    kind 'skipped' (value None), 'plan' (the plan's fields, then the
-    protected checks and rejections its search cost), 'intact' (value
-    None) or 'error' (the exception's module, type name, args and
-    traceback; the group stops there).
+    Each target is judged in the family its ``kind`` names.  No target
+    outside the group shares a VN with these, so none reads or writes an
+    edge they do.  A candidate or plan at a VN asks or folds into the
+    records of the removed objects held under that VN.  Returns
+    marshal-able records ``(key, kind, value)``, key i for target i's plan
+    and len(order) + i for its final re-verification: kind 'skipped'
+    (value None), 'plan' (the plan's fields, then the protected checks and
+    rejections its search cost), 'intact' (value None) or 'error' (the
+    exception's module, type name, args and traceback; the group stops
+    there).
     """
     records: list[tuple] = []
     removed: list[tuple[int, _ObjectColumns]] = []  # (position in order, object), in removal order
@@ -781,12 +764,12 @@ def _remove_group(
     key = 0
     try:
         for key in group:
-            phase_kind, target = order[key]
+            target = order[key]
             cfg = current.induce(target.vn_ids)
-            if not classify_unlabeled(cfg).supports(phase_kind):
-                records.append((key, "skipped", None, []))
+            if not classify_unlabeled(cfg).supports(target.kind):
+                records.append((key, "skipped", None))
                 continue
-            wcms = extract_wcms(cfg, build_tree(cfg, phase_kind))
+            wcms = extract_wcms(cfg, build_tree(cfg, target.kind))
             assert cfg.cn_ids is not None and cfg.vn_ids is not None
             cn_ids, vn_ids = cfg.cn_ids, cfg.vn_ids
 
@@ -802,17 +785,15 @@ def _remove_group(
 
             counts[:] = 0, 0
             columns = _ObjectColumns(cfg, wcms, support_cap)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                plan = remove_object(
-                    cfg,
-                    wcms,
-                    protected_ok=protected_ok,
-                    support_cap=support_cap,
-                    oracle_cap=oracle_cap,
-                    object_id=target.object_id,
-                    columns=columns,
-                )
+            plan = remove_object(
+                cfg,
+                wcms,
+                protected_ok=protected_ok,
+                support_cap=support_cap,
+                oracle_cap=oracle_cap,
+                object_id=target.object_id,
+                columns=columns,
+            )
             plan = replace(
                 plan,
                 changes=tuple(
@@ -822,7 +803,7 @@ def _remove_group(
                 selected_vn=vn_ids[plan.selected_vn] if plan.selected_vn is not None else None,
             )
             shallow = tuple(getattr(plan, f.name) for f in fields(plan))  # no deep copy of the changes
-            records.append((key, "plan", (shallow, *counts), [str(w.message) for w in caught]))
+            records.append((key, "plan", (shallow, *counts)))
             if plan.result == "unremovable":
                 continue
             if plan.changes:
@@ -836,12 +817,12 @@ def _remove_group(
         for position, held in removed:
             key = len(order) + position
             if not is_in_Z(current.induce(held.vn_ids), held.wcms, support_cap):
-                records.append((key, "intact", None, []))
+                records.append((key, "intact", None))
     except Exception as exc:  # raised by the merge, in processing order
         import traceback  # here, not at the top: importing it costs every run a few ms
 
         error = type(exc).__module__, type(exc).__name__, exc.args, traceback.format_exc()
-        records.append((key, "error", error, []))
+        records.append((key, "error", error))
     return records
 
 

@@ -6,7 +6,6 @@ import itertools
 import os
 import random
 import time
-import warnings
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -456,7 +455,7 @@ def reference_remove_object(c: Configuration, w, protected_ok=None, *,
     return RemovalPlan("", kind, "unremovable", e_min, e_bound, exact, None, (), tried, checks, rejections)
 
 
-def reference_optimize_code(graph: CodeGraph, targets, phases: str = "gast", *,
+def reference_optimize_code(graph: CodeGraph, targets, *,
                             support_cap=DEFAULT_SUPPORT_CAP, oracle_cap=DEFAULT_ORACLE_CAP):
     """Slow reference for ``optimize_code``: a new graph per accepted plan, protected checks re-induced.
 
@@ -466,52 +465,42 @@ def reference_optimize_code(graph: CodeGraph, targets, phases: str = "gast", *,
     """
     report = OptimizationReport()
     registry = []  # (object_id, vn_ids, wcms, graph edges)
-    phase_kinds = ["gast"]
-    if phases == "gast+ost":
-        if graph.gamma % 2 == 0:
-            phase_kinds.append("ost")
-        else:
-            warnings.warn("oscillating phase skipped: column weight is odd")
-    elif any(t.kind == "ost" for t in targets):
-        warnings.warn("oscillating targets present but phases='gast'; they are ignored")
     current = graph
-    for phase_kind in phase_kinds:
-        batch = sorted((t for t in targets if t.kind == phase_kind), key=lambda t: (len(t.vn_ids), t.vn_ids))
-        for target in batch:
-            cfg = current.induce(target.vn_ids)
-            if not classify_unlabeled(cfg).supports(phase_kind):
-                report.skipped.append(target.object_id)
-                continue
-            wcms = extract_wcms(cfg, build_tree(cfg, phase_kind))
-            cn_ids, vn_ids = cfg.cn_ids, cfg.vn_ids
+    for target in sorted(targets, key=lambda t: (t.kind == "ost", len(t.vn_ids), t.vn_ids)):
+        cfg = current.induce(target.vn_ids)
+        if not classify_unlabeled(cfg).supports(target.kind):
+            report.skipped.append(target.object_id)
+            continue
+        wcms = extract_wcms(cfg, build_tree(cfg, target.kind))
+        cn_ids, vn_ids = cfg.cn_ids, cfg.vn_ids
 
-            def protected_ok(changes):
-                changes = {(cn_ids[cn], vn_ids[vn]): wt for (cn, vn), wt in changes.items()}
-                affected = [e for e in registry if e[3] & set(changes)]
-                if not affected:
-                    return True
-                tentative = current.apply_changes(changes)
-                for _, ids, family, _ in affected:
-                    report.protected_checks += 1
-                    if is_in_Z(tentative.induce(ids), family, support_cap):
-                        report.protected_rejections += 1
-                        return False
+        def protected_ok(changes):
+            changes = {(cn_ids[cn], vn_ids[vn]): wt for (cn, vn), wt in changes.items()}
+            affected = [e for e in registry if e[3] & set(changes)]
+            if not affected:
                 return True
+            tentative = current.apply_changes(changes)
+            for _, ids, family, _ in affected:
+                report.protected_checks += 1
+                if is_in_Z(tentative.induce(ids), family, support_cap):
+                    report.protected_rejections += 1
+                    return False
+            return True
 
-            plan = remove_object(cfg, wcms, protected_ok=protected_ok, support_cap=support_cap,
-                                 oracle_cap=oracle_cap, object_id=target.object_id)
-            plan = replace(
-                plan,
-                changes=tuple((cn_ids[cn], vn_ids[vn], old, new) for cn, vn, old, new in plan.changes),
-                selected_vn=vn_ids[plan.selected_vn] if plan.selected_vn is not None else None,
-            )
-            report.plan_log.append(plan)
-            if plan.result == "unremovable":
-                continue
-            if plan.changes:
-                current = current.apply_changes({(cn, vn): new for cn, vn, _, new in plan.changes})
-            edges = frozenset((cn_ids[cn], vn_ids[vn]) for cn, vn, _ in cfg.edges)
-            registry.append((target.object_id, vn_ids, wcms, edges))
+        plan = remove_object(cfg, wcms, protected_ok=protected_ok, support_cap=support_cap,
+                             oracle_cap=oracle_cap, object_id=target.object_id)
+        plan = replace(
+            plan,
+            changes=tuple((cn_ids[cn], vn_ids[vn], old, new) for cn, vn, old, new in plan.changes),
+            selected_vn=vn_ids[plan.selected_vn] if plan.selected_vn is not None else None,
+        )
+        report.plan_log.append(plan)
+        if plan.result == "unremovable":
+            continue
+        if plan.changes:
+            current = current.apply_changes({(cn, vn): new for cn, vn, _, new in plan.changes})
+        edges = frozenset((cn_ids[cn], vn_ids[vn]) for cn, vn, _ in cfg.edges)
+        registry.append((target.object_id, vn_ids, wcms, edges))
     for object_id, ids, family, _ in registry:
         if not is_in_Z(current.induce(ids), family, support_cap):
             report.reverified.append(object_id)

@@ -249,8 +249,9 @@ class TestCommands:
         ("verify", ["gast_6_0_0_9_0.cfg"], ["--mode", "ost"]),
         ("remove", ["gast_6_0_0_9_0.cfg"], ["--phases", "gast"]),
         ("optimize", ["toy_code.txt", "toy_targets.txt"], ["--mode", "gast"]),
+        ("optimize", ["toy_code.txt", "toy_targets.txt"], ["--phases", "gast+ost"]),
         ("enumerate", ["toy_code.txt"], ["--max-a", "1", "--oracle-cap", "10"]),
-    ], ids=["analyze", "verify", "remove", "optimize", "enumerate"])
+    ], ids=["analyze", "verify", "remove", "optimize", "optimize-phases", "enumerate"])
     def test_stray_flag_is_an_input_error(self, command, files, flags, tmp_path, capsys):
         # a flag its command does not read is refused, not silently ignored
         out_path = tmp_path / "out.txt"
@@ -818,9 +819,9 @@ class TestCommands:
             raise AssertionError("a single target group forked")
 
         overlap = fixture_path("toy_code_overlap.txt"), fixture_path("toy_targets_overlap.txt")
-        cases = [(overlap, [], False), (write("tiles", *disjoint_union([fx.toy_code_overlapping()] * 3)), [], False)]
+        cases = [(overlap, False), (write("tiles", *disjoint_union([fx.toy_code_overlapping()] * 3)), False)]
         # random GF(4)/GF(8) codes whose enumerated targets chain into one
-        # group, over both phases on gamma 4; the GF(4) ones each have a
+        # group, over both kinds on gamma 4; the GF(4) ones each have a
         # removal beyond the topological bound.  Two copies of the gamma-4
         # code side by side, the first without its last target: whichever
         # process removes each copy's group, the warnings come out in
@@ -829,13 +830,13 @@ class TestCommands:
         for seed, gamma, field in ((0, 3, gf4()), (2, 3, gf8()), (1, 4, gf4())):
             graph = random_code(random.Random(f"optimize-workers:{seed}"), 8 + 3 * (gamma - 3), 10, gamma, field)
             targets = enumerated(graph, ("gast", "ost")[: gamma - 2])
-            cases.append((write(f"chain{seed}", graph, targets), ["--phases", "gast+ost"], True))
+            cases.append((write(f"chain{seed}", graph, targets), True))
         chains = disjoint_union([(graph, targets[:-1]), (graph, targets)])
-        cases.append((write("chains", *chains), ["--phases", "gast+ost"], False))
+        cases.append((write("chains", *chains), False))
         capsys.readouterr()
         out_path = tmp_path / "out.txt"
         warned = 0
-        for files, flags, one_group in cases:
+        for files, one_group in cases:
             for fmt in ("text", "json-lines"):
                 outputs = []
                 for count in (1, 2, 3):
@@ -844,14 +845,16 @@ class TestCommands:
                         if one_group:
                             forks.setattr(os, "fork", refuse_fork)
                         out_path.unlink(missing_ok=True)
-                        rc = main(["optimize", *files, "--format", fmt, "--out", str(out_path), *flags])
+                        rc = main(["optimize", *files, "--format", fmt, "--out", str(out_path)])
                     captured = capsys.readouterr()
                     outputs.append((rc, captured.out, captured.err, out_path.read_bytes()))
                     with pytest.raises(ChildProcessError):  # every worker was reaped
                         os.waitpid(-1, os.WNOHANG)
                 assert outputs[0] == outputs[1] == outputs[2], (files, fmt)
                 assert outputs[0][0] == EXIT_OK and "removed" in outputs[0][1]
-                warned += outputs[0][1].count("beyond the topological bound")
+                beyond = outputs[0][1].count("beyond the topological bound")
+                assert beyond == beyond_bound_plans(outputs[0][1], fmt), (files, fmt)
+                warned += beyond
         assert warned >= 2 * 4, warned
 
     def test_optimize_raises_the_earliest_overrun_on_any_worker_count(self, tmp_path, monkeypatch, capsys):
@@ -931,6 +934,16 @@ def text_keys(out: str) -> list[tuple[str, list[str]]]:
         elif keys is not None:
             keys.append(line.split("=", 1)[0])
     return blocks
+
+
+def beyond_bound_plans(out: str, fmt: str) -> int:
+    """How many ``object_*`` blocks of an ``optimize`` output have ``num_changes`` above ``e_bound``."""
+    if fmt == "json-lines":
+        plans = [b for b in map(json.loads, out.splitlines()) if b["block"].startswith("object_")]
+    else:
+        plans = [dict(line.split("=", 1) for line in block.splitlines()[1:])
+                 for block in out.split("\n\n") if block.startswith("[object_")]
+    return sum(int(plan["num_changes"]) > int(plan["e_bound"]) for plan in plans)
 
 
 def schema_name(block: str) -> str:

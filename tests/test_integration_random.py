@@ -61,9 +61,9 @@ def test_random_graph_sweep():
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             new_graph, report = optimize_code(graph, targets)
-        # shared-edge constraints may force escalation past the bound; that
-        # is the only diagnostic this pipeline is allowed to emit
-        assert all("beyond the topological bound" in str(w.message) for w in caught)
+        # the library emits no diagnostic: a plan past its bound says so in
+        # its own fields, and the command line prints it
+        assert caught == []
         processed_ids = {p.object_id for p in report.processed}
         assert processed_ids.isdisjoint(report.unremovable)
         assert len(report.plan_log) + len(report.skipped) == len(targets)

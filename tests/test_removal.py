@@ -2,7 +2,6 @@ import gc
 import itertools
 import pathlib
 import random
-import warnings
 from dataclasses import replace
 
 import pytest
@@ -511,19 +510,28 @@ class TestOptimizeCode:
         weights = {(cn, vn): w for cn, vn, w in cfg.edges}
         graph = CodeGraph(cfg.num_cns, cfg.num_vns, cfg.gamma, cfg.field, weights)
         target = Target(vn_ids=tuple(range(6)), kind="ost")
-        new_graph, report = optimize_code(graph, [target], phases="gast+ost")
+        new_graph, report = optimize_code(graph, [target])
         assert [p.result for p in report.processed] == ["removed"]
         post = new_graph.induce(range(6))
         assert not oracle_in_family(post, "ost").is_member
 
-    def test_ost_phase_skipped_for_odd_gamma(self):
+    def test_ost_phase_skipped_for_odd_gamma(self, monkeypatch):
+        # no shape is an OST on an odd column weight, so the OST target is
+        # skipped like any target outside its family, on any worker count
         graph, target = fx.toy_code_single_instance()
         ost_target = Target(vn_ids=(0, 1, 2, 3, 4, 5), kind="ost")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            _, report = optimize_code(graph, [target, ost_target], phases="gast+ost")
-        assert any("oscillating" in str(w.message) for w in caught)
-        assert [p.object_id for p in report.processed] == [target.object_id]
+        for count in (1, 2):
+            pin_workers(monkeypatch, count)
+            _, report = optimize_code(graph, [ost_target, target])
+            assert report.skipped == [ost_target.object_id]
+            assert [p.object_id for p in report.processed] == [target.object_id]
+
+    def test_unknown_target_kind_is_refused(self):
+        # a kind outside 'gast'/'ost' is refused before any removal
+        graph, target = fx.toy_code_single_instance()
+        for kind in ("eas", "bogus"):
+            with pytest.raises(ValueError, match="unknown target kind"):
+                optimize_code(graph, [target, replace(target, kind=kind)])
 
     def test_processed_already_out_counts_as_processed(self):
         graph, target = fx.toy_code_single_instance()
@@ -563,7 +571,7 @@ class TestTwoPhase:
             Target(vn_ids=tuple(range(6)), kind="gast"),
             Target(vn_ids=tuple(range(6, 12)), kind="ost"),
         ]
-        new_graph, report = optimize_code(graph, targets, phases="gast+ost")
+        new_graph, report = optimize_code(graph, targets)
         assert [(p.object_id, p.result) for p in report.plan_log] == [
             ("1,2,3,4,5,6", "removed"),
             ("7,8,9,10,11,12", "removed"),
@@ -656,24 +664,22 @@ class TestProtectedKernels:
         monkeypatch.setattr(cls, "first_unbroken", counted_first_unbroken)
         monkeypatch.setattr(cls, "fold", counted_fold)
         rejections = 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # searches beyond the topological bound
-            for graph, targets in split_protected_codes():
-                before = CodeGraph(graph.rows, graph.cols, graph.gamma, graph.field, graph.weights)
-                want_graph, want = reference_optimize_code(graph, targets)
-                for count in (1, 2):
-                    pin_workers(monkeypatch, count)
-                    got_graph, got = optimize_code(graph, targets)
-                    assert graph == before
-                    assert repr(got.plan_log) == repr(want.plan_log)
-                    assert (got.protected_checks, got.protected_rejections) == (
-                        want.protected_checks, want.protected_rejections
-                    )
-                    assert got.reverified == want.reverified
-                    assert got.unremovable == want.unremovable and got.skipped == want.skipped
-                    assert got.processed == want.processed and got.changes == want.changes
-                    assert got_graph.weights == want_graph.weights
-                rejections += got.protected_rejections
+        for graph, targets in split_protected_codes():
+            before = CodeGraph(graph.rows, graph.cols, graph.gamma, graph.field, graph.weights)
+            want_graph, want = reference_optimize_code(graph, targets)
+            for count in (1, 2):
+                pin_workers(monkeypatch, count)
+                got_graph, got = optimize_code(graph, targets)
+                assert graph == before
+                assert repr(got.plan_log) == repr(want.plan_log)
+                assert (got.protected_checks, got.protected_rejections) == (
+                    want.protected_checks, want.protected_rejections
+                )
+                assert got.reverified == want.reverified
+                assert got.unremovable == want.unremovable and got.skipped == want.skipped
+                assert got.processed == want.processed and got.changes == want.changes
+                assert got_graph.weights == want_graph.weights
+            rejections += got.protected_rejections
         assert rejections > 0
         assert all(events.values()), events
 
@@ -702,13 +708,11 @@ class TestProtectedKernels:
                 return str(exc)
             return repr(report.plan_log), report.reverified, new_graph.weights
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for graph, targets in split_protected_codes():
-                want = outcome(reference_optimize_code, graph, targets)
-                for count in (1, 2):
-                    pin_workers(monkeypatch, count)
-                    assert outcome(optimize_code, graph, targets) == want
+        for graph, targets in split_protected_codes():
+            want = outcome(reference_optimize_code, graph, targets)
+            for count in (1, 2):
+                pin_workers(monkeypatch, count)
+                assert outcome(optimize_code, graph, targets) == want
         assert overruns
 
     def test_protected_checks_reuse_the_removals_kernels(self, monkeypatch):
@@ -779,16 +783,14 @@ class TestProtectedKernels:
             monkeypatch.setattr(CodeGraph, name, counted)
         pin_workers(monkeypatch, 1)  # the calls are counted in this process
         checks = objects = 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for graph, targets in protected_codes(4):
-                for name in calls:
-                    calls[name] = 0
-                _, report = optimize_code(graph, targets)
-                assert calls["apply_changes"] <= 1
-                assert calls["induce"] == len(targets) + len(report.processed)
-                checks += report.protected_checks
-                objects += len(targets)
+        for graph, targets in protected_codes(4):
+            for name in calls:
+                calls[name] = 0
+            _, report = optimize_code(graph, targets)
+            assert calls["apply_changes"] <= 1
+            assert calls["induce"] == len(targets) + len(report.processed)
+            checks += report.protected_checks
+            objects += len(targets)
         assert checks > objects
 
 
@@ -1061,9 +1063,7 @@ def removal_outcome(remove, cfg, wcms, reject=False, **caps):
         return False
 
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = repr(remove(cfg, wcms, protected_ok if reject else None, **caps))
+        result = repr(remove(cfg, wcms, protected_ok if reject else None, **caps))
     except SearchTooLargeError as exc:
         result = f"SearchTooLargeError: {exc}"
     return result, offered

@@ -11,7 +11,7 @@ two checkouts and diffing the listings shows which commands changed:
 Each command gets only the options it takes.  The grid: every
 ``fixtures/*.cfg`` under analyze and remove in each ``--mode``, and under
 verify, in each ``--format`` with four cap settings; optimize on both
-toy codes in both phases, formats and cap settings; enumerate on both toy
+toy codes in both formats and cap settings; enumerate on both toy
 codes for both kinds and formats, with and without ``--out``, and with
 budgets and a support cap that make its output depend on scan order.
 Commands run as ``python -m wcmopt`` subprocesses on the checkout's
@@ -59,13 +59,9 @@ def grid(root: Path) -> list[list[str]]:
                         flags = ["--mode", mode] if mode else []
                         commands.append([command, cfg, *flags, "--format", fmt, *cap, *out])
     for code, targets in CODES:
-        for phases in ("gast", "gast+ost"):
-            for fmt in FORMATS:
-                for cap in CAPS:
-                    commands.append([
-                        "optimize", code, targets, "--phases", phases, "--format", fmt,
-                        *cap, "--out", "OUT",
-                    ])
+        for fmt in FORMATS:
+            for cap in CAPS:
+                commands.append(["optimize", code, targets, "--format", fmt, *cap, "--out", "OUT"])
         for kind in ("gast", "ost"):
             for fmt in FORMATS:
                 for extra in ([], ["--out", "OUT"], *ENUMERATE_LIMITS):
