@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 from functools import cache
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .config import (
     CodeGraph,
@@ -101,18 +101,20 @@ def _key_values(path: str, lineno: int, line: str) -> dict[str, str]:
 
 def _prelude(
     text: str, path: str, poly_flag: int | None, keys: Sequence[str]
-) -> tuple[int, dict[str, int], FieldContext, list[tuple[int, str]]]:
-    """Header line number, integer header, field, and the numbered body lines.
+) -> tuple[int, dict[str, int], FieldContext, Iterator[tuple[int, str]]]:
+    """Header line number, integer header, field, and an iterator over the numbered body lines.
 
     Comments and blank lines are dropped; every header count but ``q`` is at
     least 1, and the field comes from ``q``, a ``poly=`` comment and the
-    ``--field-poly`` override.
+    ``--field-poly`` override.  The body lines are stripped as they are
+    read, and no list of them is built; a ``poly=`` comment anywhere in the
+    file is read before the first of them.
     """
     raw = text.splitlines()
-    lines = [(i + 1, l.strip()) for i, l in enumerate(raw) if l.strip() and not l.strip().startswith("#")]
-    if not lines:
+    lines = ((i, l) for i, l in enumerate(map(str.strip, raw), 1) if l and l[0] != "#")
+    lineno, header = next(lines, (1, None))
+    if header is None:
         raise ParseError(path, 1, "empty file")
-    lineno, header = lines[0]
     h = {}
     for k, v in _key_values(path, lineno, header).items():
         try:
@@ -129,7 +131,7 @@ def _prelude(
         field = _field_for(h["q"], _scan_poly_comment(raw, path), poly_flag)
     except FieldError as exc:
         raise ParseError(path, lineno, str(exc)) from None
-    return lineno, h, field, lines[1:]
+    return lineno, h, field, lines
 
 
 # ------------------------------------------------------------- configuration
@@ -137,7 +139,8 @@ def _prelude(
 
 def parse_config(text: str, path: str = "<config>", poly_flag: int | None = None) -> Configuration:
     """Parse the dense configuration format: header plus an ell x a matrix."""
-    lineno, h, field, body = _prelude(text, path, poly_flag, ("q", "gamma", "a", "ell"))
+    lineno, h, field, lines = _prelude(text, path, poly_flag, ("q", "gamma", "a", "ell"))
+    body = list(lines)
     if len(body) != h["ell"]:
         raise ParseError(path, lineno, f"expected {h['ell']} matrix rows, found {len(body)}")
     edges = []
@@ -199,13 +202,15 @@ def parse_code(text: str, path: str = "<code>", poly_flag: int | None = None) ->
 
 
 def serialize_code(graph: CodeGraph) -> str:
-    lines = [_poly_comment(graph.field)]
-    lines.append(
-        f"rows={graph.rows} cols={graph.cols} q={graph.field.q} gamma={graph.gamma}"
+    """The sparse triplet format; the entries go into one buffer, so no string per entry is held."""
+    out = bytearray(
+        f"{_poly_comment(graph.field)}\n"
+        f"rows={graph.rows} cols={graph.cols} q={graph.field.q} gamma={graph.gamma}\n".encode()
     )
-    for (r, c) in sorted(graph.weights):
-        lines.append(f"{r + 1} {c + 1} {graph.weights[(r, c)]}")
-    return "\n".join(lines) + "\n"
+    weights = graph.weights
+    for r, c in sorted(weights):
+        out += b"%d %d %d\n" % (r + 1, c + 1, weights[r, c])
+    return out.decode()
 
 
 # -------------------------------------------------------------------- targets

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, field as dataclass_field, fields, replace
 from functools import reduce
 from math import comb
-from operator import xor
+from operator import and_, xor
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import workers
@@ -408,10 +408,19 @@ def _scan(
 
     Syndromes are ``SupportScan`` vectors over the CNs: an assignment's is one
     XOR of two half-sums, and the scan's carry moves the unsatisfied CNs into
-    its guard bits.  An unsatisfied mask that meets the guard bits of a CN
-    in ``satisfied`` is rejected with one AND; any other is judged by
-    ``keeps_majority`` on each VN's unsatisfied count.  The witness's
-    unsatisfied CNs are the guard bits of its mask.
+    its guard bits.  The witness's unsatisfied CNs are the guard bits of its
+    mask.
+
+    A row is the assignments that share their first half.  Its unsatisfied
+    masks not seen before are judged fewest CNs first, and only while their
+    count is below the best b so far or equal to the first count that passes
+    in the row; every other new mask is cached as a loser.  A judged mask that
+    meets the guard bits of a CN in ``satisfied`` fails with one AND; any
+    other is judged by ``keeps_majority`` on the worst VN's unsatisfied count.
+    The cut is exact: best never rises, so a mask at or above it can never
+    lower it, and a mask larger than a passing one in its row can be neither
+    that row's first smallest nor below best afterwards.  Every mask at the
+    row's smallest passing count is judged, so the witness is the first.
     """
     q, a, ell = c.field.q, c.num_vns, c.num_cns
     if (total := (q - 1) ** a) > cap:
@@ -430,12 +439,16 @@ def _scan(
         masks = [((p ^ t) + carry) & guards for t in tail]
         try:
             bs = list(map(verdicts.__getitem__, masks))
-        except KeyError:  # judge each new unsatisfied set once
-            for m in set(masks).difference(verdicts):
-                ok = not m & forbidden and keeps_majority(
-                    c.gamma, [(m & vm).bit_count() for vm in vn_masks], kind
-                )
-                verdicts[m] = m.bit_count() if ok else ell + 1
+        except KeyError:  # judge each new unsatisfied set once, fewest CNs first
+            cut = best
+            for m in sorted(set(masks).difference(verdicts), key=int.bit_count):
+                b = m.bit_count()
+                if b < cut and not m & forbidden and keeps_majority(
+                    c.gamma, (max(map(int.bit_count, map(and_, itertools.repeat(m), vn_masks))),), kind
+                ):
+                    verdicts[m], cut = b, b + 1
+                else:
+                    verdicts[m] = ell + 1
             bs = list(map(verdicts.__getitem__, masks))
         if min(bs) < best:
             j = bs.index(min(bs))

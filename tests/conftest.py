@@ -7,7 +7,7 @@ import os
 import random
 import time
 from dataclasses import replace
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from wcmopt import workers
 from wcmopt.config import (
@@ -590,17 +590,20 @@ def random_weights(cfg: Configuration, rng: random.Random) -> Configuration:
     )
 
 
-def satisfied_labeling(cfg: Configuration, rng: random.Random) -> Configuration:
+def satisfied_labeling(
+    cfg: Configuration, rng: random.Random, values: Sequence[int] | None = None
+) -> Configuration:
     """Random labeling under which every degree->=2 check is satisfied.
 
-    Draws a full-support value vector, then solves each check's last edge
-    weight so the row annihilates it; degree-1 checks get random weights
-    (they are unsatisfied regardless).  The result has exactly d1
-    unsatisfied checks.
+    Draws a full-support value vector (or takes ``values``), then solves
+    each check's last edge weight so the row annihilates it; degree-1
+    checks get random weights (they are unsatisfied regardless).  The
+    result has exactly d1 unsatisfied checks.
     """
     f = cfg.field
     q = f.q
-    values = [rng.randrange(1, q) for _ in range(cfg.num_vns)]
+    if values is None:
+        values = [rng.randrange(1, q) for _ in range(cfg.num_vns)]
     changes: dict[tuple[int, int], int] = {}
     for cn in range(cfg.num_cns):
         nbrs = cfg.cn_neighbors[cn]

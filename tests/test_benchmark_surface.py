@@ -48,6 +48,7 @@ def test_plan_digest_patches_names_that_exist():
         "removal._ColumnMembership._reduce": removal._ColumnMembership,
         "cli.optimize_code": cli,
         "removal.grow_tree": removal,
+        "removal.keeps_majority": removal,
         "workers.available": workers,
     }
     for dotted, owner in patched.items():

@@ -8,6 +8,7 @@ import re
 import signal
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -118,13 +119,36 @@ class TestFormats:
         ("1 1 0", 4, "weight 0 outside 1..3"),
         ("2 2 1\n\n2 2 3", 6, "duplicate entry (2,2)"),
         ("1 1 1\n2 2 1", 2, "column 1 has 1 entries, column weight is 2"),
+        # every poly= comment is read before the first triplet is parsed
+        ("1 x 1\n# gf q=4 poly=zz", 5, "bad poly= value in '# gf q=4 poly=zz'"),
+        ("2 2 1\r1 x 1", 5, "non-integer triplet '1 x 1'"),
     ], ids=["short", "long", "non-integer", "non-integer-weight", "row-range", "col-zero",
-            "col-range", "weight-range", "weight-zero", "duplicate", "column-weight"])
+            "col-range", "weight-range", "weight-zero", "duplicate", "column-weight",
+            "poly-after-bad-triplet", "cr-separated"])
     def test_code_parse_errors_pin_message_and_line(self, body, line, message):
         text = f"# code\nrows=2 cols=2 q=4 gamma=2\n1 2 1\n{body}\n"
         with pytest.raises(ParseError) as caught:
             parse_code(text, "c.txt")
         assert (caught.value.line, str(caught.value)) == (line, f"c.txt:{line}: {message}")
+
+    def test_code_parse_and_serialize_hold_no_per_line_copies(self):
+        # 9000 triplets: the body is read line by line and written into one
+        # buffer, so neither holds a list of per-line strings or tuples
+        text = serialize_code(random_code(random.Random(3), 1500, 3000, 3))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            graph = parse_code(text)
+            held, peak = tracemalloc.get_traced_memory()
+            assert peak - start < 1.6 * (held - start)
+            tracemalloc.reset_peak()
+            out = serialize_code(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+            assert peak - held < 3 * len(out)
+        finally:
+            tracemalloc.stop()
+        assert out == text
 
     @pytest.mark.parametrize("comment", ["# gf q=4 poly=zz", "# gf q=4 poly="], ids=["bad", "empty"])
     @pytest.mark.parametrize("command, text", [

@@ -1234,7 +1234,11 @@ class TestPinnedCounters:
 
 def scan_cases(field, budget, rng):
     """Each shipped shape under a random and a satisfied labeling; a shape with
-    more than ``budget`` assignments is replaced by a random VN subset that fits."""
+    more than ``budget`` assignments is replaced by a random VN subset that fits.
+
+    Two more satisfied labelings put b = d1 in the scan's first row: at the
+    first assignment, all ones, and at the end of that row, so every later
+    unsatisfied set is at or above the best b when the scan first meets it."""
     for name in fx.all_fixture_configurations():
         shape = getattr(fx, name)(field=field)
         a = shape.num_vns
@@ -1244,6 +1248,10 @@ def scan_cases(field, budget, rng):
             shape = sub_configuration(shape, sorted(rng.sample(range(shape.num_vns), a)))
         yield name, random_weights(shape, rng)
         yield name, satisfied_labeling(shape, rng)
+        early = random.Random(name)
+        for tail in (1, field.q - 1):
+            values = [1] * (a // 2) + [tail] * (a - a // 2)
+            yield f"{name}-early-{tail}", satisfied_labeling(shape, early, values)
 
 
 class TestExhaustiveScanner:
