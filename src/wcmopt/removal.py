@@ -273,6 +273,34 @@ class _ObjectColumns:
         kernel, held = self.kernels.get(vn, (None, {}))
         self.kernels = {} if kernel is None else {vn: (kernel, _add_deltas(held, deltas))}
 
+    def in_family(self, c: Configuration) -> bool:
+        """``is_in_Z(c, self.wcms, self.support_cap)``, on a kept kernel when ``c`` has its B.
+
+        ``c`` is the object re-induced from a graph.  Its rows are packed
+        with the column of the first kernel kept as x.  When every packed
+        row equals the kernel's in B's slots and x differs only at the
+        kernel's changeable rows, the kernel's reductions are this B's, and
+        x's deltas against the kernel's packed x, read from ``c`` alone, are
+        judged on them; otherwise ``is_in_Z`` answers.  The verdict and any
+        support-cap overrun are ``is_in_Z``'s: every choice of x gives each
+        matrix dim null(B) + [x in B's column space].  In ``optimize_code``
+        a kernel is always kept: every fold at a column u follows a
+        protected check, or the removal's own search, that packed the
+        kernel at u, and ``fold`` keeps it.  The kernel route shares the
+        unit-column arithmetic of ``_ColumnMembership._reduce`` with the
+        search instead of recomputing it with x riding along; the kernel's
+        tests against the dense references cover that arithmetic.
+        """
+        if not self.kernels or (c.num_cns, c.num_vns) != (len(self.rows), len(self.rows[0])):
+            return is_in_Z(c, self.wcms, self.support_cap)
+        vn, (kernel, _) = next(iter(self.kernels.items()))
+        shift = kernel.scan.width * kernel.scan.length  # B's slots lie below, x's at it
+        diffs = [p ^ k for p, k in zip(_pack_rows(c.adjacency(), vn, self.field), kernel.packed)]
+        deltas = {cn: d >> shift for cn, d in enumerate(diffs) if d}
+        if any(d & ((1 << shift) - 1) for d in diffs) or not kernel.changeable.issuperset(deltas):
+            return is_in_Z(c, self.wcms, self.support_cap)
+        return kernel.first_unbroken(deltas) is not None
+
 
 def evaluate_weight_conditions(
     c: Configuration, w: WcmSet, support_cap: int = DEFAULT_SUPPORT_CAP
@@ -696,8 +724,10 @@ def optimize_code(
     record keeps, with no re-induced object; an index by VN finds those
     removals without a walk over all of them.  The run re-weights one copy
     of ``graph`` in place and returns it; ``graph`` is left as it was.
-    Every removal is re-verified at the end on ``is_in_Z`` over the
-    re-induced object.
+    Every removal is re-verified at the end on the object re-induced from
+    the optimized graph, judged on a kernel its record kept when the
+    object's B is the kernel's and on ``is_in_Z`` otherwise
+    (``_ObjectColumns.in_family``).
 
     A removal reads and writes only edges at its target's VNs, so targets
     that share no VN, directly or through a chain of targets over both
@@ -762,7 +792,10 @@ def _remove_group(
     Each target is judged in the family its ``kind`` names.  No target
     outside the group shares a VN with these, so none reads or writes an
     edge they do.  A candidate or plan at a VN asks or folds into the
-    records of the removed objects held under that VN.  Returns
+    records of the removed objects held under that VN.  The final
+    re-verification re-induces each removed object from ``current`` and
+    asks its record's ``in_family``, which reuses a kept kernel's
+    reductions when the re-induced B is the kernel's.  Returns
     marshal-able records ``(key, kind, value)``, key i for target i's plan
     and len(order) + i for its final re-verification: kind 'skipped'
     (value None), 'plan' (the plan's fields, then the protected checks and
@@ -829,7 +862,7 @@ def _remove_group(
             removed.append((key, columns))
         for position, held in removed:
             key = len(order) + position
-            if not is_in_Z(current.induce(held.vn_ids), held.wcms, support_cap):
+            if not held.in_family(current.induce(held.vn_ids)):
                 records.append((key, "intact", None))
     except Exception as exc:  # raised by the merge, in processing order
         import traceback  # here, not at the top: importing it costs every run a few ms

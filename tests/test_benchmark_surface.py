@@ -49,6 +49,8 @@ def test_plan_digest_patches_names_that_exist():
         "cli.optimize_code": cli,
         "removal.grow_tree": removal,
         "removal.keeps_majority": removal,
+        "removal.is_in_Z": removal,
+        "removal._ObjectColumns.in_family": removal._ObjectColumns,
         "workers.available": workers,
     }
     for dotted, owner in patched.items():

@@ -11,7 +11,10 @@ benchmark.  Then one line per ``optimize_code`` seed (1 and 41): the
 sha256 of ``wcmopt optimize code targets --out`` on the benchmark's
 overlap-tile code, over its standard output, with the scratch directory
 masked, and the bytes of the ``--out`` file, with the run's matrix
-reductions, protected checks and majority judgements.  Last two lines
+reductions, protected checks and majority judgements, and how its final
+re-verifications ran: on a kernel a removal's record kept
+(``_ObjectColumns.in_family``) or on ``is_in_Z`` over the re-induced
+object (every one of them in checkouts without ``in_family``).  Last two lines
 per ``enumerate_scan`` seed (1 and 41): the sha256 of the standard
 output of ``wcmopt enumerate code --max-a 6`` on the benchmark's planted
 scan code, with the run's shape hits (subsets whose class is in the
@@ -63,9 +66,10 @@ def main() -> int:
     import inputs
     from wcmopt import cli, removal, wcmtree, workers
 
-    counts = {"reductions": 0, "protected_checks": 0, "shape_hits": 0, "judged": 0}
+    counts = {"reductions": 0, "protected_checks": 0, "shape_hits": 0, "judged": 0, "on_kernel": 0, "on_is_in_Z": 0}
     reduce, optimize, grow = removal._ColumnMembership._reduce, cli.optimize_code, wcmtree.grow_tree
-    keeps_majority = removal.keeps_majority
+    keeps_majority, is_in_Z = removal.keeps_majority, removal.is_in_Z
+    in_family = getattr(removal._ObjectColumns, "in_family", None)
 
     def counted_reduce(self, group):
         counts["reductions"] += 1
@@ -84,8 +88,20 @@ def main() -> int:
         counts["judged"] += 1
         return keeps_majority(*args)
 
+    def counted_is_in_Z(*args):
+        counts["on_is_in_Z"] += 1
+        return is_in_Z(*args)
+
+    def counted_in_family(self, c):
+        before = counts["on_is_in_Z"]
+        verdict = in_family(self, c)
+        counts["on_kernel"] += counts["on_is_in_Z"] == before
+        return verdict
+
     removal._ColumnMembership._reduce, cli.optimize_code = counted_reduce, counted_optimize
-    removal.keeps_majority = counted_keeps_majority
+    removal.keeps_majority, removal.is_in_Z = counted_keeps_majority, counted_is_in_Z
+    if in_family is not None:
+        removal._ObjectColumns.in_family = counted_in_family
     for owner in (cli, removal):  # the module whose enumerate walk calls grow_tree
         if hasattr(owner, "grow_tree"):
             owner.grow_tree = counted_grow
@@ -110,13 +126,14 @@ def main() -> int:
             Path(paths[0]).write_text(code.text, encoding="utf-8")
             Path(paths[1]).write_text(inputs.targets_text(code.objects), encoding="utf-8")
             stdout = io.StringIO()
-            counts.update(reductions=0, protected_checks=0, judged=0)
+            counts.update(reductions=0, protected_checks=0, judged=0, on_kernel=0, on_is_in_Z=0)
             with contextlib.redirect_stdout(stdout):
                 rc = cli.main(["optimize", *paths[:2], "--out", paths[2]])
             h = hashlib.sha256(stdout.getvalue().replace(work, "<work>").encode())
             h.update(Path(paths[2]).read_bytes())
         print(f"optimize_code seed={seed} exit={rc} reductions={counts['reductions']} "
-              f"protected_checks={counts['protected_checks']} judged={counts['judged']} sha256={h.hexdigest()}")
+              f"protected_checks={counts['protected_checks']} judged={counts['judged']} "
+              f"final_on_kernel={counts['on_kernel']} final_on_is_in_Z={counts['on_is_in_Z']} sha256={h.hexdigest()}")
     for seed in ENUMERATE_SEEDS:
         code = inputs.planted_scan_code(seed)
         inside = sum(comb(code.cols, k) for k in range(1, 5)) + comb(code.cols, 5) // 2
